@@ -1,13 +1,27 @@
 """Exhaustive construction of the semigroup by two independent routes.
 
-The closure route starts from the unit and right-multiplies frontier
-elements by every generator until nothing new appears.  The direct route
-backtracks over canonical words, growing a word one letter at a time;
-every prefix of a canonical word is canonical, so the search tree is
-exactly the canonical words, and per-letter multiplicity bounds prune it
-finite.  The routes share no rewriting shortcut in either direction, so
-their agreement is a real check, and the verification suite plus the
-tests hold them to it.
+The closure route starts from the unit and right-multiplies elements by
+every generator, round by round, until nothing new appears.  It decides
+each product u * g of a canonical word u and a generator g by the
+append-letter rule: appending g to a canonical word can create only one
+deletion, between the new g and the last g already in u, so the letters
+after that last g say whether the new g stays, drops, or deletes the old
+g.  In the last case the product is read off a right Cayley table of the
+elements found so far (Froidure & Pin, "Algorithms for computing finite
+semigroups", 1997), so the closure never calls the rewriter.  The direct
+route backtracks over canonical words, growing a word one letter at a
+time; every prefix of a canonical word is canonical, so the search tree
+is exactly the canonical words, each append checks only the one new
+consecutive pair of equal letters, and per-letter multiplicity bounds
+prune the tree finite.
+
+Both routes use the fact that an appended letter pairs only with its
+last earlier copy, but only the closure resolves the pairs that delete,
+and only the direct route relies on the multiplicity bounds, so their
+agreement is still a real check.  The cardinality verification suite and
+tests/test_enumeration.py hold the closure to the direct search element
+for element; the same tests hold every table entry to the deletion
+rewriter and replay the rewriter-driven closure as a reference.
 
 Cardinalities grow double-exponentially with the rank.  Enumeration
 therefore takes an element cap, and the CLI refuses ranks above
@@ -19,12 +33,15 @@ canonical word per line::
     kiselman-cache v1 n=<rank> count=<N>
 
 Reads re-validate the header, the count and the canonicality of every
-line, so a stale or hand-edited file fails loudly.
+line, and check the count against KNOWN_CARDINALITIES where the rank is
+listed, so a stale or hand-edited file fails loudly.  Writes replace the
+file in one step.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +49,6 @@ from typing import Iterable
 
 from .algebra import Element, content, sort_key
 from .errors import InvariantError, ResourceLimitError, ValidationError
-from .rewrite import canonical_letters
 from .words import Word, is_canonical, mirror, parse_word
 
 __all__ = [
@@ -111,28 +127,75 @@ class ParityReport:
 
 def _closure(
     rank: int, generators: tuple[int, ...], limit: int
-) -> tuple[set[tuple[int, ...]], int, int]:
-    seen: set[tuple[int, ...]] = {()}
-    frontier: list[tuple[int, ...]] = [()]
+) -> tuple[list[tuple[int, ...]], list[int], int, int]:
+    """Close {identity} under right multiplication through a Cayley table.
+
+    Returns the canonical words in discovery order, the right Cayley
+    table (entry u * len(generators) + j is the index of
+    words[u] * generators[j]), the number of rounds and the number of
+    products.  Each product u * g is decided by where g last occurs in
+    u and which letters follow it there:
+
+    - no g in u, or the gap after it holds both a larger and a smaller
+      letter: u + (g,) is canonical, and it is a new element;
+    - the gap is empty or all smaller: the new g is deleted, u * g = u;
+    - the gap is all larger: the old g is deleted, so u * g is the
+      element u[:p] * gap * g, read off the table.
+
+    The walk in the last case relies on one invariant.  An element is
+    first found in the round equal to its canonical length (its longest
+    proper prefix is canonical and one letter shorter, and no product
+    of a shorter word is that long), and elements are processed in
+    index order, which is round order.  Every element the walk visits
+    is a product of at most len(u) - 1 letters, so its canonical word
+    is shorter than u, it was processed in an earlier round, and its
+    table row is already complete.
+    """
+    width = len(generators)
+    column = {g: j for j, g in enumerate(generators)}
+    words: list[tuple[int, ...]] = [()]
+    index: dict[tuple[int, ...], int] = {(): 0}
+    table: list[int] = []
     rounds = 0
-    multiplications = 0
-    while frontier:
+    start, end = 0, 1
+    while start < end:
         rounds += 1
-        fresh: list[tuple[int, ...]] = []
-        for letters in frontier:
+        for ui in range(start, end):
+            u = words[ui]
             for g in generators:
-                multiplications += 1
-                product = canonical_letters(letters + (g,))
-                if product not in seen:
-                    if len(seen) >= limit:
+                larger = smaller = False
+                p = len(u) - 1
+                while p >= 0:
+                    h = u[p]
+                    if h == g:
+                        break
+                    if h > g:
+                        larger = True
+                    else:
+                        smaller = True
+                    if larger and smaller:
+                        break
+                    p -= 1
+                if p < 0 or (larger and smaller):
+                    if len(words) >= limit:
                         raise ResourceLimitError(
                             f"enumeration at rank {rank} exceeded "
                             f"the element cap of {limit}"
                         )
-                    seen.add(product)
-                    fresh.append(product)
-        frontier = fresh
-    return seen, rounds, multiplications
+                    product = u + (g,)
+                    index[product] = len(words)
+                    table.append(len(words))
+                    words.append(product)
+                elif not larger:
+                    table.append(ui)
+                else:
+                    # u * g = u[:p] * gap * g; every row read is complete
+                    v = index[u[:p]]
+                    for h in u[p + 1:]:
+                        v = table[v * width + column[h]]
+                    table.append(table[v * width + column[g]])
+        start, end = end, len(words)
+    return words, table, rounds, len(words) * width
 
 
 def enumerate_elements(
@@ -147,8 +210,10 @@ def enumerate_elements(
         raise ValidationError(f"rank must be >= 1, got {rank}")
     if limit < 1:
         raise ValidationError(f"element limit must be >= 1, got {limit}")
-    seen, rounds, multiplications = _closure(rank, tuple(range(1, rank + 1)), limit)
-    elements = frozenset(Element(Word(letters, rank)) for letters in seen)
+    words, _, rounds, multiplications = _closure(
+        rank, tuple(range(1, rank + 1)), limit
+    )
+    elements = frozenset(Element(Word(letters, rank)) for letters in words)
     return EnumerationResult(rank, elements, len(elements), rounds, multiplications)
 
 
@@ -166,8 +231,8 @@ def generated_submonoid(
     for g in gens:
         if not 1 <= g <= rank:
             raise ValidationError(f"generator {g} out of range [1, {rank}]")
-    seen, _, _ = _closure(rank, gens, limit)
-    return frozenset(Element(Word(letters, rank)) for letters in seen)
+    words, _, _, _ = _closure(rank, gens, limit)
+    return frozenset(Element(Word(letters, rank)) for letters in words)
 
 
 def letter_bounds(rank: int) -> dict[int, int]:
@@ -301,13 +366,26 @@ def cache_path(cache_dir: str | Path, rank: int) -> Path:
 
 
 def write_cache(cache_dir: str | Path, rank: int, words: Iterable[Word]) -> Path:
-    """Write one rank's canonical words in the cache file format."""
+    """Write one rank's canonical words in the cache file format.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces the cache file in one step, so a concurrent reader sees the
+    old file or the new one and never a partial write.
+    """
     path = cache_path(cache_dir, rank)
     path.parent.mkdir(parents=True, exist_ok=True)
     ordered = sorted(set(words), key=word_sort_key)
     lines = [f"{CACHE_MAGIC} n={rank} count={len(ordered)}"]
     lines.extend(str(w) for w in ordered)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    # opened like any new file, so the cache keeps the umask's permissions
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="ascii") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -315,7 +393,8 @@ def read_cache(cache_dir: str | Path, rank: int) -> set[Word] | None:
     """Load one rank's cache, or None when the file does not exist.
 
     Validation failures (foreign header, count drift, non-canonical or
-    duplicate lines) raise ValidationError rather than returning partial
+    duplicate lines, or a count that differs from the known cardinality
+    of the rank) raise ValidationError rather than returning partial
     data.
     """
     path = cache_path(cache_dir, rank)
@@ -349,4 +428,10 @@ def read_cache(cache_dir: str | Path, rank: int) -> set[Word] | None:
         words.add(w)
     if len(words) != count:
         raise ValidationError(f"cache file {path} contains duplicate words")
+    known = KNOWN_CARDINALITIES.get(rank)
+    if known is not None and count != known:
+        raise ValidationError(
+            f"cache file {path} holds {count} words, but rank {rank} "
+            f"has {known} elements"
+        )
     return words

@@ -129,6 +129,16 @@ def test_corrupt_cache_is_a_usage_error(capsys, tmp_path):
     assert "non-canonical" in err
 
 
+def test_forged_cache_count_is_a_usage_error(capsys, tmp_path):
+    (tmp_path / "k3.cache").write_text("kiselman-cache v1 n=3 count=3\n\n1\n2\n")
+    code, out, err = run(
+        capsys, "stats", "--n", "3", "--cache-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert "rank 3 has 18 elements" in err
+
+
 def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("KISELMAN_CACHE_DIR", str(tmp_path))
     code, _, _ = run(capsys, "enum", "--n", "2")

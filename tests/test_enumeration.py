@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from itertools import chain, combinations
+
 import pytest
 
 from kiselman.algebra import (
+    Element,
     content,
     from_word,
     generator,
@@ -12,6 +18,7 @@ from kiselman.algebra import (
     zero,
 )
 from kiselman.enumeration import (
+    DEFAULT_ELEMENT_LIMIT,
     KNOWN_CARDINALITIES,
     EnumerationResult,
     enumerate_canonical_words,
@@ -23,8 +30,10 @@ from kiselman.enumeration import (
     read_cache,
     word_sort_key,
     write_cache,
+    _closure,
 )
 from kiselman.errors import ResourceLimitError, ValidationError
+from kiselman.rewrite import canonical_letters
 from kiselman.words import is_canonical, occurrence_counts, parse_word
 
 
@@ -277,3 +286,155 @@ def test_elements_recoverable_from_words(k3):
     # each canonical word is already its own element's canonical form
     for w in enumerate_canonical_words(3):
         assert from_word(w).word == w
+
+
+def _rewriter_closure(rank, generators, limit):
+    """The closure decided by the rewriter, one call per product.
+
+    Returns the words in discovery order with the round and product
+    counts; the reference the table closure is held to.
+    """
+    seen = {()}
+    order = [()]
+    frontier = [()]
+    rounds = multiplications = 0
+    while frontier:
+        rounds += 1
+        fresh = []
+        for letters in frontier:
+            for g in generators:
+                multiplications += 1
+                product = canonical_letters(letters + (g,))
+                if product not in seen:
+                    if len(seen) >= limit:
+                        raise ResourceLimitError(f"rank {rank} cap {limit}")
+                    seen.add(product)
+                    fresh.append(product)
+        order.extend(fresh)
+        frontier = fresh
+    return order, rounds, multiplications
+
+
+def _check_table_against_rewriter(rank, generators):
+    words, table, rounds, multiplications = _closure(
+        rank, generators, DEFAULT_ELEMENT_LIMIT
+    )
+    width = len(generators)
+    assert len(set(words)) == len(words)
+    assert len(table) == multiplications == len(words) * width
+    for ui, u in enumerate(words):
+        for j, g in enumerate(generators):
+            assert words[table[ui * width + j]] == canonical_letters(u + (g,)), (u, g)
+    return words, rounds, multiplications
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_cayley_table_matches_rewriter(rank):
+    generators = tuple(range(1, rank + 1))
+    table_run = _check_table_against_rewriter(rank, generators)
+    assert table_run == _rewriter_closure(rank, generators, DEFAULT_ELEMENT_LIMIT)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_generated_submonoid_every_generator_subset(rank):
+    direct = enumerate_canonical_words(rank)
+    subsets = chain.from_iterable(
+        combinations(range(1, rank + 1), size) for size in range(rank + 1)
+    )
+    for subset in subsets:
+        expected = {Element(w) for w in direct if set(w.letters) <= set(subset)}
+        assert generated_submonoid(rank, subset) == expected, subset
+        table_run = _check_table_against_rewriter(rank, subset)
+        assert table_run == _rewriter_closure(rank, subset, DEFAULT_ELEMENT_LIMIT)
+
+
+def test_element_cap_matches_rewriter_closure():
+    with pytest.raises(ResourceLimitError, match="cap of 17"):
+        enumerate_elements(3, limit=17)
+    assert enumerate_elements(3, limit=18).cardinality == 18
+    for rank in (1, 2, 3, 4):
+        generators = tuple(range(1, rank + 1))
+        for limit in range(1, KNOWN_CARDINALITIES[rank] + 2):
+            outcomes = []
+            for closure in (_closure, _rewriter_closure):
+                try:
+                    closure(rank, generators, limit)
+                except ResourceLimitError:
+                    outcomes.append("raised")
+                else:
+                    outcomes.append("done")
+            assert outcomes[0] == outcomes[1], (rank, limit)
+            expected = "raised" if limit < KNOWN_CARDINALITIES[rank] else "done"
+            assert outcomes[0] == expected, (rank, limit)
+
+
+@pytest.mark.n6
+def test_cayley_table_matches_rewriter_rank_6():
+    result = enumerate_elements(6)
+    assert result.cardinality == KNOWN_CARDINALITIES[6]
+    assert result.frontier_rounds == 15
+    assert result.multiplications == 503838
+    words, rounds, multiplications = _check_table_against_rewriter(
+        6, tuple(range(1, 7))
+    )
+    assert {x.word.letters for x in result.elements} == set(words)
+    assert (rounds, multiplications) == (15, 503838)
+
+
+def test_cache_rejects_forged_count(tmp_path):
+    # every line is canonical and the header count matches the body,
+    # but rank 3 has 18 elements, not 3
+    (tmp_path / "k3.cache").write_text("kiselman-cache v1 n=3 count=3\n\n1\n2\n")
+    with pytest.raises(ValidationError, match="rank 3 has 18 elements"):
+        read_cache(tmp_path, 3)
+
+
+def test_cache_write_keeps_ordinary_file_permissions(tmp_path, k2):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    path = write_cache(tmp_path, 2, {x.word for x in k2.elements})
+    assert path.stat().st_mode == plain.stat().st_mode
+
+
+def test_cache_writers_race_without_partial_reads(tmp_path, k4):
+    words = {x.word for x in k4.elements}
+    write_cache(tmp_path, 4, words)
+    stop = threading.Event()
+    errors = []
+    reads = []
+
+    def writer():
+        try:
+            while not stop.is_set():
+                write_cache(tmp_path, 4, words)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    def reader():
+        try:
+            while not stop.is_set():
+                loaded = read_cache(tmp_path, 4)
+                if loaded != words:
+                    errors.append("a reader saw a different word set")
+                    return
+                reads.append(1)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    workers = [threading.Thread(target=writer) for _ in range(2)]
+    workers += [threading.Thread(target=reader) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        time.sleep(1.0)
+    finally:
+        stop.set()
+        for t in workers:
+            t.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert errors == []
+    assert reads
+    assert [p.name for p in tmp_path.iterdir()] == ["k4.cache"]

@@ -20,6 +20,7 @@ from .algebra import (
 from .enumeration import (
     EnumerationResult,
     ParityReport,
+    Semigroup,
     enumerate_canonical_words,
     enumerate_elements,
     filter_by_content,
@@ -33,6 +34,7 @@ from .equations import (
     characterize_zero,
     construct_right_zero_solutions,
     solution_multiply,
+    solution_rule,
     solution_word,
     solve_left_zero,
     solve_right_zero,
@@ -60,6 +62,7 @@ from .words import (
     is_canonical,
     is_quasi_subword,
     is_subword,
+    letter_subsets,
     mirror,
     occurrence_counts,
     parse_word,

@@ -176,9 +176,25 @@ def prefix_before_one(x: Element) -> Element:
     return Element(Word(letters[:pos], x.rank))
 
 
-def sort_key(x: Element) -> tuple[int, tuple[int, ...]]:
-    """Length-lexicographic key: the package's deterministic element order."""
-    return (len(x.word.letters), x.word.letters)
+def sort_key(
+    x: Element | Word | tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """Length-lexicographic key: the package's deterministic element order.
+
+    Orders elements, words and bare letter tuples alike, shortest first
+    and then letter by letter.
+
+    >>> from .words import parse_word
+    >>> sorted([(2, 1), (2,), ()], key=sort_key)
+    [(), (2,), (2, 1)]
+    >>> words = [parse_word("1 2", 2), parse_word("2", 2)]
+    >>> [str(w) for w in sorted(words, key=sort_key)]
+    ['2', '1 2']
+    """
+    if isinstance(x, Element):
+        x = x.word
+    letters = x.letters if isinstance(x, Word) else x
+    return (len(letters), letters)
 
 
 def display(x: Element) -> str:

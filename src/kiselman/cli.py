@@ -16,14 +16,14 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
-from .algebra import Element, content, display, from_word, multiply, zero_threshold
+from .algebra import display, from_word, multiply, sort_key
 from .enumeration import (
     DEFAULT_ELEMENT_LIMIT,
     MAX_DEFAULT_RANK,
-    enumerate_elements,
+    Semigroup,
     read_cache,
-    word_sort_key,
     write_cache,
 )
 from .equations import solve_right_zero
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .rewrite import canonical_form, reduction_trace
 from .verify import SUITE_NAMES, run_suites
-from .words import Word, parse_word
+from .words import parse_word
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -143,7 +143,7 @@ def _reject_csv(config: RunConfig) -> None:
         )
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
+def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -151,16 +151,16 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
     sys.stdout.write(buffer.getvalue())
 
 
-def _sorted_words(config: RunConfig) -> list[Word]:
-    if config.cache_dir is not None:
-        cached = read_cache(config.cache_dir, config.rank)
-        if cached is not None:
-            return sorted(cached, key=word_sort_key)
-    result = enumerate_elements(config.rank, config.element_limit)
-    words = sorted((x.word for x in result.elements), key=word_sort_key)
+def _read_cache(config: RunConfig) -> set[tuple[int, ...]] | None:
+    """The validated cached words, or None without a cache directory or file."""
+    if config.cache_dir is None:
+        return None
+    return read_cache(config.cache_dir, config.rank)
+
+
+def _write_cache(config: RunConfig, words: list[tuple[int, ...]]) -> None:
     if config.cache_dir is not None:
         write_cache(config.cache_dir, config.rank, words)
-    return words
 
 
 def _cmd_canon(config: RunConfig, text: str) -> int:
@@ -217,25 +217,32 @@ def _cmd_mul(config: RunConfig, left_text: str, right_text: str) -> int:
 
 def _cmd_enum(config: RunConfig) -> int:
     _check_rank_policy(config)
-    words = _sorted_words(config)
+    cached = _read_cache(config)
+    if cached is None:
+        # keep only the words: holding the table while the words are
+        # written and formatted would raise the peak memory
+        words = sorted(
+            Semigroup(config.rank, limit=config.element_limit).words, key=sort_key
+        )
+        _write_cache(config, words)
+    else:
+        words = sorted(cached, key=sort_key)
+    texts = [" ".join(map(str, letters)) for letters in words]
     if config.format == "json":
         print(json.dumps(
-            {
-                "rank": config.rank,
-                "count": len(words),
-                "words": [str(w) for w in words],
-            },
+            {"rank": config.rank, "count": len(texts), "words": texts},
             indent=2,
         ))
     elif config.format == "csv":
-        rows = [
-            [index, len(w.letters), str(w)] for index, w in enumerate(words)
-        ]
+        rows = (
+            [index, len(letters), text]
+            for index, (letters, text) in enumerate(zip(words, texts))
+        )
         _emit_csv(["index", "length", "word"], rows)
     else:
-        print(f"n={config.rank} count={len(words)}")
-        for w in words:
-            print(str(w) or "e")
+        print(f"n={config.rank} count={len(texts)}")
+        for text in texts:
+            print(text or "e")
     return EXIT_OK
 
 
@@ -251,10 +258,7 @@ def _cmd_solve(config: RunConfig, y_text: str) -> int:
             "special": str(solved.decomposition.special),
             "t": [
                 str(x)
-                for x in sorted(
-                    solved.decomposition.containing_one,
-                    key=lambda e: (len(e.word.letters), e.word.letters),
-                )
+                for x in sorted(solved.decomposition.containing_one, key=sort_key)
             ],
         }
     if config.format == "json":
@@ -329,19 +333,46 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_INVARIANT
 
 
+def _zero_thresholds(semigroup: Semigroup) -> Counter[int]:
+    """How many elements have each value of `algebra.zero_threshold`.
+
+    Element i has threshold m when m is the least length of a tail
+    m, m-1, ..., 1 that takes words[i] to the zero; the tail of length
+    rank is the zero itself, so every element has one.
+    """
+    tails = [tuple(range(m, 0, -1)) for m in range(semigroup.rank + 1)]
+    zero = semigroup.index[tails[-1]]
+    histogram: Counter[int] = Counter()
+    for i in range(len(semigroup)):
+        for m, tail in enumerate(tails):
+            if semigroup.product(i, tail) == zero:
+                histogram[m] += 1
+                break
+        else:
+            raise InvariantError(
+                f"'{semigroup.element(i)}' times the zero is not the zero"
+            )
+    return histogram
+
+
 def _cmd_stats(config: RunConfig) -> int:
     _check_rank_policy(config)
-    words = _sorted_words(config)
-    elements = [Element(w) for w in words]
-    histogram = Counter(zero_threshold(x) for x in elements)
-    ordered = sorted(histogram.items())
-    containing_one = sum(1 for x in elements if 1 in content(x))
-    idempotents = sum(1 for x in elements if multiply(x, x) == x)
+    # a cache is still read, so a corrupt one is refused, and written if absent
+    cached = _read_cache(config)
+    semigroup = Semigroup(config.rank, limit=config.element_limit)
+    if cached is None:
+        _write_cache(config, semigroup.words)
+    words = semigroup.words
+    ordered = sorted(_zero_thresholds(semigroup).items())
+    containing_one = sum(1 for letters in words if 1 in letters)
+    idempotents = sum(
+        1 for i, letters in enumerate(words) if semigroup.product(i, letters) == i
+    )
     if config.format == "json":
         print(json.dumps(
             {
                 "rank": config.rank,
-                "cardinality": len(elements),
+                "cardinality": len(words),
                 "containing_letter_one": containing_one,
                 "idempotents": idempotents,
                 "zero_threshold_histogram": {
@@ -353,7 +384,7 @@ def _cmd_stats(config: RunConfig) -> int:
     elif config.format == "csv":
         _emit_csv(["threshold", "count"], [[k, v] for k, v in ordered])
     else:
-        print(f"n={config.rank} cardinality={len(elements)}")
+        print(f"n={config.rank} cardinality={len(words)}")
         print(f"containing letter 1: {containing_one}")
         print(f"idempotents: {idempotents}")
         print("zero-threshold histogram:")

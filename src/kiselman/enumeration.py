@@ -1,41 +1,58 @@
-"""Exhaustive construction of the semigroup by two independent routes.
+"""The indexed semigroup, and exhaustive construction by two routes.
 
-The closure route starts from the unit and right-multiplies elements by
-every generator, round by round, until nothing new appears.  It decides
-each product u * g of a canonical word u and a generator g by the
-append-letter rule: appending g to a canonical word can create only one
-deletion, between the new g and the last g already in u, so the letters
-after that last g say whether the new g stays, drops, or deletes the old
-g.  In the last case the product is read off a right Cayley table of the
-elements found so far (Froidure & Pin, "Algorithms for computing finite
-semigroups", 1997), so the closure never calls the rewriter.  The direct
-route backtracks over canonical words, growing a word one letter at a
-time; every prefix of a canonical word is canonical, so the search tree
-is exactly the canonical words, each append checks only the one new
-consecutive pair of equal letters, and per-letter multiplicity bounds
-prune the tree finite.
+`Semigroup` is the package's one indexed representation of an
+enumerated monoid.  It closes {identity} under right multiplication by
+its generators, round by round, and keeps the canonical words in
+discovery order, a dict from word to index, and the flat right Cayley
+table (Froidure & Pin, "Algorithms for computing finite semigroups",
+1997).  Its one kernel, `product(i, letters)`, walks the letters of a
+right factor through the table from element i, so a product costs one
+lookup per letter and never rewrites.
 
-Both routes use the fact that an appended letter pairs only with its
-last earlier copy, but only the closure resolves the pairs that delete,
-and only the direct route relies on the multiplicity bounds, so their
-agreement is still a real check.  The cardinality verification suite and
-tests/test_enumeration.py hold the closure to the direct search element
-for element; the same tests hold every table entry to the deletion
-rewriter and replay the rewriter-driven closure as a reference.
+The closure decides each product u * g by the append-letter rule:
+appending g to a canonical word can create only one deletion, between
+the new g and the last g already in u, so the letters after that last g
+say whether the new g stays, drops, or deletes the old g.  In the last
+case the product is a walk through the rows of shorter elements, which
+are already complete.
+
+Users: `enumerate_elements` and `generated_submonoid` turn a semigroup
+into a set of `Element`s.  The CLI's `enum` lists its words and `stats`
+counts on its indices; the verify suites, and the equation solvers they
+call, take their products from its table.  One-shot arithmetic (`canon`,
+`mul`, `algebra.multiply`) builds no table and calls the rewriter.
+
+The deletion rewriter stays as the oracle.  The direct route backtracks
+over canonical words, growing a word one letter at a time; every prefix
+of a canonical word is canonical, so the search tree is exactly the
+canonical words, each append checks only the one new consecutive pair
+of equal letters, and per-letter multiplicity bounds prune the tree
+finite.  Both routes use the fact that an appended letter pairs only
+with its last earlier copy, but only the closure resolves the pairs that
+delete, and only the direct route relies on the multiplicity bounds, so
+their agreement is still a real check.  The cardinality verification
+suite and tests/test_enumeration.py hold the closure to the direct
+search element for element; the same tests hold every table entry, and
+`product` on sampled words, to the deletion rewriter, and replay the
+rewriter-driven closure as a reference.
 
 Cardinalities grow double-exponentially with the rank.  Enumeration
 therefore takes an element cap, and the CLI refuses ranks above
 MAX_DEFAULT_RANK unless explicitly forced.
 
 Cache files (one per rank) use a one-line header followed by one
-canonical word per line::
+canonical word per line, shortest first::
 
     kiselman-cache v1 n=<rank> count=<N>
 
-Reads re-validate the header, the count and the canonicality of every
-line, and check the count against KNOWN_CARDINALITIES where the rank is
-listed, so a stale or hand-edited file fails loudly.  Writes replace the
-file in one step.
+Reads re-validate the header, the count, the letters and the
+canonicality of every line, reject duplicates, and check the count
+against KNOWN_CARDINALITIES where the rank is listed, so a stale or
+hand-edited file fails loudly.  Canonicality is checked incrementally: a
+line whose letters without the last one form an accepted line only
+needs its final consecutive pair checked, since its other pairs are the
+prefix's; any other line gets the full check, so the result does not
+depend on the line order.  Writes replace the file in one step.
 """
 
 from __future__ import annotations
@@ -52,6 +69,7 @@ from .errors import InvariantError, ResourceLimitError, ValidationError
 from .words import Word, is_canonical, mirror, parse_word
 
 __all__ = [
+    "Semigroup",
     "EnumerationResult",
     "ParityReport",
     "enumerate_elements",
@@ -60,7 +78,6 @@ __all__ = [
     "filter_by_content",
     "parity_report",
     "letter_bounds",
-    "word_sort_key",
     "cache_path",
     "write_cache",
     "read_cache",
@@ -77,11 +94,6 @@ CACHE_MAGIC = "kiselman-cache v1"
 # cross-validated by this module's two independent enumerators agreeing
 # element for element (see the cardinality verification suite).
 KNOWN_CARDINALITIES: dict[int, int] = {1: 2, 2: 5, 3: 18, 4: 115, 5: 1710, 6: 83973}
-
-
-def word_sort_key(w: Word) -> tuple[int, tuple[int, ...]]:
-    """Length-lexicographic key for listing canonical words."""
-    return (len(w.letters), w.letters)
 
 
 @dataclass(frozen=True)
@@ -125,77 +137,135 @@ class ParityReport:
     identity_holds: bool
 
 
-def _closure(
-    rank: int, generators: tuple[int, ...], limit: int
-) -> tuple[list[tuple[int, ...]], list[int], int, int]:
-    """Close {identity} under right multiplication through a Cayley table.
+class Semigroup:
+    """The monoid generated by some letters of K_rank, closed and indexed.
 
-    Returns the canonical words in discovery order, the right Cayley
-    table (entry u * len(generators) + j is the index of
-    words[u] * generators[j]), the number of rounds and the number of
-    products.  Each product u * g is decided by where g last occurs in
-    u and which letters follow it there:
+    The generators default to every letter 1..rank.  Element i is the
+    canonical word words[i]; index maps each canonical word back to its
+    element; table[i * width + j] is the element words[i] * generators[j],
+    where width = len(generators), so table is the right Cayley table.
+    Elements are numbered in discovery order, which is round order, and
+    frontier_rounds and multiplications count the rounds and the table
+    entries of the closure.
 
-    - no g in u, or the gap after it holds both a larger and a smaller
-      letter: u + (g,) is canonical, and it is a new element;
-    - the gap is empty or all smaller: the new g is deleted, u * g = u;
-    - the gap is all larger: the old g is deleted, so u * g is the
-      element u[:p] * gap * g, read off the table.
-
-    The walk in the last case relies on one invariant.  An element is
-    first found in the round equal to its canonical length (its longest
-    proper prefix is canonical and one letter shorter, and no product
-    of a shorter word is that long), and elements are processed in
-    index order, which is round order.  Every element the walk visits
-    is a product of at most len(u) - 1 letters, so its canonical word
-    is shorter than u, it was processed in an earlier round, and its
-    table row is already complete.
+    `product` is the one multiplication kernel: it walks the letters of
+    a right factor through the table, one lookup per letter.  Building
+    the semigroup raises ResourceLimitError if more than `limit`
+    elements appear.
     """
-    width = len(generators)
-    column = {g: j for j, g in enumerate(generators)}
-    words: list[tuple[int, ...]] = [()]
-    index: dict[tuple[int, ...], int] = {(): 0}
-    table: list[int] = []
-    rounds = 0
-    start, end = 0, 1
-    while start < end:
-        rounds += 1
-        for ui in range(start, end):
-            u = words[ui]
-            for g in generators:
-                larger = smaller = False
-                p = len(u) - 1
-                while p >= 0:
-                    h = u[p]
-                    if h == g:
-                        break
-                    if h > g:
-                        larger = True
+
+    __slots__ = (
+        "rank", "generators", "words", "index", "table",
+        "frontier_rounds", "multiplications", "_width", "_column",
+    )
+
+    def __init__(
+        self,
+        rank: int,
+        generators: Iterable[int] | None = None,
+        limit: int = DEFAULT_ELEMENT_LIMIT,
+    ) -> None:
+        if rank < 1:
+            raise ValidationError(f"rank must be >= 1, got {rank}")
+        if limit < 1:
+            raise ValidationError(f"element limit must be >= 1, got {limit}")
+        gens = (
+            tuple(range(1, rank + 1))
+            if generators is None
+            else tuple(sorted(set(generators)))
+        )
+        for g in gens:
+            if not 1 <= g <= rank:
+                raise ValidationError(f"generator {g} out of range [1, {rank}]")
+        self.rank = rank
+        self.generators = gens
+        self._width = len(gens)
+        self._column = {g: j for j, g in enumerate(gens)}
+        self.words: list[tuple[int, ...]] = [()]
+        self.index: dict[tuple[int, ...], int] = {(): 0}
+        self.table: list[int] = []
+        self._close(limit)
+
+    def _close(self, limit: int) -> None:
+        """Close {identity} under right multiplication, filling the table.
+
+        Each product u * g is decided by where g last occurs in u and
+        which letters follow it there:
+
+        - no g in u, or the gap after it holds both a larger and a
+          smaller letter: u + (g,) is canonical, and it is a new element;
+        - the gap is empty or all smaller: the new g is deleted, u * g = u;
+        - the gap is all larger: the old g is deleted, so u * g is the
+          element u[:p] * gap * g, a walk through the table.
+
+        The walk in the last case relies on one invariant.  An element
+        is first found in the round equal to its canonical length (its
+        longest proper prefix is canonical and one letter shorter, and no
+        product of a shorter word is that long), and elements are
+        processed in index order, which is round order.  Every element
+        the walk visits is a product of at most len(u) - 1 letters, so
+        its canonical word is shorter than u, it was processed in an
+        earlier round, and its table row is already complete.
+        """
+        words, index, table = self.words, self.index, self.table
+        product = self.product
+        rounds = 0
+        start, end = 0, 1
+        while start < end:
+            rounds += 1
+            for ui in range(start, end):
+                u = words[ui]
+                for g in self.generators:
+                    larger = smaller = False
+                    p = len(u) - 1
+                    while p >= 0:
+                        h = u[p]
+                        if h == g:
+                            break
+                        if h > g:
+                            larger = True
+                        else:
+                            smaller = True
+                        if larger and smaller:
+                            break
+                        p -= 1
+                    if p < 0 or (larger and smaller):
+                        if len(words) >= limit:
+                            raise ResourceLimitError(
+                                f"enumeration at rank {self.rank} exceeded "
+                                f"the element cap of {limit}"
+                            )
+                        new = u + (g,)
+                        index[new] = len(words)
+                        table.append(len(words))
+                        words.append(new)
+                    elif not larger:
+                        table.append(ui)
                     else:
-                        smaller = True
-                    if larger and smaller:
-                        break
-                    p -= 1
-                if p < 0 or (larger and smaller):
-                    if len(words) >= limit:
-                        raise ResourceLimitError(
-                            f"enumeration at rank {rank} exceeded "
-                            f"the element cap of {limit}"
-                        )
-                    product = u + (g,)
-                    index[product] = len(words)
-                    table.append(len(words))
-                    words.append(product)
-                elif not larger:
-                    table.append(ui)
-                else:
-                    # u * g = u[:p] * gap * g; every row read is complete
-                    v = index[u[:p]]
-                    for h in u[p + 1:]:
-                        v = table[v * width + column[h]]
-                    table.append(table[v * width + column[g]])
-        start, end = end, len(words)
-    return words, table, rounds, len(words) * width
+                        # u * g = u[:p] * gap * g; every row read is complete
+                        table.append(product(index[u[:p]], u[p + 1:] + (g,)))
+            start, end = end, len(words)
+        self.frontier_rounds = rounds
+        self.multiplications = len(table)
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def product(self, i: int, letters: Iterable[int]) -> int:
+        """The index of words[i] * letters; every letter must be a generator."""
+        table, width, column = self.table, self._width, self._column
+        for g in letters:
+            i = table[i * width + column[g]]
+        return i
+
+    def element(self, i: int) -> Element:
+        """Element i as an `Element`."""
+        return Element(Word(self.words[i], self.rank))
+
+    def sorted_indices(self) -> list[int]:
+        """Every index, in the package's length-lexicographic element order."""
+        words = self.words
+        return sorted(range(len(words)), key=lambda i: sort_key(words[i]))
 
 
 def enumerate_elements(
@@ -206,15 +276,15 @@ def enumerate_elements(
     The result is a set, so it cannot depend on traversal order.  Raises
     ResourceLimitError if more than `limit` elements appear.
     """
-    if rank < 1:
-        raise ValidationError(f"rank must be >= 1, got {rank}")
-    if limit < 1:
-        raise ValidationError(f"element limit must be >= 1, got {limit}")
-    words, _, rounds, multiplications = _closure(
-        rank, tuple(range(1, rank + 1)), limit
+    semigroup = Semigroup(rank, limit=limit)
+    elements = frozenset(map(semigroup.element, range(len(semigroup))))
+    return EnumerationResult(
+        rank,
+        elements,
+        len(elements),
+        semigroup.frontier_rounds,
+        semigroup.multiplications,
     )
-    elements = frozenset(Element(Word(letters, rank)) for letters in words)
-    return EnumerationResult(rank, elements, len(elements), rounds, multiplications)
 
 
 def generated_submonoid(
@@ -225,14 +295,8 @@ def generated_submonoid(
     With generators 2..rank this realizes the submonoid avoiding letter
     1, which has the size of the semigroup one rank down.
     """
-    if rank < 1:
-        raise ValidationError(f"rank must be >= 1, got {rank}")
-    gens = tuple(sorted(set(generators)))
-    for g in gens:
-        if not 1 <= g <= rank:
-            raise ValidationError(f"generator {g} out of range [1, {rank}]")
-    words, _, _, _ = _closure(rank, gens, limit)
-    return frozenset(Element(Word(letters, rank)) for letters in words)
+    semigroup = Semigroup(rank, generators, limit)
+    return frozenset(map(semigroup.element, range(len(semigroup))))
 
 
 def letter_bounds(rank: int) -> dict[int, int]:
@@ -365,8 +429,10 @@ def cache_path(cache_dir: str | Path, rank: int) -> Path:
     return Path(cache_dir) / f"k{rank}.cache"
 
 
-def write_cache(cache_dir: str | Path, rank: int, words: Iterable[Word]) -> Path:
-    """Write one rank's canonical words in the cache file format.
+def write_cache(
+    cache_dir: str | Path, rank: int, words: Iterable[tuple[int, ...]]
+) -> Path:
+    """Write one rank's canonical words, given as letter tuples.
 
     The text goes to a temporary file in the same directory, which then
     replaces the cache file in one step, so a concurrent reader sees the
@@ -374,9 +440,9 @@ def write_cache(cache_dir: str | Path, rank: int, words: Iterable[Word]) -> Path
     """
     path = cache_path(cache_dir, rank)
     path.parent.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(set(words), key=word_sort_key)
+    ordered = sorted(set(words), key=sort_key)
     lines = [f"{CACHE_MAGIC} n={rank} count={len(ordered)}"]
-    lines.extend(str(w) for w in ordered)
+    lines.extend(" ".join(map(str, letters)) for letters in ordered)
     # opened like any new file, so the cache keeps the umask's permissions
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
@@ -389,13 +455,38 @@ def write_cache(cache_dir: str | Path, rank: int, words: Iterable[Word]) -> Path
     return path
 
 
-def read_cache(cache_dir: str | Path, rank: int) -> set[Word] | None:
-    """Load one rank's cache, or None when the file does not exist.
+def _line_letters(line: str, rank: int) -> tuple[int, ...]:
+    """The letters of one cache line; a malformed line raises parse_word's error."""
+    try:
+        letters = tuple(map(int, line.split()))
+    except ValueError:
+        letters = None
+    if letters is None or (letters and not 0 < min(letters) <= max(letters) <= rank):
+        return parse_word(line, rank).letters
+    return letters
 
-    Validation failures (foreign header, count drift, non-canonical or
-    duplicate lines, or a count that differs from the known cardinality
-    of the rank) raise ValidationError rather than returning partial
-    data.
+
+def _last_pair_ok(letters: tuple[int, ...]) -> bool:
+    """Is the last letter's pair with its previous copy allowed?
+
+    True when the gap between them holds a larger and a smaller letter,
+    or when the last letter has no earlier copy.  For a word whose
+    letters without the last one are canonical, this is canonicality.
+    """
+    g, head = letters[-1], letters[:-1]
+    if g not in head:
+        return True
+    gap = head[len(head) - head[::-1].index(g):]
+    return bool(gap) and min(gap) < g < max(gap)
+
+
+def read_cache(cache_dir: str | Path, rank: int) -> set[tuple[int, ...]] | None:
+    """Load one rank's cache as letter tuples, or None when there is no file.
+
+    Validation failures (foreign header, count drift, malformed,
+    non-canonical or duplicate lines, or a count that differs from the
+    known cardinality of the rank) raise ValidationError rather than
+    returning partial data.
     """
     path = cache_path(cache_dir, rank)
     if not path.exists():
@@ -418,14 +509,19 @@ def read_cache(cache_dir: str | Path, rank: int) -> set[Word] | None:
         raise ValidationError(
             f"cache file {path} promises {count} words but holds {len(body)}"
         )
-    words: set[Word] = set()
+    words: set[tuple[int, ...]] = set()
     for line in body:
-        w = parse_word(line, rank)
-        if not is_canonical(w):
-            raise ValidationError(
-                f"cache file {path} contains a non-canonical word: {line!r}"
-            )
-        words.add(w)
+        letters = _line_letters(line, rank)
+        if letters:
+            if letters[:-1] in words:
+                canonical = _last_pair_ok(letters)
+            else:
+                canonical = is_canonical(Word(letters, rank))
+            if not canonical:
+                raise ValidationError(
+                    f"cache file {path} contains a non-canonical word: {line!r}"
+                )
+        words.add(letters)
     if len(words) != count:
         raise ValidationError(f"cache file {path} contains duplicate words")
     known = KNOWN_CARDINALITIES.get(rank)

@@ -13,7 +13,9 @@ multiplication and its products follow a three-case rule.
 
 Brute-force solvers here exist to keep the constructive ones honest:
 they scan a full enumeration and never assume any of the structure
-above.
+above.  Given a `Semigroup` they take every product from its right
+Cayley table; the constructive route and `solution_word` multiply with
+the rewriter, so the two routes share no multiplication code.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .algebra import (
 )
 from .enumeration import (
     DEFAULT_ELEMENT_LIMIT,
+    Semigroup,
     enumerate_elements,
     generated_submonoid,
 )
@@ -48,6 +51,7 @@ __all__ = [
     "solve_left_zero",
     "construct_right_zero_solutions",
     "solution_word",
+    "solution_rule",
     "solution_multiply",
     "verify_zero_cancellation",
     "characterize_zero",
@@ -87,22 +91,34 @@ class CancellationReport:
 
 def solve_right_zero(
     y: Element,
-    elements: Iterable[Element] | None = None,
+    elements: Semigroup | Iterable[Element] | None = None,
     limit: int = DEFAULT_ELEMENT_LIMIT,
 ) -> ZeroSolutionSet:
     """Brute-force the left factors: every x with x * y = zero.
 
-    Enumerates the full semigroup unless a pre-enumerated element
-    collection is supplied.  When y is the first generator the result
-    additionally carries the special/containing-one decomposition.
+    Scans the full semigroup at y's rank, built here unless supplied.
+    A `Semigroup` over every letter gives each product x * y from its
+    table; an iterable of elements is scanned with `multiply`, the
+    rewriter, which keeps the table honest in the tests.  When y is the
+    first generator the result additionally carries the
+    special/containing-one decomposition.
     """
-    universe = (
-        frozenset(elements)
-        if elements is not None
-        else enumerate_elements(y.rank, limit).elements
-    )
     target = zero(y.rank)
-    solutions = frozenset(x for x in universe if multiply(x, y) == target)
+    if elements is None:
+        elements = Semigroup(y.rank, limit=limit)
+    if isinstance(elements, Semigroup):
+        if elements.rank != y.rank:
+            raise ValidationError(f"rank mismatch: {elements.rank} vs {y.rank}")
+        zero_index = elements.index[target.word.letters]
+        solutions = frozenset(
+            elements.element(i)
+            for i in range(len(elements))
+            if elements.product(i, y.word.letters) == zero_index
+        )
+    else:
+        solutions = frozenset(
+            x for x in frozenset(elements) if multiply(x, y) == target
+        )
     decomposition = None
     if y == generator(1, y.rank):
         special = idempotent(range(2, y.rank + 1), y.rank)
@@ -204,15 +220,14 @@ def solution_word(x: Element) -> Word:
     return direct
 
 
-def solution_multiply(
+def solution_rule(
     x: Element, y: Element, solutions: ZeroSolutionSet | None = None
 ) -> Element:
-    """Product of two x * a_1 = zero solutions via the three-case rule.
+    """The three-case rule for a product of two x * a_1 = zero solutions.
 
     special * special = special; anything * special is unchanged; a
     right factor containing letter 1 collapses the product to the zero.
-    The rule's answer is checked against the generic product before it
-    is returned.
+    The rule alone: `solution_multiply` checks it against the product.
     """
     if x.rank != y.rank:
         raise ValidationError(f"rank mismatch: {x.rank} vs {y.rank}")
@@ -230,12 +245,20 @@ def solution_multiply(
     if x not in pool.solutions or y not in pool.solutions:
         raise DomainError("both factors must solve x * a_1 = zero")
     special = pool.decomposition.special
-    if x == special and y == special:
-        result = special
-    elif y == special:
-        result = x
-    else:
-        result = zero(x.rank)
+    if y != special:
+        return zero(x.rank)
+    return x
+
+
+def solution_multiply(
+    x: Element, y: Element, solutions: ZeroSolutionSet | None = None
+) -> Element:
+    """Product of two x * a_1 = zero solutions via the three-case rule.
+
+    The rule's answer (see `solution_rule`) is checked against the
+    generic product before it is returned.
+    """
+    result = solution_rule(x, y, solutions)
     if result != multiply(x, y):
         raise InvariantError(
             f"case rule gave '{result}' but the product is '{multiply(x, y)}'"
@@ -245,7 +268,7 @@ def solution_multiply(
 
 def verify_zero_cancellation(
     rank: int,
-    elements: Iterable[Element] | None = None,
+    elements: Semigroup | None = None,
     pair_samples: int | None = None,
     triple_samples: int = 1000,
     seed: int = 0,
@@ -253,21 +276,20 @@ def verify_zero_cancellation(
 ) -> CancellationReport:
     """Scan products for violations of the cancellation facts.
 
-    Pairs are scanned exhaustively unless pair_samples caps them; the
-    exhaustive scan subsumes the single-generator specializations, since
-    the generators are among the factors tried.  Triples with the outer
-    factors' contents bounded away from the extremes are sampled for the
-    middle-factor consequence.
+    Products come from the table of `elements`, the semigroup at this
+    rank over every letter, built here unless supplied.  Pairs are
+    scanned exhaustively unless pair_samples caps them; the exhaustive
+    scan subsumes the single-generator specializations, since the
+    generators are among the factors tried.  Triples with the outer
+    factors' contents bounded away from the extremes are sampled for
+    the middle-factor consequence.
     """
-    pool = sorted(
-        elements
-        if elements is not None
-        else enumerate_elements(rank, limit).elements,
-        key=sort_key,
-    )
-    target = zero(rank)
-    avoiding_one = frozenset(range(2, rank + 1))
-    avoiding_top = frozenset(range(1, rank))
+    semigroup = Semigroup(rank, limit=limit) if elements is None else elements
+    if semigroup.rank != rank:
+        raise ValidationError(f"rank mismatch: {semigroup.rank} vs {rank}")
+    words, product, element = semigroup.words, semigroup.product, semigroup.element
+    pool = semigroup.sorted_indices()
+    zero_index = semigroup.index[zero(rank).word.letters]
     violations: list[str] = []
     rng = random.Random(seed)
 
@@ -280,21 +302,21 @@ def verify_zero_cancellation(
         )
         checked_pairs = pair_samples
     for x, y in pairs:
-        if multiply(x, y) != target:
+        if product(x, words[y]) != zero_index:
             continue
-        if content(y) <= avoiding_one and x != target:
+        if 1 not in words[y] and x != zero_index:
             violations.append(
-                f"x='{x}' y='{y}': right factor avoids letter 1 "
+                f"x='{element(x)}' y='{element(y)}': right factor avoids letter 1 "
                 "but left factor is not the zero"
             )
-        if content(x) <= avoiding_top and y != target:
+        if rank not in words[x] and y != zero_index:
             violations.append(
-                f"x='{x}' y='{y}': left factor avoids letter {rank} "
+                f"x='{element(x)}' y='{element(y)}': left factor avoids letter {rank} "
                 "but right factor is not the zero"
             )
 
-    left_pool = [x for x in pool if content(x) <= avoiding_top]
-    right_pool = [z for z in pool if content(z) <= avoiding_one]
+    left_pool = [x for x in pool if rank not in words[x]]
+    right_pool = [z for z in pool if 1 not in words[z]]
     checked_triples = 0
     if left_pool and right_pool:
         for _ in range(triple_samples):
@@ -302,9 +324,10 @@ def verify_zero_cancellation(
             y = rng.choice(pool)
             z = rng.choice(right_pool)
             checked_triples += 1
-            if multiply(multiply(x, y), z) == target and y != target:
+            if product(x, words[y] + words[z]) == zero_index and y != zero_index:
                 violations.append(
-                    f"x='{x}' y='{y}' z='{z}': middle factor is not the zero"
+                    f"x='{element(x)}' y='{element(y)}' z='{element(z)}': "
+                    "middle factor is not the zero"
                 )
 
     return CancellationReport(rank, checked_pairs, checked_triples, tuple(violations))

@@ -3,48 +3,48 @@
 Each suite re-derives one structural fact at the requested rank and
 reports pass/fail with counterexamples; nothing is trusted from earlier
 runs.  Suites share one enumeration context so the expensive closures
-are built once per invocation.  A suite that does not apply at the
-requested rank reports itself as skipped with a reason; the report
-always lists every selected suite.
+are built once per invocation.  The context holds the indexed
+`Semigroup`, and the suites about products take them from its table;
+the rewriter stays where it is the point of a suite (confluence, the
+prefix facts, and the slow-way check inside `solution_word`).  A suite
+that does not apply at the requested rank reports itself as skipped
+with a reason; the report always lists every selected suite.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 
 from .algebra import (
     Element,
     antiautomorphism,
-    content,
     generator,
     idempotent,
-    multiply,
+    prefix_before_one,
     sort_key,
     zero,
 )
 from .enumeration import (
     DEFAULT_ELEMENT_LIMIT,
-    EnumerationResult,
     KNOWN_CARDINALITIES,
+    Semigroup,
     enumerate_canonical_words,
-    enumerate_elements,
     generated_submonoid,
     letter_bounds,
     parity_report,
-    word_sort_key,
 )
 from .equations import (
     construct_right_zero_solutions,
-    solution_multiply,
+    solution_rule,
     solution_word,
     solve_right_zero,
     verify_zero_cancellation,
 )
 from .errors import InvariantError, ResourceLimitError, ValidationError
 from .rewrite import all_normal_forms, canonical_form
-from .words import Word, is_quasi_subword, occurrence_counts
+from .words import Word, is_quasi_subword, letter_subsets, occurrence_counts
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
 
@@ -84,8 +84,8 @@ class _Context:
     seed: int
     samples: int
     rng: random.Random
-    result: EnumerationResult
-    elements: list[Element]
+    semigroup: Semigroup
+    order: list[int]  # the semigroup's indices in sort_key order
     words: set[Word]
     submonoid: frozenset[Element]
 
@@ -100,7 +100,7 @@ def _skip(name: str, reason: str) -> SuiteResult:
 
 
 def _build_context(rank: int, seed: int, samples: int, limit: int) -> _Context:
-    result = enumerate_elements(rank, limit)
+    semigroup = Semigroup(rank, limit=limit)
     words = enumerate_canonical_words(rank)
     submonoid = generated_submonoid(rank, range(2, rank + 1), limit=limit)
     return _Context(
@@ -108,8 +108,8 @@ def _build_context(rank: int, seed: int, samples: int, limit: int) -> _Context:
         seed=seed,
         samples=samples,
         rng=random.Random(seed),
-        result=result,
-        elements=result.sorted_elements(),
+        semigroup=semigroup,
+        order=semigroup.sorted_indices(),
         words=words,
         submonoid=submonoid,
     )
@@ -122,15 +122,9 @@ def _random_word(ctx: _Context, max_len: int, letters: tuple[int, ...]) -> Word:
     )
 
 
-def _subsets(universe: range):
-    return chain.from_iterable(
-        combinations(universe, k) for k in range(len(universe) + 1)
-    )
-
-
 def _suite_cardinality(ctx: _Context) -> SuiteResult:
     failures: list[str] = []
-    closure_count = ctx.result.cardinality
+    closure_count = len(ctx.semigroup)
     direct_count = len(ctx.words)
     checks = 2
     if closure_count != direct_count:
@@ -138,7 +132,7 @@ def _suite_cardinality(ctx: _Context) -> SuiteResult:
             f"closure found {closure_count} elements, canonical-word "
             f"search found {direct_count}"
         )
-    if {x.word for x in ctx.result.elements} != ctx.words:
+    if set(ctx.semigroup.words) != {w.letters for w in ctx.words}:
         failures.append("the two enumeration routes disagree on the element sets")
     golden = KNOWN_CARDINALITIES.get(ctx.rank)
     if golden is not None:
@@ -180,10 +174,9 @@ def _suite_confluence(ctx: _Context) -> SuiteResult:
 
 def _suite_idempotents(ctx: _Context) -> SuiteResult:
     failures: list[str] = []
-    found = {x for x in ctx.elements if multiply(x, x) == x}
-    expected = {
-        idempotent(subset, ctx.rank) for subset in _subsets(range(1, ctx.rank + 1))
-    }
+    s = ctx.semigroup
+    found = {s.element(i) for i, w in enumerate(s.words) if s.product(i, w) == i}
+    expected = {idempotent(subset, ctx.rank) for subset in letter_subsets(ctx.rank)}
     if len(expected) != 2 ** ctx.rank:
         failures.append("decreasing idempotent words are not pairwise distinct")
     if found != expected:
@@ -192,31 +185,36 @@ def _suite_idempotents(ctx: _Context) -> SuiteResult:
         failures.append(f"idempotents mismatch: extra={extra} missing={missing}")
     return _result(
         "idempotents",
-        len(ctx.elements) + 1,
+        len(s) + 1,
         failures,
         {"count": len(found), "expected": 2 ** ctx.rank},
     )
 
 
 def _pair_stream(ctx: _Context, exhaustive: bool):
+    """Pairs of element indices: all of them, or ctx.samples seeded draws."""
     if exhaustive:
-        for x in ctx.elements:
-            for y in ctx.elements:
+        for x in ctx.order:
+            for y in ctx.order:
                 yield x, y
     else:
         for _ in range(ctx.samples):
-            yield ctx.rng.choice(ctx.elements), ctx.rng.choice(ctx.elements)
+            yield ctx.rng.choice(ctx.order), ctx.rng.choice(ctx.order)
 
 
 def _suite_content(ctx: _Context) -> SuiteResult:
     failures: list[str] = []
+    s = ctx.semigroup
     exhaustive = ctx.rank <= _EXHAUSTIVE_PAIR_RANK
     checked = 0
     for x, y in _pair_stream(ctx, exhaustive):
         checked += 1
-        if content(multiply(x, y)) != content(x) | content(y):
-            failures.append(f"content(x*y) != content(x) | content(y) at x='{x}' y='{y}'")
-    contents = {content(x) for x in ctx.elements}
+        if set(s.words[s.product(x, s.words[y])]) != set(s.words[x] + s.words[y]):
+            failures.append(
+                "content(x*y) != content(x) | content(y) at "
+                f"x='{s.element(x)}' y='{s.element(y)}'"
+            )
+    contents = {frozenset(w) for w in s.words}
     if len(contents) != 2 ** ctx.rank:
         failures.append(
             f"{len(contents)} distinct contents, expected {2 ** ctx.rank}"
@@ -240,14 +238,19 @@ def _suite_antiautomorphism(ctx: _Context) -> SuiteResult:
         checks += 1
         if tau(generator(i, ctx.rank)) != generator(ctx.rank - i + 1, ctx.rank):
             failures.append(f"generator {i} not sent to {ctx.rank - i + 1}")
-    for x in ctx.elements:
+    s = ctx.semigroup
+    for x in map(s.element, ctx.order):
         checks += 1
         if tau(tau(x)) != x:
             failures.append(f"not an involution at '{x}'")
     exhaustive = ctx.rank <= _EXHAUSTIVE_PAIR_RANK
-    for x, y in _pair_stream(ctx, exhaustive):
+    for i, j in _pair_stream(ctx, exhaustive):
         checks += 1
-        if tau(multiply(x, y)) != multiply(tau(y), tau(x)):
+        x, y = s.element(i), s.element(j)
+        # tau(x * y) against tau(y) * tau(x), both products from the table
+        left = tau(s.element(s.product(i, s.words[j])))
+        right = s.product(s.index[tau(y).word.letters], tau(x).word.letters)
+        if left.word.letters != s.words[right]:
             failures.append(f"product not reversed at x='{x}' y='{y}'")
     return _result(
         "antiautomorphism", checks, failures, {"exhaustive": exhaustive}
@@ -257,7 +260,7 @@ def _suite_antiautomorphism(ctx: _Context) -> SuiteResult:
 def _suite_word_bounds(ctx: _Context) -> SuiteResult:
     failures: list[str] = []
     bounds = letter_bounds(ctx.rank)
-    for w in sorted(ctx.words, key=word_sort_key):
+    for w in sorted(ctx.words, key=sort_key):
         counts = occurrence_counts(w)
         for i, bound in bounds.items():
             if counts[i] > bound:
@@ -277,7 +280,7 @@ def _suite_prefix_stability(ctx: _Context) -> SuiteResult:
         return _skip("prefix_stability", "needs letters above 1")
     failures: list[str] = []
     stems = sorted(
-        (w for w in ctx.words if 1 not in w.letters), key=word_sort_key
+        (w for w in ctx.words if 1 not in w.letters), key=sort_key
     )
     alphabet = tuple(range(2, ctx.rank + 1))
     per_stem = max(1, ctx.samples // len(stems))
@@ -315,12 +318,13 @@ def _suite_prefix_recovery(ctx: _Context) -> SuiteResult:
         suffixes = [
             Word(p, ctx.rank)
             for length in range(0, 4)
-            for p in _tuples(alphabet, length)
+            for p in itertools.product(alphabet, repeat=length)
         ]
-        pairs = [(w, u) for w in sorted(ctx.words, key=word_sort_key) for u in suffixes]
+        pairs = [(w, u) for w in sorted(ctx.words, key=sort_key) for u in suffixes]
     else:
         pairs = [
-            (ctx.rng.choice(ctx.elements).word, _random_word(ctx, 6, alphabet))
+            (ctx.semigroup.element(ctx.rng.choice(ctx.order)).word,
+             _random_word(ctx, 6, alphabet))
             for _ in range(ctx.samples)
         ]
     cases = 0
@@ -342,20 +346,11 @@ def _suite_prefix_recovery(ctx: _Context) -> SuiteResult:
     return _result("prefix_recovery", cases, failures, {})
 
 
-def _tuples(alphabet: tuple[int, ...], length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(alphabet, length - 1):
-        for a in alphabet:
-            yield rest + (a,)
-
-
 def _suite_zero_cancellation(ctx: _Context) -> SuiteResult:
     exhaustive = ctx.rank <= _EXHAUSTIVE_CANCELLATION_RANK
     report = verify_zero_cancellation(
         ctx.rank,
-        elements=ctx.result.elements,
+        elements=ctx.semigroup,
         pair_samples=None if exhaustive else ctx.samples * 10,
         triple_samples=ctx.samples,
         seed=ctx.seed,
@@ -376,7 +371,7 @@ def _suite_solution_structure(ctx: _Context) -> SuiteResult:
     failures: list[str] = []
     checks = 0
     constructed = construct_right_zero_solutions(ctx.rank)
-    brute = solve_right_zero(generator(1, ctx.rank), elements=ctx.result.elements)
+    brute = solve_right_zero(generator(1, ctx.rank), elements=ctx.semigroup)
     checks += 1
     if constructed.solutions != brute.solutions:
         failures.append("constructive and brute-force solution sets differ")
@@ -408,12 +403,15 @@ def _suite_solution_structure(ctx: _Context) -> SuiteResult:
             (ctx.rng.choice(ordered), ctx.rng.choice(ordered))
             for _ in range(ctx.samples)
         ]
+    s = ctx.semigroup
     for x, y in pairs:
         checks += 1
-        try:
-            product = solution_multiply(x, y, constructed)
-        except InvariantError as exc:
-            failures.append(str(exc))
+        product = solution_rule(x, y, constructed)
+        actual = s.product(s.index[x.word.letters], y.word.letters)
+        if product.word.letters != s.words[actual]:
+            failures.append(
+                f"case rule gave '{product}' but the product is '{s.element(actual)}'"
+            )
             continue
         if product not in constructed.solutions:
             failures.append(
@@ -428,8 +426,6 @@ def _suite_solution_structure(ctx: _Context) -> SuiteResult:
 
 
 def _suite_prefix_bijection(ctx: _Context) -> SuiteResult:
-    from .algebra import prefix_before_one
-
     constructed = construct_right_zero_solutions(ctx.rank)
     containing_one = constructed.decomposition.containing_one
     failures: list[str] = []
@@ -458,7 +454,7 @@ def _suite_parity(ctx: _Context) -> SuiteResult:
             f"cardinality {report.cardinality} is {report.parity}, "
             f"rank {ctx.rank} demands {expected_parity}"
         )
-    if report.cardinality != ctx.result.cardinality:
+    if report.cardinality != len(ctx.semigroup):
         failures.append("parity report disagrees with the closure enumeration")
     detail: dict = {"cardinality": report.cardinality, "parity": report.parity}
     if ctx.rank >= 3:

@@ -22,6 +22,7 @@ instead of silently reinterpreting letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
@@ -36,6 +37,7 @@ __all__ = [
     "is_canonical",
     "mirror",
     "idempotent_word",
+    "letter_subsets",
     "occurrence_counts",
 ]
 
@@ -202,6 +204,18 @@ def idempotent_word(members: Iterable[int], rank: int) -> Word:
     '2'
     """
     return Word(tuple(sorted(set(members), reverse=True)), rank)
+
+
+def letter_subsets(rank: int) -> Iterator[tuple[int, ...]]:
+    """Every subset of the letters 1..rank, by size, then lexicographically.
+
+    With `idempotent_word` these give the 2^rank idempotent words.
+
+    >>> list(letter_subsets(2))
+    [(), (1,), (2,), (1, 2)]
+    """
+    letters = range(1, rank + 1)
+    return chain.from_iterable(combinations(letters, k) for k in range(rank + 1))
 
 
 def occurrence_counts(w: Word) -> dict[int, int]:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from kiselman import cli
+from kiselman.algebra import multiply, zero_threshold
 from kiselman.cli import main
+from kiselman.enumeration import enumerate_elements
 from kiselman.errors import InvariantError
 
 
@@ -127,6 +130,19 @@ def test_corrupt_cache_is_a_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "non-canonical" in err
+
+
+@pytest.mark.parametrize("body", ["\n2\n2 1\n2 1 2\n", "2 1 2\n\n2\n2 1\n"])
+def test_non_canonical_cache_line_is_a_usage_error(capsys, tmp_path, body):
+    # first "2 1 2" extends the accepted "2 1" (last-pair check), then it
+    # comes before any prefix (full check); both exit 2 the same way
+    path = tmp_path / "k3.cache"
+    path.write_text("kiselman-cache v1 n=3 count=4\n" + body)
+    code, out, err = run(
+        capsys, "enum", "--n", "3", "--cache-dir", str(tmp_path),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: cache file {path} contains a non-canonical word: '2 1 2'\n"
 
 
 def test_forged_cache_count_is_a_usage_error(capsys, tmp_path):
@@ -289,6 +305,24 @@ def test_stats_csv(capsys):
     code, out, _ = run(capsys, "stats", "--n", "2", "--format", "csv")
     assert code == 0
     assert out == "threshold,count\n0,1\n1,2\n2,2\n"
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_stats_matches_rewriter_products(capsys, rank):
+    # the table-driven counts against algebra.zero_threshold and multiply
+    elements = enumerate_elements(rank).elements
+    histogram = Counter(zero_threshold(x) for x in elements)
+    code, out, _ = run(capsys, "stats", "--n", str(rank), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "rank": rank,
+        "cardinality": len(elements),
+        "containing_letter_one": sum(1 for x in elements if 1 in x.word.letters),
+        "idempotents": sum(1 for x in elements if multiply(x, x) == x),
+        "zero_threshold_histogram": {
+            str(k): v for k, v in sorted(histogram.items())
+        },
+    }
 
 
 def test_csv_rejected_for_non_tabular_commands(capsys):

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import random
 import sys
 import threading
 import time
-from itertools import chain, combinations
 
 import pytest
 
@@ -27,14 +28,18 @@ from kiselman.enumeration import (
     generated_submonoid,
     letter_bounds,
     parity_report,
+    Semigroup,
     read_cache,
-    word_sort_key,
     write_cache,
-    _closure,
 )
 from kiselman.errors import ResourceLimitError, ValidationError
 from kiselman.rewrite import canonical_letters
-from kiselman.words import is_canonical, occurrence_counts, parse_word
+from kiselman.words import (
+    is_canonical,
+    letter_subsets,
+    occurrence_counts,
+    parse_word,
+)
 
 
 def test_rank_1_listing(k1):
@@ -216,7 +221,7 @@ def test_sorted_elements_order(k2):
 
 
 def test_cache_roundtrip(tmp_path, k3):
-    words = {x.word for x in k3.elements}
+    words = {x.word.letters for x in k3.elements}
     path = write_cache(tmp_path, 3, words)
     assert path.read_text().splitlines()[0] == "kiselman-cache v1 n=3 count=18"
     loaded = read_cache(tmp_path, 3)
@@ -235,7 +240,7 @@ def test_cache_rejects_bad_header(tmp_path):
 
 
 def test_cache_rejects_rank_mismatch(tmp_path, k2):
-    write_cache(tmp_path, 2, {x.word for x in k2.elements})
+    write_cache(tmp_path, 2, {x.word.letters for x in k2.elements})
     (tmp_path / "k3.cache").write_text((tmp_path / "k2.cache").read_text())
     with pytest.raises(ValidationError, match="rank 2"):
         read_cache(tmp_path, 3)
@@ -270,10 +275,13 @@ def test_enumeration_result_is_reproducible():
 
 
 def test_word_sort_key_is_length_lexicographic():
+    # one key orders words and bare letter tuples alike
     ws = [parse_word(t, 2) for t in ["2 1", "1", "", "2", "1 2"]]
-    assert [str(w) for w in sorted(ws, key=word_sort_key)] == [
+    assert [str(w) for w in sorted(ws, key=sort_key)] == [
         "", "1", "2", "1 2", "2 1",
     ]
+    tuples = [w.letters for w in ws]
+    assert sorted(tuples, key=sort_key) == [w.letters for w in sorted(ws, key=sort_key)]
 
 
 def test_canonical_word_enumeration_yields_only_canonical_words():
@@ -316,16 +324,16 @@ def _rewriter_closure(rank, generators, limit):
 
 
 def _check_table_against_rewriter(rank, generators):
-    words, table, rounds, multiplications = _closure(
-        rank, generators, DEFAULT_ELEMENT_LIMIT
-    )
+    s = Semigroup(rank, generators, DEFAULT_ELEMENT_LIMIT)
+    words, table = s.words, s.table
     width = len(generators)
     assert len(set(words)) == len(words)
-    assert len(table) == multiplications == len(words) * width
+    assert s.index == {w: i for i, w in enumerate(words)}
+    assert len(table) == s.multiplications == len(words) * width
     for ui, u in enumerate(words):
         for j, g in enumerate(generators):
             assert words[table[ui * width + j]] == canonical_letters(u + (g,)), (u, g)
-    return words, rounds, multiplications
+    return words, s.frontier_rounds, s.multiplications
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
@@ -338,10 +346,7 @@ def test_cayley_table_matches_rewriter(rank):
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_generated_submonoid_every_generator_subset(rank):
     direct = enumerate_canonical_words(rank)
-    subsets = chain.from_iterable(
-        combinations(range(1, rank + 1), size) for size in range(rank + 1)
-    )
-    for subset in subsets:
+    for subset in letter_subsets(rank):
         expected = {Element(w) for w in direct if set(w.letters) <= set(subset)}
         assert generated_submonoid(rank, subset) == expected, subset
         table_run = _check_table_against_rewriter(rank, subset)
@@ -356,7 +361,7 @@ def test_element_cap_matches_rewriter_closure():
         generators = tuple(range(1, rank + 1))
         for limit in range(1, KNOWN_CARDINALITIES[rank] + 2):
             outcomes = []
-            for closure in (_closure, _rewriter_closure):
+            for closure in (Semigroup, _rewriter_closure):
                 try:
                     closure(rank, generators, limit)
                 except ResourceLimitError:
@@ -392,12 +397,12 @@ def test_cache_rejects_forged_count(tmp_path):
 def test_cache_write_keeps_ordinary_file_permissions(tmp_path, k2):
     plain = tmp_path / "plain"
     plain.write_text("")
-    path = write_cache(tmp_path, 2, {x.word for x in k2.elements})
+    path = write_cache(tmp_path, 2, {x.word.letters for x in k2.elements})
     assert path.stat().st_mode == plain.stat().st_mode
 
 
 def test_cache_writers_race_without_partial_reads(tmp_path, k4):
-    words = {x.word for x in k4.elements}
+    words = {x.word.letters for x in k4.elements}
     write_cache(tmp_path, 4, words)
     stop = threading.Event()
     errors = []
@@ -438,3 +443,111 @@ def test_cache_writers_race_without_partial_reads(tmp_path, k4):
     assert errors == []
     assert reads
     assert [p.name for p in tmp_path.iterdir()] == ["k4.cache"]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_product_matches_rewriter_on_every_pair(rank):
+    s = Semigroup(rank)
+    for i, u in enumerate(s.words):
+        for j, v in enumerate(s.words):
+            assert s.product(i, v) == s.index[canonical_letters(u + v)], (u, v)
+
+
+def test_product_matches_rewriter_on_long_words_rank_5():
+    s = Semigroup(5)
+    rng = random.Random(5)
+    for _ in range(500):
+        i = rng.randrange(len(s))
+        w = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 200)))
+        assert s.product(i, w) == s.index[canonical_letters(s.words[i] + w)], (i, w)
+
+
+@pytest.mark.n6
+def test_product_matches_rewriter_sampled_rank_6():
+    s = Semigroup(6)
+    rng = random.Random(6)
+    for _ in range(20_000):
+        i, j = rng.randrange(len(s)), rng.randrange(len(s))
+        u, v = s.words[i], s.words[j]
+        assert s.product(i, v) == s.index[canonical_letters(u + v)], (u, v)
+
+
+def test_semigroup_views_agree_with_elements(k3):
+    s = Semigroup(3)
+    assert len(s) == k3.cardinality
+    assert [s.element(i) for i in s.sorted_indices()] == k3.sorted_elements()
+    assert s.product(0, ()) == 0
+
+
+def _spy_full_checks(monkeypatch):
+    """Record the words read_cache sends to the full canonicality check."""
+    import kiselman.enumeration as enumeration
+
+    seen = []
+
+    def spy(w):
+        seen.append(str(w))
+        return is_canonical(w)
+
+    monkeypatch.setattr(enumeration, "is_canonical", spy)
+    return seen
+
+
+def test_cache_last_pair_check_rejects_extension_of_accepted_line(
+    tmp_path, monkeypatch
+):
+    # "2 1" was accepted, so "2 1 2" is judged by its last pair alone
+    (tmp_path / "k3.cache").write_text(
+        "kiselman-cache v1 n=3 count=4\n\n2\n2 1\n2 1 2\n"
+    )
+    full = _spy_full_checks(monkeypatch)
+    with pytest.raises(ValidationError, match="non-canonical word: '2 1 2'"):
+        read_cache(tmp_path, 3)
+    assert full == []
+
+
+def test_cache_full_check_rejects_line_without_accepted_prefix(
+    tmp_path, monkeypatch
+):
+    (tmp_path / "k3.cache").write_text("kiselman-cache v1 n=3 count=2\n\n2 1 2\n")
+    full = _spy_full_checks(monkeypatch)
+    with pytest.raises(ValidationError, match="non-canonical word: '2 1 2'"):
+        read_cache(tmp_path, 3)
+    assert full == ["2 1 2"]
+
+
+def test_cache_check_does_not_depend_on_line_order(tmp_path, monkeypatch, k4):
+    words = {x.word.letters for x in k4.elements}
+    path = write_cache(tmp_path, 4, words)
+    header, *body = path.read_text().splitlines()
+    full = _spy_full_checks(monkeypatch)
+    assert read_cache(tmp_path, 4) == words
+    assert full == []  # shortest first: every prefix is already accepted
+    path.write_text("\n".join([header] + body[::-1]) + "\n")
+    assert read_cache(tmp_path, 4) == words
+    assert len(full) == len(words) - 1  # longest first: only "" skips the check
+
+
+def test_cache_file_format_is_unchanged(tmp_path):
+    # the same bytes as the Word-based writer: header, then str(w)
+    # shortest first; the digest pins the rank-4 file itself
+    path = write_cache(tmp_path, 4, (w.letters for w in enumerate_canonical_words(4)))
+    expected = ["kiselman-cache v1 n=4 count=115"] + [
+        str(w) for w in sorted(enumerate_canonical_words(4), key=sort_key)
+    ]
+    data = path.read_bytes()
+    assert data == ("\n".join(expected) + "\n").encode("ascii")
+    assert hashlib.sha256(data).hexdigest() == (
+        "620e5e5ae39f9fd5df6d793c76f871c37f27f5078371830e2e49cf7036246a64"
+    )
+
+
+def test_cache_rejects_malformed_lines_with_the_word_parser_message(tmp_path):
+    for line, message in [
+        ("1 x", "cannot parse word text '1 x'"),
+        ("1 4", "letter index 4 at position 1 out of range"),
+        ("0", "letter index 0 at position 0 out of range"),
+    ]:
+        (tmp_path / "k3.cache").write_text(f"kiselman-cache v1 n=3 count=1\n{line}\n")
+        with pytest.raises(ValidationError, match=message):
+            read_cache(tmp_path, 3)

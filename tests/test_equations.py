@@ -13,7 +13,7 @@ from kiselman.algebra import (
     zero,
     zero_threshold,
 )
-from kiselman.enumeration import KNOWN_CARDINALITIES, generated_submonoid
+from kiselman.enumeration import KNOWN_CARDINALITIES, Semigroup, generated_submonoid
 from kiselman.equations import (
     characterize_zero,
     construct_right_zero_solutions,
@@ -168,6 +168,23 @@ def test_left_zero_is_the_reversal_of_right_zero(k3):
     left = solve_left_zero(top, k3.elements)
     right = solve_right_zero(antiautomorphism(top), k3.elements)
     assert left.solutions == {antiautomorphism(x) for x in right.solutions}
+
+
+def test_table_solver_matches_rewriter_solver(k1, k2, k3, k4):
+    # every right factor y: the table scan against the multiply scan
+    for result in (k1, k2, k3, k4):
+        s = Semigroup(result.rank)
+        for y in result.elements:
+            table = solve_right_zero(y, s)
+            rewriter = solve_right_zero(y, result.elements)
+            assert table == rewriter
+
+
+def test_table_solver_validates_rank_agreement():
+    with pytest.raises(ValidationError, match="rank mismatch"):
+        solve_right_zero(generator(1, 2), Semigroup(3))
+    with pytest.raises(ValidationError, match="rank mismatch"):
+        verify_zero_cancellation(2, elements=Semigroup(3))
 
 
 def test_zero_cancellation_exhaustive_small_ranks():

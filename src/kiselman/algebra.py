@@ -11,10 +11,13 @@ Structural maps:
 
 * `content` -- the set of letters in the canonical form, a morphism onto
   subsets of {1..n} under union.
-* `antiautomorphism` -- reverse the canonical word, flip every letter
-  i -> n-i+1, re-canonicalize.  Order-reversing, involutive, fixes the
-  zero.  Reversal and the letter flip act letter-wise independently, so
-  they can be applied in either order.
+* `antiautomorphism` -- reverse the canonical word and flip every letter
+  i -> n-i+1.  The image is canonical with no rewriting: a factor between
+  two copies of a letter becomes a factor between two copies of its
+  flipped letter, with the larger and the smaller letters trading places,
+  so a pair that enclosed both still does.  Order-reversing, involutive,
+  fixes the zero.  Reversal and the letter flip act letter-wise
+  independently, so they can be applied in either order.
 * `zero_threshold` -- the least i such that right-multiplying by the
   decreasing idempotent over {1..i} gives the zero; zero exactly on the
   zero element itself.
@@ -140,7 +143,7 @@ def antiautomorphism(x: Element) -> Element:
     '3 2 1'
     """
     flipped = mirror(x.word)
-    return from_word(Word(tuple(reversed(flipped.letters)), x.rank))
+    return Element(Word(tuple(reversed(flipped.letters)), x.rank))
 
 
 def zero_threshold(x: Element) -> int:

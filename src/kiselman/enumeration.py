@@ -16,11 +16,13 @@ say whether the new g stays, drops, or deletes the old g.  In the last
 case the product is a walk through the rows of shorter elements, which
 are already complete.
 
-Users: `enumerate_elements` and `generated_submonoid` turn a semigroup
-into a set of `Element`s.  The CLI's `enum` lists its words and `stats`
-counts on its indices; the verify suites, and the equation solvers they
-call, take their products from its table.  One-shot arithmetic (`canon`,
-`mul`, `algebra.multiply`) builds no table and calls the rewriter.
+Users: the CLI's `enum` lists its words and `stats` counts on its
+indices; the verify suites, and the equation solvers they call, take
+their products from its table; the constructive solver walks the
+submonoid avoiding letter 1, a `Semigroup` over the letters 2..n; and
+the tests hold `elements()` to the rewriter's `multiply`.  One-shot
+arithmetic (`canon`, `mul`, `algebra.multiply`) builds no table and
+calls the rewriter.
 
 The deletion rewriter stays as the oracle.  The direct route backtracks
 over canonical words, growing a word one letter at a time; every prefix
@@ -64,18 +66,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .algebra import Element, content, sort_key
+from .algebra import Element, sort_key
 from .errors import InvariantError, ResourceLimitError, ValidationError
 from .words import Word, is_canonical, mirror, parse_word
 
 __all__ = [
     "Semigroup",
-    "EnumerationResult",
     "ParityReport",
-    "enumerate_elements",
     "enumerate_canonical_words",
-    "generated_submonoid",
-    "filter_by_content",
     "parity_report",
     "letter_bounds",
     "cache_path",
@@ -94,20 +92,6 @@ CACHE_MAGIC = "kiselman-cache v1"
 # cross-validated by this module's two independent enumerators agreeing
 # element for element (see the cardinality verification suite).
 KNOWN_CARDINALITIES: dict[int, int] = {1: 2, 2: 5, 3: 18, 4: 115, 5: 1710, 6: 83973}
-
-
-@dataclass(frozen=True)
-class EnumerationResult:
-    """The outcome of a closure enumeration at one rank."""
-
-    rank: int
-    elements: frozenset[Element]
-    cardinality: int
-    frontier_rounds: int
-    multiplications: int
-
-    def sorted_elements(self) -> list[Element]:
-        return sorted(self.elements, key=sort_key)
 
 
 @dataclass(frozen=True)
@@ -262,41 +246,14 @@ class Semigroup:
         """Element i as an `Element`."""
         return Element(Word(self.words[i], self.rank))
 
+    def elements(self) -> frozenset[Element]:
+        """Every element as an `Element`; a set, so no traversal order shows."""
+        return frozenset(map(self.element, range(len(self.words))))
+
     def sorted_indices(self) -> list[int]:
         """Every index, in the package's length-lexicographic element order."""
         words = self.words
         return sorted(range(len(words)), key=lambda i: sort_key(words[i]))
-
-
-def enumerate_elements(
-    rank: int, limit: int = DEFAULT_ELEMENT_LIMIT
-) -> EnumerationResult:
-    """Close {identity} under right multiplication by every generator.
-
-    The result is a set, so it cannot depend on traversal order.  Raises
-    ResourceLimitError if more than `limit` elements appear.
-    """
-    semigroup = Semigroup(rank, limit=limit)
-    elements = frozenset(map(semigroup.element, range(len(semigroup))))
-    return EnumerationResult(
-        rank,
-        elements,
-        len(elements),
-        semigroup.frontier_rounds,
-        semigroup.multiplications,
-    )
-
-
-def generated_submonoid(
-    rank: int, generators: Iterable[int], limit: int = DEFAULT_ELEMENT_LIMIT
-) -> frozenset[Element]:
-    """Close {identity} under right multiplication by selected generators.
-
-    With generators 2..rank this realizes the submonoid avoiding letter
-    1, which has the size of the semigroup one rank down.
-    """
-    semigroup = Semigroup(rank, generators, limit)
-    return frozenset(map(semigroup.element, range(len(semigroup))))
 
 
 def letter_bounds(rank: int) -> dict[int, int]:
@@ -366,26 +323,6 @@ def enumerate_canonical_words(rank: int) -> set[Word]:
 
     grow()
     return found
-
-
-def filter_by_content(
-    result: EnumerationResult, required: Iterable[int], allowed: Iterable[int]
-) -> set[Element]:
-    """Elements whose content contains `required` and stays inside `allowed`.
-
-    Realizes both the letter-avoiding submonoids (required empty) and
-    the slices of elements forced to use particular letters.
-    """
-    req = frozenset(required)
-    allow = frozenset(allowed)
-    universe = frozenset(range(1, result.rank + 1))
-    if not req <= allow:
-        raise ValidationError("required letters must be a subset of allowed letters")
-    if not allow <= universe:
-        raise ValidationError(
-            f"allowed letters must lie in [1, {result.rank}]"
-        )
-    return {x for x in result.elements if req <= content(x) <= allow}
 
 
 def parity_report(rank: int) -> ParityReport:

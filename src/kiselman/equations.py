@@ -15,7 +15,12 @@ Brute-force solvers here exist to keep the constructive ones honest:
 they scan a full enumeration and never assume any of the structure
 above.  Given a `Semigroup` they take every product from its right
 Cayley table; the constructive route and `solution_word` multiply with
-the rewriter, so the two routes share no multiplication code.
+the rewriter, so the two routes share no multiplication code.  The
+remaining facts are checked by the verification suites alone: the
+zero_cancellation suite holds that x * a_k reaches the zero for some
+k >= 2 only when x is the zero, and the solution_structure suite that
+the solutions of a_n * y = zero are the antiautomorphism's image of the
+solutions of x * a_1 = zero.
 """
 
 from __future__ import annotations
@@ -34,12 +39,7 @@ from .algebra import (
     zero,
     zero_threshold,
 )
-from .enumeration import (
-    DEFAULT_ELEMENT_LIMIT,
-    Semigroup,
-    enumerate_elements,
-    generated_submonoid,
-)
+from .enumeration import DEFAULT_ELEMENT_LIMIT, Semigroup
 from .errors import DomainError, InvariantError, ValidationError
 from .words import Word, idempotent_word
 
@@ -48,13 +48,10 @@ __all__ = [
     "ZeroSolutionSet",
     "CancellationReport",
     "solve_right_zero",
-    "solve_left_zero",
     "construct_right_zero_solutions",
     "solution_word",
     "solution_rule",
-    "solution_multiply",
     "verify_zero_cancellation",
-    "characterize_zero",
 ]
 
 
@@ -89,6 +86,17 @@ class CancellationReport:
     violations: tuple[str, ...]
 
 
+def _require_full(semigroup: Semigroup, rank: int) -> None:
+    """Reject a semigroup other than the whole of K_rank."""
+    if semigroup.rank != rank:
+        raise ValidationError(f"rank mismatch: {semigroup.rank} vs {rank}")
+    if len(semigroup.generators) != rank:
+        raise ValidationError(
+            f"the semigroup is generated by {list(semigroup.generators)}, "
+            f"not by every letter 1..{rank}"
+        )
+
+
 def solve_right_zero(
     y: Element,
     elements: Semigroup | Iterable[Element] | None = None,
@@ -107,8 +115,7 @@ def solve_right_zero(
     if elements is None:
         elements = Semigroup(y.rank, limit=limit)
     if isinstance(elements, Semigroup):
-        if elements.rank != y.rank:
-            raise ValidationError(f"rank mismatch: {elements.rank} vs {y.rank}")
+        _require_full(elements, y.rank)
         zero_index = elements.index[target.word.letters]
         solutions = frozenset(
             elements.element(i)
@@ -133,27 +140,6 @@ def solve_right_zero(
     return ZeroSolutionSet(y.rank, y, solutions, decomposition)
 
 
-def solve_left_zero(
-    x: Element,
-    elements: Iterable[Element] | None = None,
-    limit: int = DEFAULT_ELEMENT_LIMIT,
-) -> ZeroSolutionSet:
-    """Brute-force the right factors: every y with x * y = zero.
-
-    The antiautomorphism swaps the two sides, so this set is always its
-    image of a right-zero solution set; the tests hold the two scans to
-    that duality.
-    """
-    universe = (
-        frozenset(elements)
-        if elements is not None
-        else enumerate_elements(x.rank, limit).elements
-    )
-    target = zero(x.rank)
-    solutions = frozenset(y for y in universe if multiply(x, y) == target)
-    return ZeroSolutionSet(x.rank, x, solutions, None)
-
-
 def construct_right_zero_solutions(
     rank: int, limit: int = DEFAULT_ELEMENT_LIMIT
 ) -> ZeroSolutionSet:
@@ -167,7 +153,7 @@ def construct_right_zero_solutions(
     """
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
-    submonoid = generated_submonoid(rank, range(2, rank + 1), limit=limit)
+    submonoid = Semigroup(rank, range(2, rank + 1), limit).elements()
     a1 = generator(1, rank)
     target = zero(rank)
     special = idempotent(range(2, rank + 1), rank)
@@ -227,7 +213,8 @@ def solution_rule(
 
     special * special = special; anything * special is unchanged; a
     right factor containing letter 1 collapses the product to the zero.
-    The rule alone: `solution_multiply` checks it against the product.
+    The rule alone: the solution_structure verification suite checks it
+    against the table product.
     """
     if x.rank != y.rank:
         raise ValidationError(f"rank mismatch: {x.rank} vs {y.rank}")
@@ -250,22 +237,6 @@ def solution_rule(
     return x
 
 
-def solution_multiply(
-    x: Element, y: Element, solutions: ZeroSolutionSet | None = None
-) -> Element:
-    """Product of two x * a_1 = zero solutions via the three-case rule.
-
-    The rule's answer (see `solution_rule`) is checked against the
-    generic product before it is returned.
-    """
-    result = solution_rule(x, y, solutions)
-    if result != multiply(x, y):
-        raise InvariantError(
-            f"case rule gave '{result}' but the product is '{multiply(x, y)}'"
-        )
-    return result
-
-
 def verify_zero_cancellation(
     rank: int,
     elements: Semigroup | None = None,
@@ -285,8 +256,7 @@ def verify_zero_cancellation(
     the middle-factor consequence.
     """
     semigroup = Semigroup(rank, limit=limit) if elements is None else elements
-    if semigroup.rank != rank:
-        raise ValidationError(f"rank mismatch: {semigroup.rank} vs {rank}")
+    _require_full(semigroup, rank)
     words, product, element = semigroup.words, semigroup.product, semigroup.element
     pool = semigroup.sorted_indices()
     zero_index = semigroup.index[zero(rank).word.letters]
@@ -331,20 +301,3 @@ def verify_zero_cancellation(
                 )
 
     return CancellationReport(rank, checked_pairs, checked_triples, tuple(violations))
-
-
-def characterize_zero(x: Element) -> bool:
-    """Does x * a_k reach the zero for some k >= 2?
-
-    Equivalent to x itself being the zero; the equivalence is what the
-    tests check.  Needs a generator above letter 1, so rank 1 is outside
-    the domain.
-    """
-    if x.rank < 2:
-        raise DomainError(
-            "zero characterization needs a generator above letter 1 (rank >= 2)"
-        )
-    target = zero(x.rank)
-    return any(
-        multiply(x, generator(k, x.rank)) == target for k in range(2, x.rank + 1)
-    )

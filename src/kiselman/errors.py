@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ValidationError", "DomainError", "ResourceLimitError", "InvariantError"]
+
 
 class ValidationError(ValueError):
     """Malformed input: letters out of range, rank mismatches, bad word text."""

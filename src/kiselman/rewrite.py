@@ -29,7 +29,6 @@ __all__ = [
     "ReductionKind",
     "Reduction",
     "ReductionTrace",
-    "one_step_reductions",
     "canonical_form",
     "canonical_letters",
     "all_normal_forms",
@@ -99,29 +98,6 @@ def _redexes(letters: tuple[int, ...]) -> Iterator[tuple[ReductionKind, int, int
             yield ReductionKind.RIGHT_DELETION, i, p, q
         if all(g > i for g in gap):
             yield ReductionKind.LEFT_DELETION, i, q, p
-
-
-def one_step_reductions(w: Word) -> set[tuple[Reduction, Word]]:
-    """Every word reachable from w by a single deletion, with its witness.
-
-    Empty exactly when w is canonical.  Adjacent equal letters admit both
-    deletion kinds, so two witnesses may share one resulting word:
-
-    >>> from .words import parse_word
-    >>> sorted(str(v) for _, v in one_step_reductions(parse_word("1 1", 1)))
-    ['1', '1']
-    >>> [(r.kind.value, str(v)) for r, v in one_step_reductions(parse_word("2 1 2", 2))]
-    [('RightDeletion', '2 1')]
-    >>> [(r.kind.value, str(v)) for r, v in one_step_reductions(parse_word("1 2 1", 2))]
-    [('LeftDeletion', '2 1')]
-    >>> one_step_reductions(parse_word("3 2 1", 3))
-    set()
-    """
-    out: set[tuple[Reduction, Word]] = set()
-    for kind, letter, kept, removed in _redexes(w.letters):
-        shorter = Word(w.letters[:removed] + w.letters[removed + 1:], w.rank)
-        out.add((Reduction(kind, letter, kept, removed), shorter))
-    return out
 
 
 def canonical_letters(letters: tuple[int, ...]) -> tuple[int, ...]:

@@ -2,13 +2,14 @@
 
 Each suite re-derives one structural fact at the requested rank and
 reports pass/fail with counterexamples; nothing is trusted from earlier
-runs.  Suites share one enumeration context so the expensive closures
-are built once per invocation.  The context holds the indexed
-`Semigroup`, and the suites about products take them from its table;
-the rewriter stays where it is the point of a suite (confluence, the
-prefix facts, and the slow-way check inside `solution_word`).  A suite
-that does not apply at the requested rank reports itself as skipped
-with a reason; the report always lists every selected suite.
+runs.  Suites share one enumeration context so the expensive closures,
+and the constructed solutions of x * a_1 = zero, are built once per
+invocation.  The context holds the indexed `Semigroup`, and the suites
+about products take them from its table; the rewriter stays where it
+is the point of a suite (confluence, the prefix facts, and the slow-way
+check inside `solution_word`).  A suite that does not apply at the
+requested rank reports itself as skipped with a reason; the report
+always lists every selected suite.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import (
     Element,
@@ -31,11 +33,11 @@ from .enumeration import (
     KNOWN_CARDINALITIES,
     Semigroup,
     enumerate_canonical_words,
-    generated_submonoid,
     letter_bounds,
     parity_report,
 )
 from .equations import (
+    ZeroSolutionSet,
     construct_right_zero_solutions,
     solution_rule,
     solution_word,
@@ -89,6 +91,15 @@ class _Context:
     words: set[Word]
     submonoid: frozenset[Element]
 
+    @cached_property
+    def solutions(self) -> ZeroSolutionSet:
+        """The constructed solutions of x * a_1 = zero, built on first use.
+
+        An InvariantError in the construction is not cached: it fails
+        each suite that asks, and only those.
+        """
+        return construct_right_zero_solutions(self.rank)
+
 
 def _result(name: str, checks: int, failures: list[str], detail: dict) -> SuiteResult:
     status = "fail" if failures else "pass"
@@ -102,7 +113,7 @@ def _skip(name: str, reason: str) -> SuiteResult:
 def _build_context(rank: int, seed: int, samples: int, limit: int) -> _Context:
     semigroup = Semigroup(rank, limit=limit)
     words = enumerate_canonical_words(rank)
-    submonoid = generated_submonoid(rank, range(2, rank + 1), limit=limit)
+    submonoid = Semigroup(rank, range(2, rank + 1), limit).elements()
     return _Context(
         rank=rank,
         seed=seed,
@@ -355,10 +366,22 @@ def _suite_zero_cancellation(ctx: _Context) -> SuiteResult:
         triple_samples=ctx.samples,
         seed=ctx.seed,
     )
+    failures = list(report.violations)
+    checks = report.checked_pairs + report.checked_triples
+    # the zero is the only x with x * a_k = zero for some k >= 2
+    s = ctx.semigroup
+    zero_index = s.index[zero(ctx.rank).word.letters]
+    for x in ctx.order:
+        for k in range(2, ctx.rank + 1):
+            checks += 1
+            if s.product(x, (k,)) == zero_index and x != zero_index:
+                failures.append(
+                    f"x='{s.element(x)}' * a_{k} is the zero, but x is not"
+                )
     return _result(
         "zero_cancellation",
-        report.checked_pairs + report.checked_triples,
-        list(report.violations),
+        checks,
+        failures,
         {
             "pairs": report.checked_pairs,
             "triples": report.checked_triples,
@@ -370,11 +393,24 @@ def _suite_zero_cancellation(ctx: _Context) -> SuiteResult:
 def _suite_solution_structure(ctx: _Context) -> SuiteResult:
     failures: list[str] = []
     checks = 0
-    constructed = construct_right_zero_solutions(ctx.rank)
-    brute = solve_right_zero(generator(1, ctx.rank), elements=ctx.semigroup)
+    constructed = ctx.solutions
+    s = ctx.semigroup
+    brute = solve_right_zero(generator(1, ctx.rank), elements=s)
     checks += 1
     if constructed.solutions != brute.solutions:
         failures.append("constructive and brute-force solution sets differ")
+    # the antiautomorphism swaps the sides: a_n * y = zero mirrors x * a_1 = zero
+    checks += 1
+    zero_index = s.index[zero(ctx.rank).word.letters]
+    top = s.index[(ctx.rank,)]
+    left_solved = {
+        s.element(j) for j, w in enumerate(s.words) if s.product(top, w) == zero_index
+    }
+    if left_solved != {antiautomorphism(x) for x in brute.solutions}:
+        failures.append(
+            f"the solutions of a_{ctx.rank} * y = zero are not the "
+            "antiautomorphism's image of the solutions of x * a_1 = zero"
+        )
     checks += 1
     if len(constructed.solutions) != 1 + len(ctx.submonoid):
         failures.append(
@@ -403,7 +439,6 @@ def _suite_solution_structure(ctx: _Context) -> SuiteResult:
             (ctx.rng.choice(ordered), ctx.rng.choice(ordered))
             for _ in range(ctx.samples)
         ]
-    s = ctx.semigroup
     for x, y in pairs:
         checks += 1
         product = solution_rule(x, y, constructed)
@@ -426,8 +461,7 @@ def _suite_solution_structure(ctx: _Context) -> SuiteResult:
 
 
 def _suite_prefix_bijection(ctx: _Context) -> SuiteResult:
-    constructed = construct_right_zero_solutions(ctx.rank)
-    containing_one = constructed.decomposition.containing_one
+    containing_one = ctx.solutions.decomposition.containing_one
     failures: list[str] = []
     images = {prefix_before_one(x) for x in containing_one}
     if len(images) != len(containing_one):

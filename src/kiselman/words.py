@@ -3,7 +3,7 @@
 Kiselman's semigroup K_n is the monoid with generators a_1, ..., a_n and
 relations a_i^2 = a_i and a_i a_j a_i = a_j a_i a_j = a_i a_j for j < i.
 This module supplies the raw substrate: finite words over the letters
-1..n, the containment predicates the rewriting theory is phrased in, the
+1..n, the subsequence predicate the rewriting theory is phrased in, the
 canonicality test, the mirror map, and the strictly decreasing idempotent
 words.
 
@@ -29,10 +29,7 @@ from .errors import ValidationError
 
 __all__ = [
     "Word",
-    "word_from_indices",
     "parse_word",
-    "concat",
-    "is_subword",
     "is_quasi_subword",
     "is_canonical",
     "mirror",
@@ -70,21 +67,6 @@ class Word:
         return " ".join(str(i) for i in self.letters)
 
 
-def word_from_indices(indices: Iterable[int], rank: int) -> Word:
-    """Build a word from an iterable of letter indices.
-
-    >>> str(word_from_indices([2, 1], 2))
-    '2 1'
-    >>> str(word_from_indices([], 3))
-    ''
-    >>> word_from_indices([4], 3)
-    Traceback (most recent call last):
-        ...
-    kiselman.errors.ValidationError: letter index 4 at position 0 out of range [1, 3]
-    """
-    return Word(tuple(indices), rank)
-
-
 def parse_word(text: str, rank: int) -> Word:
     """Parse the textual word format: space-separated indices, "" for empty.
 
@@ -105,34 +87,6 @@ def parse_word(text: str, rank: int) -> Word:
     return Word(indices, rank)
 
 
-def _require_same_rank(u: Word, w: Word) -> None:
-    if u.rank != w.rank:
-        raise ValidationError(f"rank mismatch: {u.rank} vs {w.rank}")
-
-
-def concat(u: Word, w: Word) -> Word:
-    """Concatenation of two words over the same alphabet."""
-    _require_same_rank(u, w)
-    return Word(u.letters + w.letters, u.rank)
-
-
-def is_subword(u: Word, w: Word) -> bool:
-    """Is u a contiguous factor of w?  The empty word is a factor of everything.
-
-    >>> is_subword(parse_word("1 2", 3), parse_word("3 1 2 1", 3))
-    True
-    >>> is_subword(parse_word("2 2", 2), parse_word("2 1 2", 2))
-    False
-    """
-    _require_same_rank(u, w)
-    if not u.letters:
-        return True
-    k = len(u.letters)
-    return any(
-        w.letters[i:i + k] == u.letters for i in range(len(w.letters) - k + 1)
-    )
-
-
 def is_quasi_subword(v: Word, w: Word) -> bool:
     """Is v a not-necessarily-contiguous subsequence of w?
 
@@ -143,7 +97,8 @@ def is_quasi_subword(v: Word, w: Word) -> bool:
     >>> is_quasi_subword(parse_word("1 2", 2), parse_word("2 1", 2))
     False
     """
-    _require_same_rank(v, w)
+    if v.rank != w.rank:
+        raise ValidationError(f"rank mismatch: {v.rank} vs {w.rank}")
     it = iter(w.letters)
     return all(letter in it for letter in v.letters)
 

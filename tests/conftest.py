@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from kiselman.enumeration import enumerate_elements
+from kiselman.enumeration import Semigroup
 from kiselman.words import Word
 
 
@@ -33,24 +33,24 @@ def word_pairs(max_rank: int = 4, max_len: int = 10):
 
 @pytest.fixture(scope="session")
 def k1():
-    return enumerate_elements(1)
+    return Semigroup(1)
 
 
 @pytest.fixture(scope="session")
 def k2():
-    return enumerate_elements(2)
+    return Semigroup(2)
 
 
 @pytest.fixture(scope="session")
 def k3():
-    return enumerate_elements(3)
+    return Semigroup(3)
 
 
 @pytest.fixture(scope="session")
 def k4():
-    return enumerate_elements(4)
+    return Semigroup(4)
 
 
 @pytest.fixture(scope="session")
 def k5():
-    return enumerate_elements(5)
+    return Semigroup(5)

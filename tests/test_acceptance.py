@@ -1,227 +1,114 @@
-"""Acceptance checks.
+"""Acceptance checks: each shipped claim is one row of CLAIMS.
 
-One test per shipped claim, each printing a single [PASS]/[FAIL] line
-(run with -s to watch them stream by).  Runtime budgets are part of the
-claims and are asserted alongside the math.
+A row names the verification suites that prove the claim, the ranks to
+run them at, the seed and sample count, and a runtime budget, which is
+part of the claim.  The proofs live in kiselman.verify alone: a claim
+holds when, at every rank, the run is not aborted and every named suite
+passes with at least one check (a skipped suite would pass vacuously),
+all within the budget.  One test per claim prints a single [PASS]/[FAIL]
+line (run with -s to watch them stream by).
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 import time
+from dataclasses import dataclass
 
 import pytest
 
-from kiselman.algebra import (
-    antiautomorphism,
-    content,
-    from_word,
-    generator,
-    identity,
-    multiply,
-    prefix_before_one,
-    zero,
-)
-from kiselman.enumeration import (
-    enumerate_canonical_words,
-    enumerate_elements,
-    generated_submonoid,
-    letter_bounds,
-    parity_report,
-)
-from kiselman.equations import (
-    characterize_zero,
-    construct_right_zero_solutions,
-    solution_multiply,
-    solution_word,
-    solve_right_zero,
-    verify_zero_cancellation,
-)
-from kiselman.rewrite import all_normal_forms, canonical_form
-from kiselman.words import Word, is_canonical, occurrence_counts, parse_word
+from kiselman.verify import run_suites
 
 
-def _finish(name: str, ok: bool, elapsed: float, budget: float) -> None:
-    passed = ok and elapsed <= budget
-    print(f"[{'PASS' if passed else 'FAIL'}] {name} ({elapsed:.2f}s)")
-    assert ok, f"{name}: a checked condition failed"
-    assert elapsed <= budget, f"{name}: took {elapsed:.2f}s, budget {budget}s"
+@dataclass(frozen=True)
+class Claim:
+    suites: tuple[str, ...]
+    ranks: tuple[int, ...]
+    budget: float  # seconds, for all ranks together
+    seed: int = 0
+    samples: int = 1000
+
+
+CLAIMS = {
+    "base cardinalities": Claim(("cardinality",), (1, 2), 1.0),
+    "cardinality parity": Claim(("cardinality", "parity"), (3, 4), 30.0),
+    # 2,500 random words of length <= 12 per rank, 10,000 in all
+    "normal form uniqueness": Claim(
+        ("confluence",), (1, 2, 3, 4), 60.0, seed=2024, samples=2500
+    ),
+    "idempotent count": Claim(("idempotents",), (1, 2, 3, 4), 30.0),
+    # exhaustive pairs up to rank 4, 1,000 sampled triples per rank
+    "zero cancellation": Claim(("zero_cancellation",), (2, 3, 4), 300.0),
+    "right-zero equation structure": Claim(
+        ("solution_structure", "prefix_bijection"), (2, 3, 4), 60.0
+    ),
+    "letter occurrence bounds": Claim(("word_bounds",), (1, 2, 3, 4), 30.0),
+    "letter occurrence bounds, rank 5": Claim(("word_bounds",), (5,), 60.0),
+    # exhaustive pairs up to rank 3
+    "structural maps": Claim(("antiautomorphism", "content"), (1, 2, 3, 4), 10.0),
+    "enumerator agreement": Claim(("cardinality",), (1, 2, 3, 4), 60.0),
+}
+
+
+def _prove(title: str) -> None:
+    claim = CLAIMS[title]
+    start = time.perf_counter()
+    problems = []
+    for rank in claim.ranks:
+        report = run_suites(
+            rank, seed=claim.seed, samples=claim.samples, names=list(claim.suites)
+        )
+        if report["aborted"] is not False:
+            problems.append(f"rank {rank}: aborted: {report.get('error')}")
+        outcomes = {suite["name"]: suite for suite in report["suites"]}
+        for name in claim.suites:
+            suite = outcomes.get(name)
+            if suite is None or suite["status"] != "pass" or suite["checks"] <= 0:
+                problems.append(f"rank {rank}: {name}: {suite}")
+    elapsed = time.perf_counter() - start
+    passed = not problems and elapsed <= claim.budget
+    print(f"[{'PASS' if passed else 'FAIL'}] {title} ({elapsed:.2f}s)")
+    assert not problems, f"{title}: {problems}"
+    assert elapsed <= claim.budget, (
+        f"{title}: took {elapsed:.2f}s, budget {claim.budget}s"
+    )
 
 
 def test_base_cardinalities():
-    start = time.perf_counter()
-    k1 = enumerate_elements(1)
-    k2 = enumerate_elements(2)
-    ok = (
-        k1.cardinality == 2
-        and {str(x) for x in k1.elements} == {"", "1"}
-        and k2.cardinality == 5
-        and {str(x) for x in k2.elements} == {"", "1", "2", "1 2", "2 1"}
-    )
-    _finish("base cardinalities", ok, time.perf_counter() - start, 1.0)
+    _prove("base cardinalities")
 
 
 def test_cardinality_parity():
-    start = time.perf_counter()
-    r3 = parity_report(3)
-    r4 = parity_report(4)
-    ok = (
-        r3.cardinality == 18
-        and r3.parity == "even"
-        and r4.cardinality == 115
-        and r4.parity == "odd"
-        and r3.identity_holds
-        and r4.identity_holds
-        and r3.count_one_first == r3.count_top_first
-        and r4.count_one_first == r4.count_top_first
-        and r3.mirror_pairing
-        and r4.mirror_pairing
-    )
-    _finish("cardinality parity", ok, time.perf_counter() - start, 30.0)
+    _prove("cardinality parity")
 
 
 def test_normal_form_uniqueness():
-    start = time.perf_counter()
-    rng = random.Random(2024)
-    ok = True
-    for _ in range(10_000):
-        rank = rng.randint(1, 4)
-        length = rng.randint(0, 12)
-        letters = tuple(rng.randint(1, rank) for _ in range(length))
-        w = Word(letters, rank)
-        forms = all_normal_forms(w)
-        if forms != frozenset({canonical_form(w)}):
-            ok = False
-            break
-    _finish("normal form uniqueness", ok, time.perf_counter() - start, 60.0)
+    _prove("normal form uniqueness")
 
 
 def test_idempotent_count():
-    start = time.perf_counter()
-    ok = True
-    for rank in (1, 2, 3, 4):
-        result = enumerate_elements(rank)
-        found = {x for x in result.elements if multiply(x, x) == x}
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(1, rank + 1), size)
-            for size in range(rank + 1)
-        )
-        built = {
-            from_word(Word(tuple(sorted(s, reverse=True)), rank))
-            for s in subsets
-        }
-        if not (len(found) == 2 ** rank and found == built):
-            ok = False
-    _finish("idempotent count", ok, time.perf_counter() - start, 30.0)
+    _prove("idempotent count")
 
 
 def test_zero_cancellation():
-    start = time.perf_counter()
-    ok = True
-    for rank in (2, 3, 4):
-        report = verify_zero_cancellation(rank, pair_samples=None, seed=0)
-        if report.violations or report.checked_pairs == 0:
-            ok = False
-        elements = enumerate_elements(rank).elements
-        if any(characterize_zero(x) != (x == zero(rank)) for x in elements):
-            ok = False
-    _finish("zero cancellation", ok, time.perf_counter() - start, 300.0)
+    _prove("zero cancellation")
 
 
 def test_right_zero_equation_structure():
-    start = time.perf_counter()
-    ok = True
-    for rank in (2, 3, 4):
-        universe = enumerate_elements(rank)
-        brute = solve_right_zero(generator(1, rank), universe.elements)
-        constructed = construct_right_zero_solutions(rank)
-        if constructed.solutions != brute.solutions:
-            ok = False
-        expected = 1 + enumerate_elements(rank - 1).cardinality
-        if len(brute.solutions) != expected:
-            ok = False
-        sub = generated_submonoid(rank, range(2, rank + 1))
-        # solution_word checks concatenation against the generic product
-        # internally, so building each one is itself the check
-        words = {solution_word(x) for x in sub}
-        if len(words) != len(sub) or not all(is_canonical(w) for w in words):
-            ok = False
-        for x in brute.solutions:
-            for y in brute.solutions:
-                if solution_multiply(x, y, constructed) != multiply(x, y):
-                    ok = False
-        with_one = {x for x in brute.solutions if 1 in content(x)}
-        image = {prefix_before_one(x) for x in with_one}
-        if len(image) != len(with_one) or image != sub:
-            ok = False
-    _finish(
-        "right-zero equation structure", ok, time.perf_counter() - start, 60.0,
-    )
+    _prove("right-zero equation structure")
 
 
 def test_letter_occurrence_bounds():
-    start = time.perf_counter()
-    ok = True
-    for rank in (1, 2, 3, 4):
-        bounds = letter_bounds(rank)
-        for w in enumerate_canonical_words(rank):
-            counts = occurrence_counts(w)
-            if any(counts[i] > bound for i, bound in bounds.items()):
-                ok = False
-    _finish("letter occurrence bounds", ok, time.perf_counter() - start, 30.0)
+    _prove("letter occurrence bounds")
 
 
 @pytest.mark.n5
 def test_letter_occurrence_bounds_rank_5():
-    start = time.perf_counter()
-    bounds = letter_bounds(5)
-    ok = all(
-        all(
-            count <= bounds[i]
-            for i, count in occurrence_counts(w).items()
-        )
-        for w in enumerate_canonical_words(5)
-    )
-    _finish(
-        "letter occurrence bounds, rank 5", ok, time.perf_counter() - start,
-        60.0,
-    )
+    _prove("letter occurrence bounds, rank 5")
 
 
 def test_structural_maps():
-    start = time.perf_counter()
-    k3 = sorted(
-        enumerate_elements(3).elements, key=lambda x: x.word.letters,
-    )
-    ok = all(
-        antiautomorphism(antiautomorphism(x)) == x for x in k3
-    )
-    ok = ok and all(antiautomorphism(zero(n)) == zero(n) for n in (1, 2, 3, 4))
-    for x in k3:
-        for y in k3:
-            if antiautomorphism(multiply(x, y)) != multiply(
-                antiautomorphism(y), antiautomorphism(x)
-            ):
-                ok = False
-            if content(multiply(x, y)) != content(x) | content(y):
-                ok = False
-    # the prefix map breaks multiplicativity: both factors have empty
-    # prefixes yet the product's prefix is the top generator
-    x = from_word(parse_word("1 2", 2))
-    y = generator(1, 2)
-    ok = ok and prefix_before_one(x) == identity(2)
-    ok = ok and prefix_before_one(y) == identity(2)
-    ok = ok and prefix_before_one(multiply(x, y)) == generator(2, 2)
-    _finish("structural maps", ok, time.perf_counter() - start, 10.0)
+    _prove("structural maps")
 
 
 def test_enumerator_agreement():
-    start = time.perf_counter()
-    ok = True
-    for rank in (1, 2, 3, 4):
-        closure = {x.word for x in enumerate_elements(rank).elements}
-        direct = enumerate_canonical_words(rank)
-        if closure != direct:
-            ok = False
-    _finish("enumerator agreement", ok, time.perf_counter() - start, 60.0)
+    _prove("enumerator agreement")

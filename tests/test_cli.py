@@ -8,7 +8,7 @@ import pytest
 from kiselman import cli
 from kiselman.algebra import multiply, zero_threshold
 from kiselman.cli import main
-from kiselman.enumeration import enumerate_elements
+from kiselman.enumeration import Semigroup
 from kiselman.errors import InvariantError
 
 
@@ -310,7 +310,7 @@ def test_stats_csv(capsys):
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
 def test_stats_matches_rewriter_products(capsys, rank):
     # the table-driven counts against algebra.zero_threshold and multiply
-    elements = enumerate_elements(rank).elements
+    elements = Semigroup(rank).elements()
     histogram = Counter(zero_threshold(x) for x in elements)
     code, out, _ = run(capsys, "stats", "--n", str(rank), "--format", "json")
     assert code == 0

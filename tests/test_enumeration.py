@@ -21,11 +21,7 @@ from kiselman.algebra import (
 from kiselman.enumeration import (
     DEFAULT_ELEMENT_LIMIT,
     KNOWN_CARDINALITIES,
-    EnumerationResult,
     enumerate_canonical_words,
-    enumerate_elements,
-    filter_by_content,
-    generated_submonoid,
     letter_bounds,
     parity_report,
     Semigroup,
@@ -43,60 +39,62 @@ from kiselman.words import (
 
 
 def test_rank_1_listing(k1):
-    assert {str(x) for x in k1.elements} == {"", "1"}
-    assert k1.cardinality == 2
+    assert {str(x) for x in k1.elements()} == {"", "1"}
+    assert len(k1) == 2
 
 
 def test_rank_2_listing(k2):
-    assert {str(x) for x in k2.elements} == {"", "1", "2", "1 2", "2 1"}
-    assert k2.cardinality == 5
+    assert {str(x) for x in k2.elements()} == {"", "1", "2", "1 2", "2 1"}
+    assert len(k2) == 5
 
 
 def test_known_cardinalities(k1, k2, k3, k4):
     # 18 and 115 are artifact values: both enumeration routes agreed on
     # them before they were frozen here
     for result in (k1, k2, k3, k4):
-        assert result.cardinality == KNOWN_CARDINALITIES[result.rank]
+        assert len(result) == KNOWN_CARDINALITIES[result.rank]
 
 
 def test_enumeration_contains_structural_elements(k3):
-    assert identity(3) in k3.elements
-    assert zero(3) in k3.elements
+    elements = k3.elements()
+    assert identity(3) in elements
+    assert zero(3) in elements
     for i in (1, 2, 3):
-        assert generator(i, 3) in k3.elements
+        assert generator(i, 3) in elements
 
 
 def test_enumeration_closed_under_generator_multiplication(k3):
-    for x in k3.elements:
+    elements = k3.elements()
+    for x in elements:
         for i in (1, 2, 3):
-            assert multiply(x, generator(i, 3)) in k3.elements
+            assert multiply(x, generator(i, 3)) in elements
 
 
 def test_both_enumerators_agree(k1, k2, k3, k4):
     for result in (k1, k2, k3, k4):
         direct = enumerate_canonical_words(result.rank)
-        assert {x.word for x in result.elements} == direct
+        assert {x.word for x in result.elements()} == direct
 
 
 @pytest.mark.n5
 def test_both_enumerators_agree_rank_5(k5):
     direct = enumerate_canonical_words(5)
-    assert {x.word for x in k5.elements} == direct
-    assert k5.cardinality == KNOWN_CARDINALITIES[5]
+    assert {x.word for x in k5.elements()} == direct
+    assert len(k5) == KNOWN_CARDINALITIES[5]
 
 
 def test_enumerate_rejects_bad_arguments():
     with pytest.raises(ValidationError):
-        enumerate_elements(0)
+        Semigroup(0)
     with pytest.raises(ValidationError):
-        enumerate_elements(2, limit=0)
+        Semigroup(2, limit=0)
     with pytest.raises(ValidationError):
         enumerate_canonical_words(0)
 
 
 def test_element_cap_is_a_resource_error():
     with pytest.raises(ResourceLimitError, match="cap"):
-        enumerate_elements(3, limit=5)
+        Semigroup(3, limit=5)
 
 
 def test_letter_bounds_shape():
@@ -128,35 +126,20 @@ def test_canonical_words_respect_letter_bounds_rank_5():
 def test_generated_submonoid_matches_content_filter(k3, k4):
     for result in (k3, k4):
         rank = result.rank
-        sub = generated_submonoid(rank, range(2, rank + 1))
-        filtered = filter_by_content(result, set(), set(range(2, rank + 1)))
+        sub = Semigroup(rank, range(2, rank + 1)).elements()
+        filtered = {x for x in result.elements() if 1 not in content(x)}
         assert sub == filtered
         assert len(sub) == KNOWN_CARDINALITIES[rank - 1]
 
 
 def test_generated_submonoid_trivial_cases():
-    assert generated_submonoid(3, []) == frozenset({identity(3)})
-    assert generated_submonoid(1, [1]) == frozenset({identity(1), zero(1)})
+    assert Semigroup(3, []).elements() == frozenset({identity(3)})
+    assert Semigroup(1, [1]).elements() == frozenset({identity(1), zero(1)})
 
 
 def test_generated_submonoid_rejects_foreign_generators():
     with pytest.raises(ValidationError, match="out of range"):
-        generated_submonoid(2, [3])
-
-
-def test_filter_by_content_validates_sets(k2):
-    with pytest.raises(ValidationError, match="subset"):
-        filter_by_content(k2, {1}, {2})
-    with pytest.raises(ValidationError, match="allowed"):
-        filter_by_content(k2, set(), {3})
-
-
-def test_filter_by_content_slices(k3):
-    containing_one = filter_by_content(k3, {1}, {1, 2, 3})
-    avoiding_one = filter_by_content(k3, set(), {2, 3})
-    assert len(containing_one) + len(avoiding_one) == k3.cardinality
-    assert len(avoiding_one) == KNOWN_CARDINALITIES[2]
-    assert containing_one == {x for x in k3.elements if 1 in content(x)}
+        Semigroup(2, [3])
 
 
 def test_four_part_content_partition(k3, k4):
@@ -164,14 +147,18 @@ def test_four_part_content_partition(k3, k4):
     # forced top letter without 1 / both extremes forced
     for result in (k3, k4):
         rank = result.rank
-        inner = filter_by_content(result, set(), set(range(2, rank)))
-        low = filter_by_content(result, {1}, set(range(1, rank)))
-        high = filter_by_content(result, {rank}, set(range(2, rank + 1)))
-        both = filter_by_content(result, {1, rank}, set(range(1, rank + 1)))
-        parts = [inner, low, high, both]
-        assert sum(len(p) for p in parts) == result.cardinality
-        union = set().union(*parts)
-        assert len(union) == result.cardinality
+        elements = result.elements()
+        parts = [
+            {x for x in elements if required <= content(x) <= allowed}
+            for required, allowed in [
+                (set(), set(range(2, rank))),
+                ({1}, set(range(1, rank))),
+                ({rank}, set(range(2, rank + 1))),
+                ({1, rank}, set(range(1, rank + 1))),
+            ]
+        ]
+        assert sum(len(p) for p in parts) == len(result)
+        assert len(set().union(*parts)) == len(result)
 
 
 def test_parity_base_cases():
@@ -210,18 +197,18 @@ def test_parity_alternates_with_rank(k1, k2, k3, k4):
 
 
 def test_extreme_letters_occur_at_most_once(k4):
-    for x in k4.elements:
+    for x in k4.elements():
         assert x.word.letters.count(1) <= 1
         assert x.word.letters.count(4) <= 1
 
 
 def test_sorted_elements_order(k2):
-    ordered = k2.sorted_elements()
+    ordered = [k2.element(i) for i in k2.sorted_indices()]
     assert [str(x) for x in ordered] == ["", "1", "2", "1 2", "2 1"]
 
 
 def test_cache_roundtrip(tmp_path, k3):
-    words = {x.word.letters for x in k3.elements}
+    words = set(k3.words)
     path = write_cache(tmp_path, 3, words)
     assert path.read_text().splitlines()[0] == "kiselman-cache v1 n=3 count=18"
     loaded = read_cache(tmp_path, 3)
@@ -240,7 +227,7 @@ def test_cache_rejects_bad_header(tmp_path):
 
 
 def test_cache_rejects_rank_mismatch(tmp_path, k2):
-    write_cache(tmp_path, 2, {x.word.letters for x in k2.elements})
+    write_cache(tmp_path, 2, k2.words)
     (tmp_path / "k3.cache").write_text((tmp_path / "k2.cache").read_text())
     with pytest.raises(ValidationError, match="rank 2"):
         read_cache(tmp_path, 3)
@@ -268,10 +255,11 @@ def test_cache_rejects_duplicates(tmp_path):
 
 
 def test_enumeration_result_is_reproducible():
-    first = enumerate_elements(3)
-    second = enumerate_elements(3)
-    assert first.elements == second.elements
-    assert isinstance(first, EnumerationResult)
+    first = Semigroup(3)
+    second = Semigroup(3)
+    assert first.words == second.words
+    assert first.table == second.table
+    assert first.elements() == second.elements()
 
 
 def test_word_sort_key_is_length_lexicographic():
@@ -348,15 +336,15 @@ def test_generated_submonoid_every_generator_subset(rank):
     direct = enumerate_canonical_words(rank)
     for subset in letter_subsets(rank):
         expected = {Element(w) for w in direct if set(w.letters) <= set(subset)}
-        assert generated_submonoid(rank, subset) == expected, subset
+        assert Semigroup(rank, subset).elements() == expected, subset
         table_run = _check_table_against_rewriter(rank, subset)
         assert table_run == _rewriter_closure(rank, subset, DEFAULT_ELEMENT_LIMIT)
 
 
 def test_element_cap_matches_rewriter_closure():
     with pytest.raises(ResourceLimitError, match="cap of 17"):
-        enumerate_elements(3, limit=17)
-    assert enumerate_elements(3, limit=18).cardinality == 18
+        Semigroup(3, limit=17)
+    assert len(Semigroup(3, limit=18)) == 18
     for rank in (1, 2, 3, 4):
         generators = tuple(range(1, rank + 1))
         for limit in range(1, KNOWN_CARDINALITIES[rank] + 2):
@@ -375,14 +363,10 @@ def test_element_cap_matches_rewriter_closure():
 
 @pytest.mark.n6
 def test_cayley_table_matches_rewriter_rank_6():
-    result = enumerate_elements(6)
-    assert result.cardinality == KNOWN_CARDINALITIES[6]
-    assert result.frontier_rounds == 15
-    assert result.multiplications == 503838
     words, rounds, multiplications = _check_table_against_rewriter(
         6, tuple(range(1, 7))
     )
-    assert {x.word.letters for x in result.elements} == set(words)
+    assert len(words) == KNOWN_CARDINALITIES[6]
     assert (rounds, multiplications) == (15, 503838)
 
 
@@ -397,12 +381,12 @@ def test_cache_rejects_forged_count(tmp_path):
 def test_cache_write_keeps_ordinary_file_permissions(tmp_path, k2):
     plain = tmp_path / "plain"
     plain.write_text("")
-    path = write_cache(tmp_path, 2, {x.word.letters for x in k2.elements})
+    path = write_cache(tmp_path, 2, k2.words)
     assert path.stat().st_mode == plain.stat().st_mode
 
 
 def test_cache_writers_race_without_partial_reads(tmp_path, k4):
-    words = {x.word.letters for x in k4.elements}
+    words = set(k4.words)
     write_cache(tmp_path, 4, words)
     stop = threading.Event()
     errors = []
@@ -473,10 +457,11 @@ def test_product_matches_rewriter_sampled_rank_6():
 
 
 def test_semigroup_views_agree_with_elements(k3):
-    s = Semigroup(3)
-    assert len(s) == k3.cardinality
-    assert [s.element(i) for i in s.sorted_indices()] == k3.sorted_elements()
-    assert s.product(0, ()) == 0
+    elements = k3.elements()
+    assert len(elements) == len(k3)
+    ordered = [k3.element(i) for i in k3.sorted_indices()]
+    assert ordered == sorted(elements, key=sort_key)
+    assert k3.product(0, ()) == 0
 
 
 def _spy_full_checks(monkeypatch):
@@ -517,7 +502,7 @@ def test_cache_full_check_rejects_line_without_accepted_prefix(
 
 
 def test_cache_check_does_not_depend_on_line_order(tmp_path, monkeypatch, k4):
-    words = {x.word.letters for x in k4.elements}
+    words = set(k4.words)
     path = write_cache(tmp_path, 4, words)
     header, *body = path.read_text().splitlines()
     full = _spy_full_checks(monkeypatch)

@@ -11,9 +11,9 @@ from kiselman.errors import ResourceLimitError, ValidationError
 from kiselman.rewrite import (
     Reduction,
     ReductionKind,
+    _redexes,
     all_normal_forms,
     canonical_form,
-    one_step_reductions,
     reduction_trace,
 )
 from kiselman.words import (
@@ -25,46 +25,33 @@ from kiselman.words import (
 )
 
 
-def _steps(w_text, rank):
-    return one_step_reductions(parse_word(w_text, rank))
+# The one-step deletion relation is the private redex scan behind
+# canonical_form, reduction_trace and all_normal_forms; it yields
+# (kind, letter, kept position, removed position) for every deletion.
+RIGHT, LEFT = ReductionKind.RIGHT_DELETION, ReductionKind.LEFT_DELETION
 
 
 def test_one_step_on_adjacent_equal_letters_has_both_kinds():
-    steps = _steps("1 1", 1)
-    assert {red.kind for red, _ in steps} == {
-        ReductionKind.RIGHT_DELETION,
-        ReductionKind.LEFT_DELETION,
-    }
-    assert {str(v) for _, v in steps} == {"1"}
-    assert len(steps) == 2
+    assert list(_redexes((1, 1))) == [(RIGHT, 1, 0, 1), (LEFT, 1, 1, 0)]
 
 
 def test_one_step_right_deletion_only():
-    steps = _steps("2 1 2", 2)
-    assert len(steps) == 1
-    ((red, result),) = steps
-    assert red == Reduction(ReductionKind.RIGHT_DELETION, 2, 0, 2)
-    assert str(result) == "2 1"
+    assert list(_redexes((2, 1, 2))) == [(RIGHT, 2, 0, 2)]
 
 
 def test_one_step_left_deletion_only():
-    steps = _steps("1 2 1", 2)
-    assert len(steps) == 1
-    ((red, result),) = steps
-    assert red == Reduction(ReductionKind.LEFT_DELETION, 1, 2, 0)
-    assert str(result) == "2 1"
+    assert list(_redexes((1, 2, 1))) == [(LEFT, 1, 2, 0)]
 
 
 def test_one_step_empty_on_canonical_word():
-    assert _steps("3 2 1", 3) == set()
-    assert _steps("", 2) == set()
+    assert list(_redexes((3, 2, 1))) == []
+    assert list(_redexes(())) == []
 
 
 def test_one_step_ignores_separated_occurrence_pairs():
     # the middle copy of the letter blocks both deletion conditions
-    steps = _steps("2 1 2 1 2", 2)
-    for red, _ in steps:
-        assert red.removed_position - red.kept_position in (-2, 2)
+    for _, _, kept, removed in _redexes((2, 1, 2, 1, 2)):
+        assert removed - kept in (-2, 2)
 
 
 def test_canonical_form_examples():
@@ -154,17 +141,17 @@ def test_trace_shape(w):
 # law: a single deletion's gap is one-sided in value
 @given(words())
 def test_one_step_reductions_are_sound(w):
-    for red, shorter in one_step_reductions(w):
-        lo, hi = sorted((red.kept_position, red.removed_position))
+    for kind, letter, kept, removed in _redexes(w.letters):
+        assert w.letters[kept] == w.letters[removed] == letter
+        lo, hi = sorted((kept, removed))
         gap = w.letters[lo + 1:hi]
-        assert red.letter not in gap
-        if red.kind == ReductionKind.RIGHT_DELETION:
-            assert all(g < red.letter for g in gap)
+        assert letter not in gap
+        if kind == RIGHT:
+            assert kept < removed
+            assert all(g < letter for g in gap)
         else:
-            assert all(g > red.letter for g in gap)
-        assert shorter.letters == (
-            w.letters[:red.removed_position] + w.letters[red.removed_position + 1:]
-        )
+            assert removed < kept
+            assert all(g > letter for g in gap)
 
 
 # law: every maximal deletion sequence ends at the same word

@@ -10,30 +10,13 @@ from conftest import words
 from kiselman.errors import ValidationError
 from kiselman.words import (
     Word,
-    concat,
     idempotent_word,
     is_canonical,
     is_quasi_subword,
-    is_subword,
     mirror,
     occurrence_counts,
     parse_word,
-    word_from_indices,
 )
-
-
-def test_word_from_indices_roundtrip():
-    w = word_from_indices([3, 2, 1], 3)
-    assert w.letters == (3, 2, 1)
-    assert str(w) == "3 2 1"
-    assert len(w) == 3
-
-
-def test_word_from_indices_rejects_out_of_range():
-    with pytest.raises(ValidationError, match=r"letter index 4 at position 0"):
-        word_from_indices([4], 3)
-    with pytest.raises(ValidationError, match=r"position 2"):
-        word_from_indices([1, 2, 0], 2)
 
 
 def test_word_rejects_bad_rank():
@@ -57,15 +40,8 @@ def test_parse_format_roundtrip():
 
 
 def test_words_equal_by_letters_and_rank():
-    assert parse_word("1 2", 2) == word_from_indices((1, 2), 2)
+    assert parse_word("1 2", 2) == Word((1, 2), 2)
     assert parse_word("1 2", 2) != parse_word("1 2", 3)
-
-
-def test_subword_examples():
-    assert is_subword(parse_word("1 2", 3), parse_word("3 1 2 1", 3))
-    assert not is_subword(parse_word("2 2", 2), parse_word("2 1 2", 2))
-    assert is_subword(parse_word("", 2), parse_word("2 1", 2))
-    assert is_subword(parse_word("", 2), parse_word("", 2))
 
 
 def test_quasi_subword_examples():
@@ -76,11 +52,7 @@ def test_quasi_subword_examples():
 
 def test_containment_rejects_rank_mismatch():
     with pytest.raises(ValidationError, match="rank mismatch"):
-        is_subword(parse_word("1", 2), parse_word("1", 3))
-    with pytest.raises(ValidationError, match="rank mismatch"):
         is_quasi_subword(parse_word("1", 2), parse_word("1", 3))
-    with pytest.raises(ValidationError, match="rank mismatch"):
-        concat(parse_word("1", 2), parse_word("1", 3))
 
 
 def test_canonical_examples():
@@ -174,7 +146,6 @@ def word_with_factor(draw):
 @given(word_with_factor())
 def test_subword_implies_quasi_subword(pair):
     u, w = pair
-    assert is_subword(u, w)
     assert is_quasi_subword(u, w)
 
 

@@ -23,7 +23,6 @@ from .enumeration import (
     DEFAULT_ELEMENT_LIMIT,
     MAX_DEFAULT_RANK,
     Semigroup,
-    read_cache,
     write_cache,
 )
 from .equations import solve_right_zero
@@ -151,13 +150,6 @@ def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
     sys.stdout.write(buffer.getvalue())
 
 
-def _read_cache(config: RunConfig) -> set[tuple[int, ...]] | None:
-    """The validated cached words, or None without a cache directory or file."""
-    if config.cache_dir is None:
-        return None
-    return read_cache(config.cache_dir, config.rank)
-
-
 def _write_cache(config: RunConfig, words: list[tuple[int, ...]]) -> None:
     if config.cache_dir is not None:
         write_cache(config.cache_dir, config.rank, words)
@@ -217,16 +209,12 @@ def _cmd_mul(config: RunConfig, left_text: str, right_text: str) -> int:
 
 def _cmd_enum(config: RunConfig) -> int:
     _check_rank_policy(config)
-    cached = _read_cache(config)
-    if cached is None:
-        # keep only the words: holding the table while the words are
-        # written and formatted would raise the peak memory
-        words = sorted(
-            Semigroup(config.rank, limit=config.element_limit).words, key=sort_key
-        )
-        _write_cache(config, words)
-    else:
-        words = sorted(cached, key=sort_key)
+    # keep only the words: holding the table while the words are
+    # written and formatted would raise the peak memory
+    words = sorted(
+        Semigroup(config.rank, limit=config.element_limit).words, key=sort_key
+    )
+    _write_cache(config, words)
     texts = [" ".join(map(str, letters)) for letters in words]
     if config.format == "json":
         print(json.dumps(
@@ -357,11 +345,8 @@ def _zero_thresholds(semigroup: Semigroup) -> Counter[int]:
 
 def _cmd_stats(config: RunConfig) -> int:
     _check_rank_policy(config)
-    # a cache is still read, so a corrupt one is refused, and written if absent
-    cached = _read_cache(config)
     semigroup = Semigroup(config.rank, limit=config.element_limit)
-    if cached is None:
-        _write_cache(config, semigroup.words)
+    _write_cache(config, semigroup.words)
     words = semigroup.words
     ordered = sorted(_zero_thresholds(semigroup).items())
     containing_one = sum(1 for letters in words if 1 in letters)

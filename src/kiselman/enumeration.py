@@ -47,28 +47,23 @@ canonical word per line, shortest first::
 
     kiselman-cache v1 n=<rank> count=<N>
 
-Reads re-validate the header, the count, the letters and the
-canonicality of every line, reject duplicates, and check the count
-against KNOWN_CARDINALITIES where the rank is listed, so a stale or
-hand-edited file fails loudly.  Canonicality is checked incrementally: a
-line whose letters without the last one form an accepted line only
-needs its final consecutive pair checked, since its other pairs are the
-prefix's; any other line gets the full check, so the result does not
-depend on the line order.  Writes replace the file in one step.
+They are written for other tools and never read back: building the
+semigroup costs less than validating a file would, and a file cannot
+vouch for a count that no second route has checked.  Writes replace the
+file in one step.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .algebra import Element, sort_key
 from .errors import InvariantError, ResourceLimitError, ValidationError
-from .words import Word, is_canonical, mirror, parse_word
+from .words import Word, mirror
 
 __all__ = [
     "Semigroup",
@@ -78,7 +73,6 @@ __all__ = [
     "letter_bounds",
     "cache_path",
     "write_cache",
-    "read_cache",
     "DEFAULT_ELEMENT_LIMIT",
     "MAX_DEFAULT_RANK",
     "KNOWN_CARDINALITIES",
@@ -325,14 +319,15 @@ def enumerate_canonical_words(rank: int) -> set[Word]:
     return found
 
 
-def parity_report(rank: int) -> ParityReport:
+def parity_report(rank: int, words: set[Word]) -> ParityReport:
     """Split off the words using both extreme letters and audit the parity.
 
-    Every canonical word containing letters 1 and rank contains each
-    exactly once, and the mirror map exchanges the half where 1 comes
-    first with the half where rank does.
+    `words` are the canonical words of the rank, as
+    `enumerate_canonical_words(rank)` gives them; the two ranks below are
+    searched here.  Every canonical word containing letters 1 and rank
+    contains each exactly once, and the mirror map exchanges the half
+    where 1 comes first with the half where rank does.
     """
-    words = enumerate_canonical_words(rank)
     cardinality = len(words)
     parity = "even" if cardinality % 2 == 0 else "odd"
     if rank <= 2:
@@ -371,13 +366,15 @@ def write_cache(
 ) -> Path:
     """Write one rank's canonical words, given as letter tuples.
 
+    The words may come in any order and repeat; the file is the same.
     The text goes to a temporary file in the same directory, which then
     replaces the cache file in one step, so a concurrent reader sees the
     old file or the new one and never a partial write.
     """
     path = cache_path(cache_dir, rank)
     path.parent.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(set(words), key=sort_key)
+    # sort first: a set would shuffle input that is usually sorted already
+    ordered = list(dict.fromkeys(sorted(words, key=sort_key)))
     lines = [f"{CACHE_MAGIC} n={rank} count={len(ordered)}"]
     lines.extend(" ".join(map(str, letters)) for letters in ordered)
     # opened like any new file, so the cache keeps the umask's permissions
@@ -390,81 +387,3 @@ def write_cache(
         tmp.unlink(missing_ok=True)
         raise
     return path
-
-
-def _line_letters(line: str, rank: int) -> tuple[int, ...]:
-    """The letters of one cache line; a malformed line raises parse_word's error."""
-    try:
-        letters = tuple(map(int, line.split()))
-    except ValueError:
-        letters = None
-    if letters is None or (letters and not 0 < min(letters) <= max(letters) <= rank):
-        return parse_word(line, rank).letters
-    return letters
-
-
-def _last_pair_ok(letters: tuple[int, ...]) -> bool:
-    """Is the last letter's pair with its previous copy allowed?
-
-    True when the gap between them holds a larger and a smaller letter,
-    or when the last letter has no earlier copy.  For a word whose
-    letters without the last one are canonical, this is canonicality.
-    """
-    g, head = letters[-1], letters[:-1]
-    if g not in head:
-        return True
-    gap = head[len(head) - head[::-1].index(g):]
-    return bool(gap) and min(gap) < g < max(gap)
-
-
-def read_cache(cache_dir: str | Path, rank: int) -> set[tuple[int, ...]] | None:
-    """Load one rank's cache as letter tuples, or None when there is no file.
-
-    Validation failures (foreign header, count drift, malformed,
-    non-canonical or duplicate lines, or a count that differs from the
-    known cardinality of the rank) raise ValidationError rather than
-    returning partial data.
-    """
-    path = cache_path(cache_dir, rank)
-    if not path.exists():
-        return None
-    lines = path.read_text(encoding="ascii").splitlines()
-    if not lines:
-        raise ValidationError(f"cache file {path} is empty")
-    match = re.fullmatch(
-        re.escape(CACHE_MAGIC) + r" n=(\d+) count=(\d+)", lines[0]
-    )
-    if match is None:
-        raise ValidationError(f"cache file {path} has a bad header: {lines[0]!r}")
-    header_rank, count = int(match.group(1)), int(match.group(2))
-    if header_rank != rank:
-        raise ValidationError(
-            f"cache file {path} is for rank {header_rank}, not rank {rank}"
-        )
-    body = lines[1:]
-    if len(body) != count:
-        raise ValidationError(
-            f"cache file {path} promises {count} words but holds {len(body)}"
-        )
-    words: set[tuple[int, ...]] = set()
-    for line in body:
-        letters = _line_letters(line, rank)
-        if letters:
-            if letters[:-1] in words:
-                canonical = _last_pair_ok(letters)
-            else:
-                canonical = is_canonical(Word(letters, rank))
-            if not canonical:
-                raise ValidationError(
-                    f"cache file {path} contains a non-canonical word: {line!r}"
-                )
-        words.add(letters)
-    if len(words) != count:
-        raise ValidationError(f"cache file {path} contains duplicate words")
-    known = KNOWN_CARDINALITIES.get(rank)
-    if known is not None and count != known:
-        raise ValidationError(
-            f"cache file {path} holds {count} words, but rank {rank} "
-            f"has {known} elements"
-        )
-    return words

@@ -206,32 +206,26 @@ def solution_word(x: Element) -> Word:
     return direct
 
 
-def solution_rule(
-    x: Element, y: Element, solutions: ZeroSolutionSet | None = None
-) -> Element:
+def solution_rule(x: Element, y: Element, solutions: ZeroSolutionSet) -> Element:
     """The three-case rule for a product of two x * a_1 = zero solutions.
 
     special * special = special; anything * special is unchanged; a
     right factor containing letter 1 collapses the product to the zero.
-    The rule alone: the solution_structure verification suite checks it
+    `solutions` is the rank's constructed set, which names the special
+    solution.  The rule alone: the solution_structure verification suite checks it
     against the table product.
     """
     if x.rank != y.rank:
         raise ValidationError(f"rank mismatch: {x.rank} vs {y.rank}")
-    pool = (
-        solutions
-        if solutions is not None
-        else construct_right_zero_solutions(x.rank)
-    )
-    if pool.rank != x.rank:
+    if solutions.rank != x.rank:
         raise ValidationError(
-            f"solution set is for rank {pool.rank}, factors have rank {x.rank}"
+            f"solution set is for rank {solutions.rank}, factors have rank {x.rank}"
         )
-    if pool.decomposition is None:
+    if solutions.decomposition is None:
         raise ValidationError("solution set carries no decomposition")
-    if x not in pool.solutions or y not in pool.solutions:
+    if x not in solutions.solutions or y not in solutions.solutions:
         raise DomainError("both factors must solve x * a_1 = zero")
-    special = pool.decomposition.special
+    special = solutions.decomposition.special
     if y != special:
         return zero(x.rank)
     return x

@@ -115,44 +115,67 @@ def test_enum_writes_and_reuses_cache(capsys, tmp_path):
     assert cache_file.read_text().splitlines()[0] == (
         "kiselman-cache v1 n=3 count=18"
     )
+    written = cache_file.read_bytes()
     code, second, _ = run(
         capsys, "enum", "--n", "3", "--cache-dir", str(tmp_path),
     )
     assert code == 0
     assert first == second
+    assert cache_file.read_bytes() == written
 
 
-def test_corrupt_cache_is_a_usage_error(capsys, tmp_path):
-    (tmp_path / "k2.cache").write_text("kiselman-cache v1 n=2 count=1\n1 2 1\n")
+# Files a cache directory may hold that are not the rank's cache: each
+# case is a rank and the text of k<rank>.cache.
+BAD_CACHES = {
+    "non-canonical": (2, "kiselman-cache v1 n=2 count=1\n1 2 1\n"),
+    "non-canonical-after-prefix": (3, "kiselman-cache v1 n=3 count=4\n\n2\n2 1\n2 1 2\n"),
+    "non-canonical-before-prefix": (3, "kiselman-cache v1 n=3 count=4\n2 1 2\n\n2\n2 1\n"),
+    "forged-count": (3, "kiselman-cache v1 n=3 count=3\n\n1\n2\n"),
+    "bad-header": (3, "some other file\n"),
+    "rank-mismatch": (3, "kiselman-cache v1 n=2 count=5\n\n1\n2\n1 2\n2 1\n"),
+    "count-drift": (1, "kiselman-cache v1 n=1 count=3\n\n1\n"),
+    "duplicates": (2, "kiselman-cache v1 n=2 count=2\n1\n1\n"),
+    "malformed": (3, "kiselman-cache v1 n=3 count=1\n1 x\n"),
+    "empty": (3, ""),
+}
+
+
+@pytest.mark.parametrize("command", ["enum", "stats"])
+@pytest.mark.parametrize("case", BAD_CACHES)
+def test_bad_cache_is_replaced_without_changing_output(capsys, tmp_path, case, command):
+    # the cache is only written: stdout is the uncached run's, and the
+    # bad file gives way to the bytes a fresh directory receives
+    rank, text = BAD_CACHES[case]
+    name = f"k{rank}.cache"
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    expected = run(capsys, command, "--n", str(rank), "--cache-dir", str(fresh))
+    assert expected[0] == 0
+    stale.mkdir()
+    (stale / name).write_text(text)
+    got = run(capsys, command, "--n", str(rank), "--cache-dir", str(stale))
+    assert got == expected
+    assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_forged_large_rank_cache_is_not_printed(capsys, tmp_path):
+    # rank 7 has no known count to check a file against; the element cap
+    # trips while building the semigroup, whatever the file says
+    (tmp_path / "k7.cache").write_text("kiselman-cache v1 n=7 count=3\n\n1\n2\n")
     code, out, err = run(
-        capsys, "enum", "--n", "2", "--cache-dir", str(tmp_path),
+        capsys, "enum", "--n", "7", "--allow-large", "--limit", "1000",
+        "--cache-dir", str(tmp_path),
     )
-    assert code == 2
-    assert out == ""
-    assert "non-canonical" in err
+    assert (code, out) == (3, "")
+    assert "element cap of 1000" in err
 
 
-@pytest.mark.parametrize("body", ["\n2\n2 1\n2 1 2\n", "2 1 2\n\n2\n2 1\n"])
-def test_non_canonical_cache_line_is_a_usage_error(capsys, tmp_path, body):
-    # first "2 1 2" extends the accepted "2 1" (last-pair check), then it
-    # comes before any prefix (full check); both exit 2 the same way
-    path = tmp_path / "k3.cache"
-    path.write_text("kiselman-cache v1 n=3 count=4\n" + body)
+def test_limit_applies_with_a_valid_cache(capsys, tmp_path):
+    assert run(capsys, "enum", "--n", "4", "--cache-dir", str(tmp_path))[0] == 0
     code, out, err = run(
-        capsys, "enum", "--n", "3", "--cache-dir", str(tmp_path),
+        capsys, "enum", "--n", "4", "--limit", "10", "--cache-dir", str(tmp_path),
     )
-    assert (code, out) == (2, "")
-    assert err == f"error: cache file {path} contains a non-canonical word: '2 1 2'\n"
-
-
-def test_forged_cache_count_is_a_usage_error(capsys, tmp_path):
-    (tmp_path / "k3.cache").write_text("kiselman-cache v1 n=3 count=3\n\n1\n2\n")
-    code, out, err = run(
-        capsys, "stats", "--n", "3", "--cache-dir", str(tmp_path),
-    )
-    assert code == 2
-    assert out == ""
-    assert "rank 3 has 18 elements" in err
+    assert (code, out) == (3, "")
+    assert "resource limit" in err
 
 
 def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):

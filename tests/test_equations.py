@@ -122,30 +122,32 @@ def test_solution_multiply_three_cases():
     special = elem("2", 2)
     s = elem("1 2", 2)
     t = elem("2 1", 2)
+    pool = construct_right_zero_solutions(2)
     # the special solution is neutral as a right factor
-    assert solution_rule(special, special) == special
-    assert solution_rule(s, special) == s
-    assert solution_rule(t, special) == t
+    assert solution_rule(special, special, pool) == special
+    assert solution_rule(s, special, pool) == s
+    assert solution_rule(t, special, pool) == t
     # a right factor containing letter 1 collapses the product
-    assert solution_rule(special, s) == zero(2)
-    assert solution_rule(s, t) == zero(2)
-    assert solution_rule(t, s) == zero(2)
-    assert solution_rule(s, s) == zero(2)
+    assert solution_rule(special, s, pool) == zero(2)
+    assert solution_rule(s, t, pool) == zero(2)
+    assert solution_rule(t, s, pool) == zero(2)
+    assert solution_rule(s, s, pool) == zero(2)
 
 
 def test_solution_multiply_closure_and_agreement(k3):
     # the rule against the rewriter's product, on every pair of solutions
     solved = solve_right_zero(generator(1, 3), k3.elements())
+    pool = construct_right_zero_solutions(3)
     for x in solved.solutions:
         for y in solved.solutions:
-            product = solution_rule(x, y)
+            product = solution_rule(x, y, pool)
             assert product in solved.solutions
             assert product == multiply(x, y)
 
 
 def test_solution_multiply_rejects_non_solutions():
     with pytest.raises(DomainError, match="solve"):
-        solution_rule(identity(2), elem("2", 2))
+        solution_rule(identity(2), elem("2", 2), construct_right_zero_solutions(2))
 
 
 def test_prefix_map_bijects_solutions_onto_the_submonoid(k3, k4):

@@ -18,6 +18,26 @@ import kiselman
 
 MODULES = ["errors", "words", "rewrite", "algebra", "enumeration", "equations", "verify"]
 
+# Every name the benchmark harness in perfbench/ reaches by attribute,
+# which no import statement there would catch going missing.
+BENCHMARK_NAMES = [
+    "Word",
+    "Element",
+    "canonical_form",
+    "enumerate_canonical_words",
+    "multiply",
+    "words.Word",
+    "words.is_canonical",
+    "rewrite.canonical_letters",
+    "rewrite.canonical_form",
+    "rewrite.all_normal_forms",
+    "algebra.multiply",
+    "enumeration.cache_path",
+    "verify.run_suites",
+    "verify.SUITE_NAMES",
+    "cli.main",
+]
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_all_entry_resolves(name):
@@ -39,3 +59,10 @@ def test_package_imports_only_declared_names():
             assert undeclared == [], node.module
             imported += len(node.names)
     assert imported > 0
+
+
+@pytest.mark.parametrize("dotted", BENCHMARK_NAMES)
+def test_benchmark_names_resolve(dotted):
+    *module, attr = dotted.split(".")
+    owner = importlib.import_module(".".join(["kiselman", *module]))
+    assert hasattr(owner, attr)

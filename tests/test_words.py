@@ -34,6 +34,15 @@ def test_parse_word_rejects_garbage():
         parse_word("1 x 2", 3)
 
 
+def test_parse_word_rejects_out_of_range_letters():
+    for text, message in [
+        ("1 4", "letter index 4 at position 1 out of range"),
+        ("0", "letter index 0 at position 0 out of range"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            parse_word(text, 3)
+
+
 def test_parse_format_roundtrip():
     for text in ["", "1", "3 2 1", "2 1 3 2"]:
         assert str(parse_word(text, 3)) == text

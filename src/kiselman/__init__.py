@@ -17,21 +17,14 @@ from .algebra import (
     zero,
     zero_threshold,
 )
-from .enumeration import (
-    ParityReport,
-    Semigroup,
-    enumerate_canonical_words,
-    parity_report,
-)
+from .enumeration import Semigroup, enumerate_canonical_words
 from .equations import (
-    CancellationReport,
     SolutionDecomposition,
     ZeroSolutionSet,
     construct_right_zero_solutions,
     solution_rule,
     solution_word,
     solve_right_zero,
-    verify_zero_cancellation,
 )
 from .errors import (
     DomainError,

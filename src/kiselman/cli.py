@@ -152,7 +152,12 @@ def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
 
 def _write_cache(config: RunConfig, words: list[tuple[int, ...]]) -> None:
     if config.cache_dir is not None:
-        write_cache(config.cache_dir, config.rank, words)
+        try:
+            write_cache(config.cache_dir, config.rank, words)
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write the cache to {config.cache_dir}: {exc}"
+            ) from exc
 
 
 def _cmd_canon(config: RunConfig, text: str) -> int:

@@ -17,10 +17,10 @@ case the product is a walk through the rows of shorter elements, which
 are already complete.
 
 Users: the CLI's `enum` lists its words and `stats` counts on its
-indices; the verify suites, and the equation solvers they call, take
-their products from its table; the constructive solver walks the
-submonoid avoiding letter 1, a `Semigroup` over the letters 2..n; and
-the tests hold `elements()` to the rewriter's `multiply`.  One-shot
+indices; the verify suites and `equations.solve_right_zero` take their
+products from its table; the constructive solver walks the submonoid
+avoiding letter 1, a `Semigroup` over the letters 2..n; and the tests
+hold `elements()` to the rewriter's `multiply`.  One-shot
 arithmetic (`canon`, `mul`, `algebra.multiply`) builds no table and
 calls the rewriter.
 
@@ -32,9 +32,11 @@ of equal letters, and per-letter multiplicity bounds prune the tree
 finite.  Both routes use the fact that an appended letter pairs only
 with its last earlier copy, but only the closure resolves the pairs that
 delete, and only the direct route relies on the multiplicity bounds, so
-their agreement is still a real check.  The cardinality verification
-suite and tests/test_enumeration.py hold the closure to the direct
-search element for element; the same tests hold every table entry, and
+their agreement is still a real check.  For the same reason the
+word_bounds verification suite checks the bounds on the closure's words:
+the direct search could never produce a word that breaks them.  The
+cardinality verification suite and tests/test_enumeration.py hold the
+closure to the direct search element for element; the same tests hold every table entry, and
 `product` on sampled words, to the deletion rewriter, and replay the
 rewriter-driven closure as a reference.
 
@@ -57,19 +59,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .algebra import Element, sort_key
-from .errors import InvariantError, ResourceLimitError, ValidationError
-from .words import Word, mirror
+from .errors import ResourceLimitError, ValidationError
+from .words import Word
 
 __all__ = [
     "Semigroup",
-    "ParityReport",
     "enumerate_canonical_words",
-    "parity_report",
     "letter_bounds",
     "cache_path",
     "write_cache",
@@ -86,33 +85,6 @@ CACHE_MAGIC = "kiselman-cache v1"
 # cross-validated by this module's two independent enumerators agreeing
 # element for element (see the cardinality verification suite).
 KNOWN_CARDINALITIES: dict[int, int] = {1: 2, 2: 5, 3: 18, 4: 115, 5: 1710, 6: 83973}
-
-
-@dataclass(frozen=True)
-class ParityReport:
-    """The even/odd bookkeeping behind the cardinality parity pattern.
-
-    For ranks 1 and 2 only the cardinality and its parity are reported;
-    the decomposition fields need three distinct letters and stay None.
-    For rank >= 3 the canonical words containing both extreme letters
-    are split by which extreme comes first; the mirror map pairs the two
-    halves off, and the counting identity
-
-        card = card_minus_2 + 2 * (card_minus_1 - card_minus_2)
-                            + 2 * count_one_first
-
-    forces the parity to alternate with the rank.
-    """
-
-    rank: int
-    cardinality: int
-    parity: str
-    cardinality_rank_minus_1: int | None
-    cardinality_rank_minus_2: int | None
-    count_one_first: int | None
-    count_top_first: int | None
-    mirror_pairing: bool | None
-    identity_holds: bool
 
 
 class Semigroup:
@@ -317,44 +289,6 @@ def enumerate_canonical_words(rank: int) -> set[Word]:
 
     grow()
     return found
-
-
-def parity_report(rank: int, words: set[Word]) -> ParityReport:
-    """Split off the words using both extreme letters and audit the parity.
-
-    `words` are the canonical words of the rank, as
-    `enumerate_canonical_words(rank)` gives them; the two ranks below are
-    searched here.  Every canonical word containing letters 1 and rank
-    contains each exactly once, and the mirror map exchanges the half
-    where 1 comes first with the half where rank does.
-    """
-    cardinality = len(words)
-    parity = "even" if cardinality % 2 == 0 else "odd"
-    if rank <= 2:
-        return ParityReport(rank, cardinality, parity, None, None, None, None, None, True)
-    card_1 = len(enumerate_canonical_words(rank - 1))
-    card_2 = len(enumerate_canonical_words(rank - 2))
-    extremes = [w for w in words if 1 in w.letters and rank in w.letters]
-    for w in extremes:
-        if w.letters.count(1) != 1 or w.letters.count(rank) != 1:
-            raise InvariantError(
-                f"extreme letters must occur exactly once, got '{w}'"
-            )
-    one_first = {w for w in extremes if w.letters.index(1) < w.letters.index(rank)}
-    top_first = set(extremes) - one_first
-    mirror_pairing = {mirror(w) for w in one_first} == top_first
-    identity_holds = cardinality == card_2 + 2 * (card_1 - card_2) + 2 * len(one_first)
-    return ParityReport(
-        rank,
-        cardinality,
-        parity,
-        card_1,
-        card_2,
-        len(one_first),
-        len(top_first),
-        mirror_pairing,
-        identity_holds,
-    )
 
 
 def cache_path(cache_dir: str | Path, rank: int) -> Path:

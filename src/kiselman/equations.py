@@ -11,23 +11,21 @@ the concatenation of the three parts, no rewriting needed, which is what
 makes the constructive build cheap.  The solution set is closed under
 multiplication and its products follow a three-case rule.
 
-Brute-force solvers here exist to keep the constructive ones honest:
-they scan a full enumeration and never assume any of the structure
-above.  Given a `Semigroup` they take every product from its right
-Cayley table; the constructive route and `solution_word` multiply with
-the rewriter, so the two routes share no multiplication code.  The
-remaining facts are checked by the verification suites alone: the
-zero_cancellation suite holds that x * a_k reaches the zero for some
-k >= 2 only when x is the zero, and the solution_structure suite that
-the solutions of a_n * y = zero are the antiautomorphism's image of the
-solutions of x * a_1 = zero.
+The solver here exists to keep the construction honest: it scans the
+whole of K_n, a `Semigroup` over every letter, takes every product from
+its right Cayley table and never assumes any of the structure above.
+The construction goes through `solution_word`, which multiplies with the
+rewriter, so the two routes share no multiplication code.  The remaining
+facts are checked by the verification suites alone: the
+zero_cancellation suite holds that x * y reaches the zero with y over
+the letters 2..n only when x is the zero, and the solution_structure
+suite that the solutions of a_n * y = zero are the antiautomorphism's
+image of the solutions of x * a_1 = zero.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from .algebra import (
     Element,
@@ -46,12 +44,10 @@ from .words import Word, idempotent_word
 __all__ = [
     "SolutionDecomposition",
     "ZeroSolutionSet",
-    "CancellationReport",
     "solve_right_zero",
     "construct_right_zero_solutions",
     "solution_word",
     "solution_rule",
-    "verify_zero_cancellation",
 ]
 
 
@@ -76,56 +72,33 @@ class ZeroSolutionSet:
         return sorted(self.solutions, key=sort_key)
 
 
-@dataclass(frozen=True)
-class CancellationReport:
-    """Result of scanning products against the cancellation facts."""
-
-    rank: int
-    checked_pairs: int
-    checked_triples: int
-    violations: tuple[str, ...]
-
-
-def _require_full(semigroup: Semigroup, rank: int) -> None:
-    """Reject a semigroup other than the whole of K_rank."""
-    if semigroup.rank != rank:
-        raise ValidationError(f"rank mismatch: {semigroup.rank} vs {rank}")
-    if len(semigroup.generators) != rank:
-        raise ValidationError(
-            f"the semigroup is generated by {list(semigroup.generators)}, "
-            f"not by every letter 1..{rank}"
-        )
-
-
 def solve_right_zero(
     y: Element,
-    elements: Semigroup | Iterable[Element] | None = None,
+    semigroup: Semigroup | None = None,
     limit: int = DEFAULT_ELEMENT_LIMIT,
 ) -> ZeroSolutionSet:
     """Brute-force the left factors: every x with x * y = zero.
 
-    Scans the full semigroup at y's rank, built here unless supplied.
-    A `Semigroup` over every letter gives each product x * y from its
-    table; an iterable of elements is scanned with `multiply`, the
-    rewriter, which keeps the table honest in the tests.  When y is the
-    first generator the result additionally carries the
+    Scans `semigroup`, the whole of K_n at y's rank, built here unless
+    supplied, and takes each product x * y from its table.  When y is
+    the first generator the result additionally carries the
     special/containing-one decomposition.
     """
-    target = zero(y.rank)
-    if elements is None:
-        elements = Semigroup(y.rank, limit=limit)
-    if isinstance(elements, Semigroup):
-        _require_full(elements, y.rank)
-        zero_index = elements.index[target.word.letters]
-        solutions = frozenset(
-            elements.element(i)
-            for i in range(len(elements))
-            if elements.product(i, y.word.letters) == zero_index
+    if semigroup is None:
+        semigroup = Semigroup(y.rank, limit=limit)
+    if semigroup.rank != y.rank:
+        raise ValidationError(f"rank mismatch: {semigroup.rank} vs {y.rank}")
+    if len(semigroup.generators) != y.rank:
+        raise ValidationError(
+            f"the semigroup is generated by {list(semigroup.generators)}, "
+            f"not by every letter 1..{y.rank}"
         )
-    else:
-        solutions = frozenset(
-            x for x in frozenset(elements) if multiply(x, y) == target
-        )
+    zero_index = semigroup.index[zero(y.rank).word.letters]
+    solutions = frozenset(
+        semigroup.element(i)
+        for i in range(len(semigroup))
+        if semigroup.product(i, y.word.letters) == zero_index
+    )
     decomposition = None
     if y == generator(1, y.rank):
         special = idempotent(range(2, y.rank + 1), y.rank)
@@ -146,10 +119,11 @@ def construct_right_zero_solutions(
     """Build the solutions of x * a_1 = zero without enumerating K_n.
 
     Walks only the submonoid avoiding letter 1, whose size is that of
-    the semigroup one rank down, and emits one solution per member; the
-    decreasing idempotent over 2..rank completes the set.  Membership
-    and distinctness are re-checked on the way out, so a construction
-    bug cannot produce a quietly wrong set.
+    the semigroup one rank down, and emits one solution per member, the
+    element of its `solution_word`; the decreasing idempotent over
+    2..rank completes the set.  Membership and distinctness are
+    re-checked on the way out, so a construction bug cannot produce a
+    quietly wrong set.
     """
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
@@ -161,8 +135,7 @@ def construct_right_zero_solutions(
         raise InvariantError("the special solution must reach the zero")
     containing_one: set[Element] = set()
     for x in submonoid:
-        tail = idempotent(range(2, zero_threshold(x) + 1), rank)
-        solution = multiply(multiply(x, a1), tail)
+        solution = Element(solution_word(x))
         if multiply(solution, a1) != target:
             raise InvariantError(f"constructed non-solution '{solution}'")
         if 1 not in content(solution):
@@ -229,69 +202,3 @@ def solution_rule(x: Element, y: Element, solutions: ZeroSolutionSet) -> Element
     if y != special:
         return zero(x.rank)
     return x
-
-
-def verify_zero_cancellation(
-    rank: int,
-    elements: Semigroup | None = None,
-    pair_samples: int | None = None,
-    triple_samples: int = 1000,
-    seed: int = 0,
-    limit: int = DEFAULT_ELEMENT_LIMIT,
-) -> CancellationReport:
-    """Scan products for violations of the cancellation facts.
-
-    Products come from the table of `elements`, the semigroup at this
-    rank over every letter, built here unless supplied.  Pairs are
-    scanned exhaustively unless pair_samples caps them; the exhaustive
-    scan subsumes the single-generator specializations, since the
-    generators are among the factors tried.  Triples with the outer
-    factors' contents bounded away from the extremes are sampled for
-    the middle-factor consequence.
-    """
-    semigroup = Semigroup(rank, limit=limit) if elements is None else elements
-    _require_full(semigroup, rank)
-    words, product, element = semigroup.words, semigroup.product, semigroup.element
-    pool = semigroup.sorted_indices()
-    zero_index = semigroup.index[zero(rank).word.letters]
-    violations: list[str] = []
-    rng = random.Random(seed)
-
-    if pair_samples is None:
-        pairs = ((x, y) for x in pool for y in pool)
-        checked_pairs = len(pool) ** 2
-    else:
-        pairs = (
-            (rng.choice(pool), rng.choice(pool)) for _ in range(pair_samples)
-        )
-        checked_pairs = pair_samples
-    for x, y in pairs:
-        if product(x, words[y]) != zero_index:
-            continue
-        if 1 not in words[y] and x != zero_index:
-            violations.append(
-                f"x='{element(x)}' y='{element(y)}': right factor avoids letter 1 "
-                "but left factor is not the zero"
-            )
-        if rank not in words[x] and y != zero_index:
-            violations.append(
-                f"x='{element(x)}' y='{element(y)}': left factor avoids letter {rank} "
-                "but right factor is not the zero"
-            )
-
-    left_pool = [x for x in pool if rank not in words[x]]
-    right_pool = [z for z in pool if 1 not in words[z]]
-    checked_triples = 0
-    if left_pool and right_pool:
-        for _ in range(triple_samples):
-            x = rng.choice(left_pool)
-            y = rng.choice(pool)
-            z = rng.choice(right_pool)
-            checked_triples += 1
-            if product(x, words[y] + words[z]) == zero_index and y != zero_index:
-                violations.append(
-                    f"x='{element(x)}' y='{element(y)}' z='{element(z)}': "
-                    "middle factor is not the zero"
-                )
-
-    return CancellationReport(rank, checked_pairs, checked_triples, tuple(violations))

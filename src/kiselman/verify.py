@@ -2,14 +2,17 @@
 
 Each suite re-derives one structural fact at the requested rank and
 reports pass/fail with counterexamples; nothing is trusted from earlier
-runs.  Suites share one enumeration context so the expensive closures,
-and the constructed solutions of x * a_1 = zero, are built once per
-invocation.  The context holds the indexed `Semigroup`, and the suites
-about products take them from its table; the rewriter stays where it
-is the point of a suite (confluence, the prefix facts, and the slow-way
-check inside `solution_word`).  A suite that does not apply at the
-requested rank reports itself as skipped with a reason; the report
-always lists every selected suite.
+runs.  A claim of the paper is checked here and nowhere else in the
+package: zero cancellation in its suite, from the products alone, and
+the parity of |K_n| in its suite, from the canonical words and the
+cardinalities of the two ranks below.  Suites share one enumeration
+context so the expensive closures, and the constructed solutions of
+x * a_1 = zero, are built once per invocation.  The context holds the
+indexed `Semigroup`, and the suites about products take them from its
+table; the rewriter stays where it is the point of a suite (confluence,
+the prefix facts, and the slow-way check inside `solution_word`).  A
+suite that does not apply at the requested rank reports itself as
+skipped with a reason; the report always lists every selected suite.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .enumeration import (
     Semigroup,
     enumerate_canonical_words,
     letter_bounds,
-    parity_report,
 )
 from .equations import (
     ZeroSolutionSet,
@@ -42,11 +44,10 @@ from .equations import (
     solution_rule,
     solution_word,
     solve_right_zero,
-    verify_zero_cancellation,
 )
 from .errors import InvariantError, ResourceLimitError, ValidationError
 from .rewrite import all_normal_forms, canonical_form
-from .words import Word, is_quasi_subword, letter_subsets, occurrence_counts
+from .words import Word, is_quasi_subword, letter_subsets, mirror
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
 
@@ -271,18 +272,21 @@ def _suite_antiautomorphism(ctx: _Context) -> SuiteResult:
 
 
 def _suite_word_bounds(ctx: _Context) -> SuiteResult:
+    # the closure's words: the direct search prunes with these very
+    # bounds, so its words could never break them
     failures: list[str] = []
     bounds = letter_bounds(ctx.rank)
-    for w in sorted(ctx.words, key=sort_key):
-        counts = occurrence_counts(w)
-        for i, bound in bounds.items():
-            if counts[i] > bound:
+    s = ctx.semigroup
+    for i in ctx.order:
+        for letter, bound in bounds.items():
+            count = s.words[i].count(letter)
+            if count > bound:
                 failures.append(
-                    f"canonical word '{w}' uses letter {i} "
-                    f"{counts[i]} times, bound {bound}"
+                    f"canonical word '{s.element(i)}' uses letter {letter} "
+                    f"{count} times, bound {bound}"
                 )
     return _result(
-        "word_bounds", len(ctx.words) * ctx.rank, failures, {"words": len(ctx.words)}
+        "word_bounds", len(s) * ctx.rank, failures, {"words": len(s)}
     )
 
 
@@ -360,35 +364,61 @@ def _suite_prefix_recovery(ctx: _Context) -> SuiteResult:
 
 
 def _suite_zero_cancellation(ctx: _Context) -> SuiteResult:
-    exhaustive = ctx.rank <= _EXHAUSTIVE_CANCELLATION_RANK
-    report = verify_zero_cancellation(
-        ctx.rank,
-        elements=ctx.semigroup,
-        pair_samples=None if exhaustive else ctx.samples * 10,
-        triple_samples=ctx.samples,
-        seed=ctx.seed,
-    )
-    failures = list(report.violations)
-    checks = report.checked_pairs + report.checked_triples
-    # the zero is the only x with x * a_k = zero for some k >= 2
+    # x * y = zero forces x = zero when y avoids letter 1, and y = zero
+    # when x avoids the top letter; for x * y * z = zero with x avoiding
+    # the top letter and z avoiding letter 1, y must be the zero
+    failures: list[str] = []
     s = ctx.semigroup
-    zero_index = s.index[zero(ctx.rank).word.letters]
-    for x in ctx.order:
-        for k in range(2, ctx.rank + 1):
+    words, product, element = s.words, s.product, s.element
+    rank, pool = ctx.rank, ctx.order
+    zero_index = s.index[zero(rank).word.letters]
+    # the suite's own draws, so its sample does not depend on which
+    # suites ran before it
+    rng = random.Random(ctx.seed)
+    exhaustive = rank <= _EXHAUSTIVE_CANCELLATION_RANK
+    if exhaustive:
+        pair_count = len(pool) ** 2
+        pairs = itertools.product(pool, repeat=2)
+    else:
+        pair_count = ctx.samples * 10
+        pairs = ((rng.choice(pool), rng.choice(pool)) for _ in range(pair_count))
+    for x, y in pairs:
+        if product(x, words[y]) != zero_index:
+            continue
+        if 1 not in words[y] and x != zero_index:
+            failures.append(
+                f"x='{element(x)}' y='{element(y)}': right factor avoids letter 1 "
+                "but left factor is not the zero"
+            )
+        if rank not in words[x] and y != zero_index:
+            failures.append(
+                f"x='{element(x)}' y='{element(y)}': left factor avoids letter {rank} "
+                "but right factor is not the zero"
+            )
+    # both pools hold the identity, so neither is ever empty
+    left_pool = [x for x in pool if rank not in words[x]]
+    right_pool = [z for z in pool if 1 not in words[z]]
+    for _ in range(ctx.samples):
+        x = rng.choice(left_pool)
+        y = rng.choice(pool)
+        z = rng.choice(right_pool)
+        if product(x, words[y] + words[z]) == zero_index and y != zero_index:
+            failures.append(
+                f"x='{element(x)}' y='{element(y)}' z='{element(z)}': "
+                "middle factor is not the zero"
+            )
+    checks = pair_count + ctx.samples
+    # the zero is the only x with x * a_k = zero for some k >= 2
+    for x in pool:
+        for k in range(2, rank + 1):
             checks += 1
-            if s.product(x, (k,)) == zero_index and x != zero_index:
-                failures.append(
-                    f"x='{s.element(x)}' * a_{k} is the zero, but x is not"
-                )
+            if product(x, (k,)) == zero_index and x != zero_index:
+                failures.append(f"x='{element(x)}' * a_{k} is the zero, but x is not")
     return _result(
         "zero_cancellation",
         checks,
         failures,
-        {
-            "pairs": report.checked_pairs,
-            "triples": report.checked_triples,
-            "exhaustive_pairs": exhaustive,
-        },
+        {"pairs": pair_count, "triples": ctx.samples, "exhaustive_pairs": exhaustive},
     )
 
 
@@ -397,7 +427,7 @@ def _suite_solution_structure(ctx: _Context) -> SuiteResult:
     checks = 0
     constructed = ctx.solutions
     s = ctx.semigroup
-    brute = solve_right_zero(generator(1, ctx.rank), elements=s)
+    brute = solve_right_zero(generator(1, ctx.rank), s)
     checks += 1
     if constructed.solutions != brute.solutions:
         failures.append("constructive and brute-force solution sets differ")
@@ -481,31 +511,52 @@ def _suite_prefix_bijection(ctx: _Context) -> SuiteResult:
 
 
 def _suite_parity(ctx: _Context) -> SuiteResult:
+    # From rank 3 on, the canonical words holding both extreme letters
+    # hold each exactly once, and the mirror map pairs the half where 1
+    # comes first with the half where the top letter does.  The counting
+    # identity below, over the two ranks beneath, then forces the
+    # parity to alternate with the rank.
     failures: list[str] = []
-    report = parity_report(ctx.rank, ctx.words)
+    rank = ctx.rank
+    cardinality = len(ctx.words)
+    parity = "even" if cardinality % 2 == 0 else "odd"
+    expected_parity = "even" if rank % 2 == 1 else "odd"
     checks = 2
-    expected_parity = "even" if ctx.rank % 2 == 1 else "odd"
-    if report.parity != expected_parity:
+    if parity != expected_parity:
         failures.append(
-            f"cardinality {report.cardinality} is {report.parity}, "
-            f"rank {ctx.rank} demands {expected_parity}"
+            f"cardinality {cardinality} is {parity}, "
+            f"rank {rank} demands {expected_parity}"
         )
-    if report.cardinality != len(ctx.semigroup):
-        failures.append("parity report disagrees with the closure enumeration")
-    detail: dict = {"cardinality": report.cardinality, "parity": report.parity}
-    if ctx.rank >= 3:
+    if cardinality != len(ctx.semigroup):
+        failures.append("the direct search disagrees with the closure enumeration")
+    detail: dict = {"cardinality": cardinality, "parity": parity}
+    if rank >= 3:
         checks += 3
-        if not report.identity_holds:
+        one_first: set[Word] = set()
+        top_first: set[Word] = set()
+        for w in ctx.words:
+            letters = w.letters
+            if 1 not in letters or rank not in letters:
+                continue
+            if letters.count(1) != 1 or letters.count(rank) != 1:
+                raise InvariantError(
+                    f"extreme letters must occur exactly once, got '{w}'"
+                )
+            half = one_first if letters.index(1) < letters.index(rank) else top_first
+            half.add(w)
+        card_1 = len(enumerate_canonical_words(rank - 1))
+        card_2 = len(enumerate_canonical_words(rank - 2))
+        if cardinality != card_2 + 2 * (card_1 - card_2) + 2 * len(one_first):
             failures.append("the counting identity fails")
-        if report.count_one_first != report.count_top_first:
+        if len(one_first) != len(top_first):
             failures.append(
-                f"extreme-letter halves differ: {report.count_one_first} "
-                f"vs {report.count_top_first}"
+                f"extreme-letter halves differ: {len(one_first)} "
+                f"vs {len(top_first)}"
             )
-        if not report.mirror_pairing:
+        if {mirror(w) for w in one_first} != top_first:
             failures.append("the mirror map does not pair the two halves")
-        detail["one_first"] = report.count_one_first
-        detail["top_first"] = report.count_top_first
+        detail["one_first"] = len(one_first)
+        detail["top_first"] = len(top_first)
     return _result("parity", checks, failures, detail)
 
 

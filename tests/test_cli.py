@@ -199,6 +199,26 @@ def test_cache_flag_overrides_env_var(capsys, tmp_path, monkeypatch):
     assert not (env_dir / "k2.cache").exists()
 
 
+def test_enum_with_a_file_as_cache_dir_is_a_usage_error(capsys, tmp_path):
+    # the write comes before any printing, so stdout stays empty
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    code, out, err = run(capsys, "enum", "--n", "2", "--cache-dir", str(blocker))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write the cache to {blocker}: ")
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_stats_with_a_cache_dir_under_a_file_is_a_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code, out, err = run(
+        capsys, "stats", "--n", "2", "--cache-dir", str(blocker / "sub"),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write the cache to {blocker / 'sub'}: ")
+
+
 def test_solve_json_shape(capsys):
     code, out, _ = run(
         capsys, "solve", "--n", "2", "--y", "1", "--format", "json",

@@ -23,7 +23,6 @@ from kiselman.enumeration import (
     KNOWN_CARDINALITIES,
     enumerate_canonical_words,
     letter_bounds,
-    parity_report,
     Semigroup,
     write_cache,
 )
@@ -32,7 +31,6 @@ from kiselman.rewrite import canonical_letters
 from kiselman.words import (
     is_canonical,
     letter_subsets,
-    occurrence_counts,
     parse_word,
 )
 
@@ -104,22 +102,22 @@ def test_letter_bounds_shape():
     assert letter_bounds(5) == {1: 1, 2: 2, 3: 4, 4: 2, 5: 1}
 
 
-def test_canonical_words_respect_letter_bounds(k4):
-    for rank in (1, 2, 3, 4):
-        bounds = letter_bounds(rank)
-        for w in enumerate_canonical_words(rank):
-            counts = occurrence_counts(w)
-            for i, bound in bounds.items():
-                assert counts[i] <= bound
+def _assert_words_respect_letter_bounds(semigroup):
+    # the closure's words: the direct search prunes with these bounds
+    bounds = letter_bounds(semigroup.rank)
+    for letters in semigroup.words:
+        for i, bound in bounds.items():
+            assert letters.count(i) <= bound
+
+
+def test_canonical_words_respect_letter_bounds(k1, k2, k3, k4):
+    for semigroup in (k1, k2, k3, k4):
+        _assert_words_respect_letter_bounds(semigroup)
 
 
 @pytest.mark.n5
-def test_canonical_words_respect_letter_bounds_rank_5():
-    bounds = letter_bounds(5)
-    for w in enumerate_canonical_words(5):
-        counts = occurrence_counts(w)
-        for i, bound in bounds.items():
-            assert counts[i] <= bound
+def test_canonical_words_respect_letter_bounds_rank_5(k5):
+    _assert_words_respect_letter_bounds(k5)
 
 
 def test_generated_submonoid_matches_content_filter(k3, k4):
@@ -158,42 +156,6 @@ def test_four_part_content_partition(k3, k4):
         ]
         assert sum(len(p) for p in parts) == len(result)
         assert len(set().union(*parts)) == len(result)
-
-
-def test_parity_base_cases():
-    r1 = parity_report(1, enumerate_canonical_words(1))
-    assert (r1.cardinality, r1.parity) == (2, "even")
-    assert r1.cardinality_rank_minus_1 is None
-    r2 = parity_report(2, enumerate_canonical_words(2))
-    assert (r2.cardinality, r2.parity) == (5, "odd")
-    assert r2.identity_holds
-
-
-def test_parity_report_rank_3():
-    report = parity_report(3, enumerate_canonical_words(3))
-    assert report.cardinality == 18
-    assert report.parity == "even"
-    assert report.cardinality_rank_minus_1 == 5
-    assert report.cardinality_rank_minus_2 == 2
-    assert report.count_one_first == report.count_top_first == 5
-    assert report.mirror_pairing
-    assert report.identity_holds
-
-
-def test_parity_report_rank_4():
-    report = parity_report(4, enumerate_canonical_words(4))
-    assert report.cardinality == 115
-    assert report.parity == "odd"
-    assert report.count_one_first == report.count_top_first == 42
-    assert report.mirror_pairing
-    assert report.identity_holds
-
-
-def test_parity_alternates_with_rank(k1, k2, k3, k4):
-    for result in (k1, k2, k3, k4):
-        expected = "even" if result.rank % 2 == 1 else "odd"
-        words = enumerate_canonical_words(result.rank)
-        assert parity_report(result.rank, words).parity == expected
 
 
 def test_extreme_letters_occur_at_most_once(k4):

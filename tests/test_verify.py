@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import pytest
+
+import kiselman.enumeration as enumeration
 import kiselman.verify as verify
+from kiselman.enumeration import letter_bounds
 from kiselman.errors import InvariantError
 from kiselman.verify import SUITE_NAMES, run_suites
 
@@ -36,10 +40,109 @@ def test_failed_construction_fails_only_the_suites_that_use_it(monkeypatch):
             ]
 
 
-def test_zero_cancellation_checks_every_element_against_every_upper_generator():
-    # |K_3|^2 exhaustive pairs, 1,000 sampled triples, and one check of
-    # x * a_k = zero => x = zero per element x and letter k >= 2
-    report = run_suites(3, names=["zero_cancellation"])
+@pytest.mark.parametrize(
+    ("rank", "samples", "checks", "detail"),
+    [
+        # |K_3|^2 exhaustive pairs, 1,000 sampled triples, and one check
+        # of x * a_k = zero => x = zero per element x and letter k >= 2
+        (3, 1000, 18 * 18 + 1000 + 18 * 2,
+         {"pairs": 324, "triples": 1000, "exhaustive_pairs": True}),
+        # above rank 4: 10 * samples sampled pairs and samples triples
+        (5, 40, 400 + 40 + 1710 * 4,
+         {"pairs": 400, "triples": 40, "exhaustive_pairs": False}),
+    ],
+    ids=["rank3-exhaustive", "rank5-sampled"],
+)
+def test_zero_cancellation_checks_every_element_against_every_upper_generator(
+    rank, samples, checks, detail
+):
+    report = run_suites(rank, samples=samples, names=["zero_cancellation"])
     (suite,) = report["suites"]
-    assert suite["checks"] == 18 * 18 + 1000 + 18 * 2
-    assert suite["detail"] == {"pairs": 324, "triples": 1000, "exhaustive_pairs": True}
+    assert suite["status"] == "pass"
+    assert suite["checks"] == checks
+    assert suite["detail"] == detail
+
+
+@pytest.mark.parametrize(
+    ("rank", "detail"),
+    [
+        (1, {"cardinality": 2, "parity": "even"}),
+        (2, {"cardinality": 5, "parity": "odd"}),
+        (3, {"cardinality": 18, "parity": "even", "one_first": 5, "top_first": 5}),
+        (4, {"cardinality": 115, "parity": "odd", "one_first": 42, "top_first": 42}),
+    ],
+    ids=["rank1", "rank2", "rank3", "rank4"],
+)
+def test_parity_suite_splits_the_extreme_letter_words(rank, detail):
+    # from rank 3 on: the parity, the closure count, the counting
+    # identity, the equal halves and the mirror pairing
+    report = run_suites(rank, names=["parity"])
+    (suite,) = report["suites"]
+    assert suite["status"] == "pass"
+    assert suite["checks"] == (2 if rank <= 2 else 5)
+    assert suite["detail"] == detail
+
+
+def test_word_bounds_catches_a_bound_the_direct_search_also_uses(monkeypatch):
+    # lower the bound on letter 2 at rank 4 for the direct search and the
+    # suite alike: the closure's words still use letter 2 twice
+    def tightened(rank):
+        bounds = letter_bounds(rank)
+        if rank == 4:
+            bounds[2] -= 1
+        return bounds
+
+    monkeypatch.setattr(enumeration, "letter_bounds", tightened)
+    monkeypatch.setattr(verify, "letter_bounds", tightened)
+    report = run_suites(4, names=["word_bounds"])
+    (suite,) = report["suites"]
+    assert suite["status"] == "fail"
+    assert suite["checks"] == 115 * 4
+    assert "uses letter 2 2 times, bound 1" in suite["failures"][0]
+
+
+# (name, status, checks, detail) of every suite, for two fixed runs; a
+# change that moves a count or a detail must change it here too.
+PINNED_REPORTS = {
+    (4, 1000): [
+        ("cardinality", "pass", 3, {"closure": 115, "direct": 115, "golden": 115}),
+        ("confluence", "pass", 1000, {"max_length": 12}),
+        ("idempotents", "pass", 116, {"count": 16, "expected": 16}),
+        ("content", "pass", 1001, {"pairs": 1000, "exhaustive": False}),
+        ("antiautomorphism", "pass", 1120, {"exhaustive": False}),
+        ("word_bounds", "pass", 460, {"words": 115}),
+        ("prefix_stability", "pass", 990, {"stems": 18}),
+        ("prefix_recovery", "pass", 1000, {}),
+        ("zero_cancellation", "pass", 14570,
+         {"pairs": 13225, "triples": 1000, "exhaustive_pairs": True}),
+        ("solution_structure", "pass", 383, {"solutions": 19, "submonoid": 18}),
+        ("prefix_bijection", "pass", 19, {"solutions_with_one": 18}),
+        ("parity", "pass", 5,
+         {"cardinality": 115, "parity": "odd", "one_first": 42, "top_first": 42}),
+    ],
+    (5, 100): [
+        ("cardinality", "pass", 3, {"closure": 1710, "direct": 1710, "golden": 1710}),
+        ("confluence", "pass", 100, {"max_length": 12}),
+        ("idempotents", "pass", 1711, {"count": 32, "expected": 32}),
+        ("content", "pass", 101, {"pairs": 100, "exhaustive": False}),
+        ("antiautomorphism", "pass", 1816, {"exhaustive": False}),
+        ("word_bounds", "pass", 8550, {"words": 1710}),
+        ("prefix_stability", "pass", 115, {"stems": 115}),
+        ("prefix_recovery", "pass", 100, {}),
+        ("zero_cancellation", "pass", 7940,
+         {"pairs": 1000, "triples": 100, "exhaustive_pairs": False}),
+        ("solution_structure", "pass", 13575, {"solutions": 116, "submonoid": 115}),
+        ("prefix_bijection", "pass", 116, {"solutions_with_one": 115}),
+        ("parity", "pass", 5,
+         {"cardinality": 1710, "parity": "even", "one_first": 749, "top_first": 749}),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    ("rank", "samples"), PINNED_REPORTS, ids=["rank4", "rank5-samples100"]
+)
+def test_report_is_pinned(rank, samples):
+    report = run_suites(rank, samples=samples)
+    got = [(s["name"], s["status"], s["checks"], s["detail"]) for s in report["suites"]]
+    assert got == PINNED_REPORTS[rank, samples]

@@ -40,7 +40,7 @@ from .rewrite import (
     canonical_form,
     reduction_trace,
 )
-from .verify import SUITE_NAMES, SuiteResult, run_suites
+from .verify import SUITE_NAMES, run_suites
 from .words import (
     Word,
     idempotent_word,
@@ -48,7 +48,6 @@ from .words import (
     is_quasi_subword,
     letter_subsets,
     mirror,
-    occurrence_counts,
     parse_word,
 )
 

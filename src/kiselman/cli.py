@@ -15,8 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .algebra import display, from_word, multiply, sort_key
 from .enumeration import (
@@ -44,21 +43,6 @@ EXIT_INVARIANT = 4
 _DEFAULT_SUITE_SAMPLES = 1000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs beyond its positional arguments."""
-
-    rank: int
-    command: str
-    format: str = "text"
-    cache_dir: str | None = None
-    element_limit: int = DEFAULT_ELEMENT_LIMIT
-    seed: int = 0
-    trace: bool = False
-    allow_large: bool = False
-    suite: str = "all"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kiselman",
@@ -67,11 +51,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(
+        name: str,
+        run: Callable[[argparse.Namespace], int],
+        summary: str,
+        formats: tuple[str, ...] = ("text", "json"),
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--n", dest="rank", type=int, required=True,
                        help="number of generators")
-        p.add_argument("--format", choices=["text", "json", "csv"],
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--cache-dir", default=None,
                        help="directory for per-rank enumeration caches "
                        "(default: $KISELMAN_CACHE_DIR)")
@@ -82,63 +72,38 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for sampled checks")
         p.add_argument("--allow-large", action="store_true",
                        help=f"permit ranks above {MAX_DEFAULT_RANK}")
+        return p
 
-    canon = sub.add_parser("canon", help="canonical form of a word")
-    common(canon)
+    tables = ("text", "json", "csv")
+    canon = command("canon", _cmd_canon, "canonical form of a word")
     canon.add_argument("word", help='word text, e.g. "1 2 1" ("" for empty)')
     canon.add_argument("--trace", action="store_true",
                        help="print the deletion chain")
 
-    mul = sub.add_parser("mul", help="product of two words")
-    common(mul)
+    mul = command("mul", _cmd_mul, "product of two words")
     mul.add_argument("left")
     mul.add_argument("right")
 
-    enum = sub.add_parser("enum", help="list every element at a rank")
-    common(enum)
+    command("enum", _cmd_enum, "list every element at a rank", tables)
 
-    solve = sub.add_parser("solve", help="solve x * y = zero for x")
-    common(solve)
+    solve = command("solve", _cmd_solve, "solve x * y = zero for x")
     solve.add_argument("--y", dest="y_text", required=True,
                        help="right factor as word text")
 
-    verify = sub.add_parser("verify", help="run the verification suites")
-    common(verify)
+    verify = command("verify", _cmd_verify, "run the verification suites")
     verify.add_argument("--suite", default="all",
                         choices=["all"] + SUITE_NAMES)
 
-    stats = sub.add_parser("stats", help="summary numbers for a rank")
-    common(stats)
+    command("stats", _cmd_stats, "summary numbers for a rank", tables)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        rank=args.rank,
-        command=args.command,
-        format=args.format,
-        cache_dir=args.cache_dir or os.environ.get("KISELMAN_CACHE_DIR"),
-        element_limit=args.element_limit,
-        seed=args.seed,
-        trace=getattr(args, "trace", False),
-        allow_large=args.allow_large,
-        suite=getattr(args, "suite", "all"),
-    )
-
-
-def _check_rank_policy(config: RunConfig) -> None:
-    if config.rank > MAX_DEFAULT_RANK and not config.allow_large:
+def _check_rank_policy(args: argparse.Namespace) -> None:
+    if args.rank > MAX_DEFAULT_RANK and not args.allow_large:
         raise ResourceLimitError(
-            f"rank {config.rank} exceeds the default cap of "
+            f"rank {args.rank} exceeds the default cap of "
             f"{MAX_DEFAULT_RANK}; pass --allow-large to proceed"
-        )
-
-
-def _reject_csv(config: RunConfig) -> None:
-    if config.format == "csv":
-        raise ValidationError(
-            "csv output is only available for flat tables (enum, stats)"
         )
 
 
@@ -150,22 +115,22 @@ def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
     sys.stdout.write(buffer.getvalue())
 
 
-def _write_cache(config: RunConfig, words: list[tuple[int, ...]]) -> None:
-    if config.cache_dir is not None:
+def _write_cache(args: argparse.Namespace, words: list[tuple[int, ...]]) -> None:
+    cache_dir = args.cache_dir or os.environ.get("KISELMAN_CACHE_DIR")
+    if cache_dir is not None:
         try:
-            write_cache(config.cache_dir, config.rank, words)
+            write_cache(cache_dir, args.rank, words)
         except OSError as exc:
             raise ValidationError(
-                f"cannot write the cache to {config.cache_dir}: {exc}"
+                f"cannot write the cache to {cache_dir}: {exc}"
             ) from exc
 
 
-def _cmd_canon(config: RunConfig, text: str) -> int:
-    _reject_csv(config)
-    w = parse_word(text, config.rank)
-    if config.format == "json":
-        payload: dict = {"rank": config.rank, "input": str(w)}
-        if config.trace:
+def _cmd_canon(args: argparse.Namespace) -> int:
+    w = parse_word(args.word, args.rank)
+    if args.format == "json":
+        payload: dict = {"rank": args.rank, "input": str(w)}
+        if args.trace:
             trace = reduction_trace(w)
             payload["canonical"] = str(trace.final)
             payload["trace"] = [
@@ -182,7 +147,7 @@ def _cmd_canon(config: RunConfig, text: str) -> int:
             payload["canonical"] = str(canonical_form(w))
         print(json.dumps(payload, indent=2))
         return EXIT_OK
-    if config.trace:
+    if args.trace:
         trace = reduction_trace(w)
         for red, word in trace.steps:
             print(f"{red.describe()} -> {word}")
@@ -192,15 +157,14 @@ def _cmd_canon(config: RunConfig, text: str) -> int:
     return EXIT_OK
 
 
-def _cmd_mul(config: RunConfig, left_text: str, right_text: str) -> int:
-    _reject_csv(config)
-    x = from_word(parse_word(left_text, config.rank))
-    y = from_word(parse_word(right_text, config.rank))
+def _cmd_mul(args: argparse.Namespace) -> int:
+    x = from_word(parse_word(args.left, args.rank))
+    y = from_word(parse_word(args.right, args.rank))
     product = multiply(x, y)
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(
             {
-                "rank": config.rank,
+                "rank": args.rank,
                 "left": str(x),
                 "right": str(y),
                 "product": str(product),
@@ -212,38 +176,37 @@ def _cmd_mul(config: RunConfig, left_text: str, right_text: str) -> int:
     return EXIT_OK
 
 
-def _cmd_enum(config: RunConfig) -> int:
-    _check_rank_policy(config)
+def _cmd_enum(args: argparse.Namespace) -> int:
+    _check_rank_policy(args)
     # keep only the words: holding the table while the words are
     # written and formatted would raise the peak memory
     words = sorted(
-        Semigroup(config.rank, limit=config.element_limit).words, key=sort_key
+        Semigroup(args.rank, limit=args.element_limit).words, key=sort_key
     )
-    _write_cache(config, words)
+    _write_cache(args, words)
     texts = [" ".join(map(str, letters)) for letters in words]
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(
-            {"rank": config.rank, "count": len(texts), "words": texts},
+            {"rank": args.rank, "count": len(texts), "words": texts},
             indent=2,
         ))
-    elif config.format == "csv":
+    elif args.format == "csv":
         rows = (
             [index, len(letters), text]
             for index, (letters, text) in enumerate(zip(words, texts))
         )
         _emit_csv(["index", "length", "word"], rows)
     else:
-        print(f"n={config.rank} count={len(texts)}")
+        print(f"n={args.rank} count={len(texts)}")
         for text in texts:
             print(text or "e")
     return EXIT_OK
 
 
-def _cmd_solve(config: RunConfig, y_text: str) -> int:
-    _reject_csv(config)
-    _check_rank_policy(config)
-    y = from_word(parse_word(y_text, config.rank))
-    solved = solve_right_zero(y, limit=config.element_limit)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    _check_rank_policy(args)
+    y = from_word(parse_word(args.y_text, args.rank))
+    solved = solve_right_zero(y, limit=args.element_limit)
     ordered = solved.sorted_solutions()
     decomposition = None
     if solved.decomposition is not None:
@@ -254,10 +217,10 @@ def _cmd_solve(config: RunConfig, y_text: str) -> int:
                 for x in sorted(solved.decomposition.containing_one, key=sort_key)
             ],
         }
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(
             {
-                "rank": config.rank,
+                "rank": args.rank,
                 "y": str(y),
                 "count": len(ordered),
                 "solutions": [str(x) for x in ordered],
@@ -266,7 +229,7 @@ def _cmd_solve(config: RunConfig, y_text: str) -> int:
             indent=2,
         ))
     else:
-        print(f"n={config.rank} y={display(y)} count={len(ordered)}")
+        print(f"n={args.rank} y={display(y)} count={len(ordered)}")
         for x in ordered:
             print(display(x))
         if decomposition is not None:
@@ -276,8 +239,8 @@ def _cmd_solve(config: RunConfig, y_text: str) -> int:
     return EXIT_OK
 
 
-def _print_verify_report(config: RunConfig, report: dict) -> None:
-    if config.format == "json":
+def _print_verify_report(args: argparse.Namespace, report: dict) -> None:
+    if args.format == "json":
         print(json.dumps(report, indent=2))
         return
     for suite in report["suites"]:
@@ -294,32 +257,31 @@ def _print_verify_report(config: RunConfig, report: dict) -> None:
     print(f"verify rank={report['rank']} seed={report['seed']} {tail}")
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    _reject_csv(config)
+def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        _check_rank_policy(config)
+        _check_rank_policy(args)
     except ResourceLimitError as exc:
         report = {
-            "rank": config.rank,
-            "seed": config.seed,
+            "rank": args.rank,
+            "seed": args.seed,
             "samples": _DEFAULT_SUITE_SAMPLES,
             "aborted": True,
             "all_passed": False,
             "error": str(exc),
             "suites": [],
         }
-        _print_verify_report(config, report)
+        _print_verify_report(args, report)
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    names = None if config.suite == "all" else [config.suite]
+    names = None if args.suite == "all" else [args.suite]
     report = run_suites(
-        config.rank,
-        seed=config.seed,
+        args.rank,
+        seed=args.seed,
         samples=_DEFAULT_SUITE_SAMPLES,
-        limit=config.element_limit,
+        limit=args.element_limit,
         names=names,
     )
-    _print_verify_report(config, report)
+    _print_verify_report(args, report)
     if report["aborted"]:
         print(f"resource limit: {report.get('error', '')}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -348,20 +310,20 @@ def _zero_thresholds(semigroup: Semigroup) -> Counter[int]:
     return histogram
 
 
-def _cmd_stats(config: RunConfig) -> int:
-    _check_rank_policy(config)
-    semigroup = Semigroup(config.rank, limit=config.element_limit)
-    _write_cache(config, semigroup.words)
+def _cmd_stats(args: argparse.Namespace) -> int:
+    _check_rank_policy(args)
+    semigroup = Semigroup(args.rank, limit=args.element_limit)
+    _write_cache(args, semigroup.words)
     words = semigroup.words
     ordered = sorted(_zero_thresholds(semigroup).items())
     containing_one = sum(1 for letters in words if 1 in letters)
     idempotents = sum(
         1 for i, letters in enumerate(words) if semigroup.product(i, letters) == i
     )
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(
             {
-                "rank": config.rank,
+                "rank": args.rank,
                 "cardinality": len(words),
                 "containing_letter_one": containing_one,
                 "idempotents": idempotents,
@@ -371,10 +333,10 @@ def _cmd_stats(config: RunConfig) -> int:
             },
             indent=2,
         ))
-    elif config.format == "csv":
+    elif args.format == "csv":
         _emit_csv(["threshold", "count"], [[k, v] for k, v in ordered])
     else:
-        print(f"n={config.rank} cardinality={len(words)}")
+        print(f"n={args.rank} cardinality={len(words)}")
         print(f"containing letter 1: {containing_one}")
         print(f"idempotents: {idempotents}")
         print("zero-threshold histogram:")
@@ -389,23 +351,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    config = _config_from_args(args)
     try:
-        if config.rank < 1:
-            raise ValidationError(f"--n must be >= 1, got {config.rank}")
-        if config.command == "canon":
-            return _cmd_canon(config, args.word)
-        if config.command == "mul":
-            return _cmd_mul(config, args.left, args.right)
-        if config.command == "enum":
-            return _cmd_enum(config)
-        if config.command == "solve":
-            return _cmd_solve(config, args.y_text)
-        if config.command == "verify":
-            return _cmd_verify(config)
-        if config.command == "stats":
-            return _cmd_stats(config)
-        raise ValidationError(f"unknown command {config.command!r}")
+        if args.rank < 1:
+            raise ValidationError(f"--n must be >= 1, got {args.rank}")
+        return args.run(args)
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,25 +5,28 @@ reports pass/fail with counterexamples; nothing is trusted from earlier
 runs.  A claim of the paper is checked here and nowhere else in the
 package: zero cancellation in its suite, from the products alone, and
 the parity of |K_n| in its suite, from the canonical words and the
-cardinalities of the two ranks below.  Suites share one enumeration
-context so the expensive closures, and the constructed solutions of
-x * a_1 = zero, are built once per invocation.  The context holds the
-indexed `Semigroup`, and the suites about products take them from its
-table; the rewriter stays where it is the point of a suite (confluence,
-the prefix facts, and the slow-way check inside `solution_word`).  A
-suite that does not apply at the requested rank reports itself as
-skipped with a reason; the report always lists every selected suite.
+cardinalities of the two ranks below.  Suites share one context, built
+once per run around one closure, the indexed `Semigroup` of K_n: the
+submonoid avoiding letter 1 is its words without that letter, and the
+constructed solutions of x * a_1 = zero, which close the letters 2..n
+on their own, are built on first use.  The suites about products take
+them from the table; the rewriter stays where it is the point of a
+suite (confluence, the prefix facts, and the slow-way check inside
+`solution_word`).  A suite returns its report entry; one that does not
+apply at the requested rank reports itself as skipped with a reason,
+and the report always lists every selected suite.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
     Element,
+    _reverse_flip,
     antiautomorphism,
     generator,
     idempotent,
@@ -42,14 +45,13 @@ from .equations import (
     ZeroSolutionSet,
     construct_right_zero_solutions,
     solution_rule,
-    solution_word,
     solve_right_zero,
 )
 from .errors import InvariantError, ResourceLimitError, ValidationError
 from .rewrite import all_normal_forms, canonical_form
 from .words import Word, is_quasi_subword, letter_subsets, mirror
 
-__all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
+__all__ = ["SUITE_NAMES", "run_suites"]
 
 SUITE_NAMES = [
     "cardinality",
@@ -73,15 +75,6 @@ _EXHAUSTIVE_SOLUTION_PAIRS = 200
 
 
 @dataclass
-class SuiteResult:
-    name: str
-    status: str  # "pass" | "fail" | "skip"
-    checks: int
-    failures: list[str] = field(default_factory=list)
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass
 class _Context:
     rank: int
     seed: int
@@ -102,19 +95,28 @@ class _Context:
         return construct_right_zero_solutions(self.rank)
 
 
-def _result(name: str, checks: int, failures: list[str], detail: dict) -> SuiteResult:
-    status = "fail" if failures else "pass"
-    return SuiteResult(name, status, checks, failures[:10], detail)
+def _result(name: str, checks: int, failures: list[str], detail: dict) -> dict:
+    """A suite's report entry: it fails when it found a counterexample."""
+    return {
+        "name": name,
+        "status": "fail" if failures else "pass",
+        "checks": checks,
+        "failures": failures[:10],
+        "detail": detail,
+    }
 
 
-def _skip(name: str, reason: str) -> SuiteResult:
-    return SuiteResult(name, "skip", 0, [], {"reason": reason})
+def _skip(name: str, reason: str) -> dict:
+    return _result(name, 0, [], {"reason": reason}) | {"status": "skip"}
 
 
 def _build_context(rank: int, seed: int, samples: int, limit: int) -> _Context:
     semigroup = Semigroup(rank, limit=limit)
     words = enumerate_canonical_words(rank)
-    submonoid = Semigroup(rank, range(2, rank + 1), limit).elements()
+    # not a second closure: prefix_bijection holds the construction's to it
+    submonoid = frozenset(
+        semigroup.element(i) for i, w in enumerate(semigroup.words) if 1 not in w
+    )
     return _Context(
         rank=rank,
         seed=seed,
@@ -134,7 +136,7 @@ def _random_word(ctx: _Context, max_len: int, letters: tuple[int, ...]) -> Word:
     )
 
 
-def _suite_cardinality(ctx: _Context) -> SuiteResult:
+def _suite_cardinality(ctx: _Context) -> dict:
     failures: list[str] = []
     closure_count = len(ctx.semigroup)
     direct_count = len(ctx.words)
@@ -166,7 +168,7 @@ def _suite_cardinality(ctx: _Context) -> SuiteResult:
     return _result("cardinality", checks, failures, detail)
 
 
-def _suite_confluence(ctx: _Context) -> SuiteResult:
+def _suite_confluence(ctx: _Context) -> dict:
     failures: list[str] = []
     max_len = 12
     alphabet = tuple(range(1, ctx.rank + 1))
@@ -184,7 +186,7 @@ def _suite_confluence(ctx: _Context) -> SuiteResult:
     )
 
 
-def _suite_idempotents(ctx: _Context) -> SuiteResult:
+def _suite_idempotents(ctx: _Context) -> dict:
     failures: list[str] = []
     s = ctx.semigroup
     found = {s.element(i) for i, w in enumerate(s.words) if s.product(i, w) == i}
@@ -203,23 +205,20 @@ def _suite_idempotents(ctx: _Context) -> SuiteResult:
     )
 
 
-def _pair_stream(ctx: _Context, exhaustive: bool):
-    """Pairs of element indices: all of them, or ctx.samples seeded draws."""
-    if exhaustive:
-        for x in ctx.order:
-            for y in ctx.order:
-                yield x, y
-    else:
-        for _ in range(ctx.samples):
-            yield ctx.rng.choice(ctx.order), ctx.rng.choice(ctx.order)
+def _pairs(pool: list, rng: random.Random, count: int | None):
+    """Ordered pairs from pool: every one when count is None, else count
+    seeded draws, each drawing its left member first."""
+    if count is None:
+        return itertools.product(pool, repeat=2)
+    return ((rng.choice(pool), rng.choice(pool)) for _ in range(count))
 
 
-def _suite_content(ctx: _Context) -> SuiteResult:
+def _suite_content(ctx: _Context) -> dict:
     failures: list[str] = []
     s = ctx.semigroup
     exhaustive = ctx.rank <= _EXHAUSTIVE_PAIR_RANK
     checked = 0
-    for x, y in _pair_stream(ctx, exhaustive):
+    for x, y in _pairs(ctx.order, ctx.rng, None if exhaustive else ctx.samples):
         checked += 1
         if set(s.words[s.product(x, s.words[y])]) != set(s.words[x] + s.words[y]):
             failures.append(
@@ -239,7 +238,7 @@ def _suite_content(ctx: _Context) -> SuiteResult:
     )
 
 
-def _suite_antiautomorphism(ctx: _Context) -> SuiteResult:
+def _suite_antiautomorphism(ctx: _Context) -> dict:
     failures: list[str] = []
     tau = antiautomorphism
     checks = 0
@@ -252,26 +251,34 @@ def _suite_antiautomorphism(ctx: _Context) -> SuiteResult:
             failures.append(f"generator {i} not sent to {ctx.rank - i + 1}")
     s = ctx.semigroup
     words = s.words
-    # tau on indices, applied once per element
-    image = [s.index[tau(s.element(i)).word.letters] for i in range(len(s))]
+    exhaustive = ctx.rank <= _EXHAUSTIVE_PAIR_RANK
+    detail = {"exhaustive": exhaustive}
+    # tau on indices, from the letter tuples by the map tau itself applies
+    flipped = [_reverse_flip(w, ctx.rank) for w in words]
+    image = [s.index.get(w) for w in flipped]
+    missing = [i for i in ctx.order if image[i] is None]
+    if missing:
+        failures.extend(
+            f"image '{' '.join(map(str, flipped[i]))}' of '{s.element(i)}' "
+            "is not canonical"
+            for i in missing
+        )
+        return _result("antiautomorphism", checks, failures, detail)
     for i in ctx.order:
         checks += 1
         if image[image[i]] != i:
             failures.append(f"not an involution at '{s.element(i)}'")
-    exhaustive = ctx.rank <= _EXHAUSTIVE_PAIR_RANK
-    for i, j in _pair_stream(ctx, exhaustive):
+    for i, j in _pairs(ctx.order, ctx.rng, None if exhaustive else ctx.samples):
         checks += 1
         # tau(x * y) against tau(y) * tau(x), both products from the table
         if image[s.product(i, words[j])] != s.product(image[j], words[image[i]]):
             failures.append(
                 f"product not reversed at x='{s.element(i)}' y='{s.element(j)}'"
             )
-    return _result(
-        "antiautomorphism", checks, failures, {"exhaustive": exhaustive}
-    )
+    return _result("antiautomorphism", checks, failures, detail)
 
 
-def _suite_word_bounds(ctx: _Context) -> SuiteResult:
+def _suite_word_bounds(ctx: _Context) -> dict:
     # the closure's words: the direct search prunes with these very
     # bounds, so its words could never break them
     failures: list[str] = []
@@ -290,7 +297,7 @@ def _suite_word_bounds(ctx: _Context) -> SuiteResult:
     )
 
 
-def _suite_prefix_stability(ctx: _Context) -> SuiteResult:
+def _suite_prefix_stability(ctx: _Context) -> dict:
     # can(w . 1 . u) = w . 1 . u* with u* a subsequence of u, for w a
     # canonical word avoiding letter 1 and u any word avoiding letter 1.
     if ctx.rank < 2:
@@ -324,7 +331,7 @@ def _suite_prefix_stability(ctx: _Context) -> SuiteResult:
     )
 
 
-def _suite_prefix_recovery(ctx: _Context) -> SuiteResult:
+def _suite_prefix_recovery(ctx: _Context) -> dict:
     # If can(w . u) contains letter 1 for canonical w and u avoiding
     # letter 1, then w begins with the part up to and including that 1.
     if ctx.rank < 2:
@@ -363,7 +370,7 @@ def _suite_prefix_recovery(ctx: _Context) -> SuiteResult:
     return _result("prefix_recovery", cases, failures, {})
 
 
-def _suite_zero_cancellation(ctx: _Context) -> SuiteResult:
+def _suite_zero_cancellation(ctx: _Context) -> dict:
     # x * y = zero forces x = zero when y avoids letter 1, and y = zero
     # when x avoids the top letter; for x * y * z = zero with x avoiding
     # the top letter and z avoiding letter 1, y must be the zero
@@ -376,13 +383,8 @@ def _suite_zero_cancellation(ctx: _Context) -> SuiteResult:
     # suites ran before it
     rng = random.Random(ctx.seed)
     exhaustive = rank <= _EXHAUSTIVE_CANCELLATION_RANK
-    if exhaustive:
-        pair_count = len(pool) ** 2
-        pairs = itertools.product(pool, repeat=2)
-    else:
-        pair_count = ctx.samples * 10
-        pairs = ((rng.choice(pool), rng.choice(pool)) for _ in range(pair_count))
-    for x, y in pairs:
+    pair_count = len(pool) ** 2 if exhaustive else ctx.samples * 10
+    for x, y in _pairs(pool, rng, None if exhaustive else pair_count):
         if product(x, words[y]) != zero_index:
             continue
         if 1 not in words[y] and x != zero_index:
@@ -422,7 +424,7 @@ def _suite_zero_cancellation(ctx: _Context) -> SuiteResult:
     )
 
 
-def _suite_solution_structure(ctx: _Context) -> SuiteResult:
+def _suite_solution_structure(ctx: _Context) -> dict:
     failures: list[str] = []
     checks = 0
     constructed = ctx.solutions
@@ -457,21 +459,9 @@ def _suite_solution_structure(ctx: _Context) -> SuiteResult:
                 f"submonoid avoiding letter 1 has {len(ctx.submonoid)} members, "
                 f"rank {ctx.rank - 1} has {one_down} elements"
             )
-    for x in sorted(ctx.submonoid, key=sort_key):
-        checks += 1
-        try:
-            solution_word(x)
-        except InvariantError as exc:
-            failures.append(str(exc))
     ordered = constructed.sorted_solutions()
-    if len(ordered) <= _EXHAUSTIVE_SOLUTION_PAIRS:
-        pairs = [(x, y) for x in ordered for y in ordered]
-    else:
-        pairs = [
-            (ctx.rng.choice(ordered), ctx.rng.choice(ordered))
-            for _ in range(ctx.samples)
-        ]
-    for x, y in pairs:
+    exhaustive = len(ordered) <= _EXHAUSTIVE_SOLUTION_PAIRS
+    for x, y in _pairs(ordered, ctx.rng, None if exhaustive else ctx.samples):
         checks += 1
         product = solution_rule(x, y, constructed)
         actual = s.product(s.index[x.word.letters], y.word.letters)
@@ -492,7 +482,7 @@ def _suite_solution_structure(ctx: _Context) -> SuiteResult:
     )
 
 
-def _suite_prefix_bijection(ctx: _Context) -> SuiteResult:
+def _suite_prefix_bijection(ctx: _Context) -> dict:
     containing_one = ctx.solutions.decomposition.containing_one
     failures: list[str] = []
     images = {prefix_before_one(x) for x in containing_one}
@@ -510,7 +500,7 @@ def _suite_prefix_bijection(ctx: _Context) -> SuiteResult:
     )
 
 
-def _suite_parity(ctx: _Context) -> SuiteResult:
+def _suite_parity(ctx: _Context) -> dict:
     # From rank 3 on, the canonical words holding both extreme letters
     # hold each exactly once, and the mirror map pairs the half where 1
     # comes first with the half where the top letter does.  The counting
@@ -617,16 +607,8 @@ def run_suites(
             report["error"] = str(exc)
             break
         except InvariantError as exc:
-            outcome = SuiteResult(name, "fail", 0, [f"invariant violated: {exc}"], {})
-        report["suites"].append(
-            {
-                "name": outcome.name,
-                "status": outcome.status,
-                "checks": outcome.checks,
-                "failures": outcome.failures,
-                "detail": outcome.detail,
-            }
-        )
-        if outcome.status == "fail":
+            outcome = _result(name, 0, [f"invariant violated: {exc}"], {})
+        report["suites"].append(outcome)
+        if outcome["status"] == "fail":
             report["all_passed"] = False
     return report

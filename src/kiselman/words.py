@@ -35,7 +35,6 @@ __all__ = [
     "mirror",
     "idempotent_word",
     "letter_subsets",
-    "occurrence_counts",
 ]
 
 
@@ -171,17 +170,3 @@ def letter_subsets(rank: int) -> Iterator[tuple[int, ...]]:
     """
     letters = range(1, rank + 1)
     return chain.from_iterable(combinations(letters, k) for k in range(rank + 1))
-
-
-def occurrence_counts(w: Word) -> dict[int, int]:
-    """Multiplicity of every letter 1..rank in w; absent letters count 0.
-
-    >>> occurrence_counts(parse_word("2 1 2", 2))
-    {1: 1, 2: 2}
-    >>> occurrence_counts(parse_word("", 3))
-    {1: 0, 2: 0, 3: 0}
-    """
-    counts = dict.fromkeys(range(1, w.rank + 1), 0)
-    for i in w.letters:
-        counts[i] += 1
-    return counts

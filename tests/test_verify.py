@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import kiselman.algebra as algebra
 import kiselman.enumeration as enumeration
 import kiselman.verify as verify
 from kiselman.enumeration import letter_bounds
@@ -101,7 +102,30 @@ def test_word_bounds_catches_a_bound_the_direct_search_also_uses(monkeypatch):
     assert "uses letter 2 2 times, bound 1" in suite["failures"][0]
 
 
-# (name, status, checks, detail) of every suite, for two fixed runs; a
+def test_antiautomorphism_suite_catches_a_flip_that_does_not_reverse(monkeypatch):
+    # flipping the letters alone keeps words canonical and is an
+    # involution, but it moves the zero and does not reverse products
+    def flip_only(letters, rank):
+        return tuple(rank + 1 - i for i in letters)
+
+    monkeypatch.setattr(algebra, "_reverse_flip", flip_only)
+    monkeypatch.setattr(verify, "_reverse_flip", flip_only)
+    report = run_suites(3, names=["antiautomorphism"])
+    (suite,) = report["suites"]
+    assert suite["status"] == "fail"
+    assert "the antiautomorphism moved the zero" in suite["failures"]
+    assert any(f.startswith("product not reversed") for f in suite["failures"])
+
+
+def test_antiautomorphism_suite_reports_a_non_canonical_image(monkeypatch):
+    monkeypatch.setattr(verify, "_reverse_flip", lambda letters, rank: letters * 2)
+    report = run_suites(3, names=["antiautomorphism"])
+    (suite,) = report["suites"]
+    assert suite["status"] == "fail"
+    assert suite["failures"][0] == "image '1 1' of '1' is not canonical"
+
+
+# (name, status, checks, detail) of every suite, for three fixed runs; a
 # change that moves a count or a detail must change it here too.
 PINNED_REPORTS = {
     (4, 1000): [
@@ -115,7 +139,7 @@ PINNED_REPORTS = {
         ("prefix_recovery", "pass", 1000, {}),
         ("zero_cancellation", "pass", 14570,
          {"pairs": 13225, "triples": 1000, "exhaustive_pairs": True}),
-        ("solution_structure", "pass", 383, {"solutions": 19, "submonoid": 18}),
+        ("solution_structure", "pass", 365, {"solutions": 19, "submonoid": 18}),
         ("prefix_bijection", "pass", 19, {"solutions_with_one": 18}),
         ("parity", "pass", 5,
          {"cardinality": 115, "parity": "odd", "one_first": 42, "top_first": 42}),
@@ -131,16 +155,38 @@ PINNED_REPORTS = {
         ("prefix_recovery", "pass", 100, {}),
         ("zero_cancellation", "pass", 7940,
          {"pairs": 1000, "triples": 100, "exhaustive_pairs": False}),
-        ("solution_structure", "pass", 13575, {"solutions": 116, "submonoid": 115}),
+        ("solution_structure", "pass", 13460, {"solutions": 116, "submonoid": 115}),
         ("prefix_bijection", "pass", 116, {"solutions_with_one": 115}),
         ("parity", "pass", 5,
          {"cardinality": 1710, "parity": "even", "one_first": 749, "top_first": 749}),
+    ],
+    (6, 1000): [
+        ("cardinality", "pass", 3,
+         {"closure": 83973, "direct": 83973, "golden": 83973}),
+        ("confluence", "pass", 1000, {"max_length": 12}),
+        ("idempotents", "pass", 83974, {"count": 64, "expected": 64}),
+        ("content", "pass", 1001, {"pairs": 1000, "exhaustive": False}),
+        ("antiautomorphism", "pass", 84980, {"exhaustive": False}),
+        ("word_bounds", "pass", 503838, {"words": 83973}),
+        ("prefix_stability", "pass", 1710, {"stems": 1710}),
+        ("prefix_recovery", "pass", 1000, {}),
+        ("zero_cancellation", "pass", 430865,
+         {"pairs": 10000, "triples": 1000, "exhaustive_pairs": False}),
+        ("solution_structure", "pass", 1004, {"solutions": 1711, "submonoid": 1710}),
+        ("prefix_bijection", "pass", 1711, {"solutions_with_one": 1710}),
+        ("parity", "pass", 5,
+         {"cardinality": 83973, "parity": "odd", "one_first": 40334, "top_first": 40334}),
     ],
 }
 
 
 @pytest.mark.parametrize(
-    ("rank", "samples"), PINNED_REPORTS, ids=["rank4", "rank5-samples100"]
+    ("rank", "samples"),
+    [
+        pytest.param(4, 1000, id="rank4"),
+        pytest.param(5, 100, id="rank5-samples100"),
+        pytest.param(6, 1000, id="rank6", marks=pytest.mark.n6),
+    ],
 )
 def test_report_is_pinned(rank, samples):
     report = run_suites(rank, samples=samples)

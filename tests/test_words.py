@@ -14,7 +14,6 @@ from kiselman.words import (
     is_canonical,
     is_quasi_subword,
     mirror,
-    occurrence_counts,
     parse_word,
 )
 
@@ -98,12 +97,6 @@ def test_idempotent_words_decreasing_and_canonical_up_to_rank_8():
             assert is_canonical(w)
             seen.add(w)
         assert len(seen) == 2 ** rank
-
-
-def test_occurrence_counts_examples():
-    assert occurrence_counts(parse_word("2 1 2", 2)) == {1: 1, 2: 2}
-    assert occurrence_counts(parse_word("", 3)) == {1: 0, 2: 0, 3: 0}
-    assert occurrence_counts(parse_word("3 2 1", 3)) == {1: 1, 2: 1, 3: 1}
 
 
 # law: mirror(mirror(w)) == w

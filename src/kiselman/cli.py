@@ -22,6 +22,7 @@ from .enumeration import (
     DEFAULT_ELEMENT_LIMIT,
     MAX_DEFAULT_RANK,
     Semigroup,
+    word_texts,
     write_cache,
 )
 from .equations import solve_right_zero
@@ -178,13 +179,11 @@ def _cmd_mul(args: argparse.Namespace) -> int:
 
 def _cmd_enum(args: argparse.Namespace) -> int:
     _check_rank_policy(args)
-    # keep only the words: holding the table while the words are
-    # written and formatted would raise the peak memory
-    words = sorted(
-        Semigroup(args.rank, limit=args.element_limit).words, key=sort_key
-    )
+    # only the words, already in sort_key order: enum never multiplies,
+    # so the table is never filled
+    words = Semigroup(args.rank, limit=args.element_limit).words
     _write_cache(args, words)
-    texts = [" ".join(map(str, letters)) for letters in words]
+    texts = word_texts(words, args.rank)
     if args.format == "json":
         print(json.dumps(
             {"rank": args.rank, "count": len(texts), "words": texts},

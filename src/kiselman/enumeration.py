@@ -2,25 +2,36 @@
 
 `Semigroup` is the package's one indexed representation of an
 enumerated monoid.  It closes {identity} under right multiplication by
-its generators, round by round, and keeps the canonical words in
-discovery order, a dict from word to index, and the flat right Cayley
-table (Froidure & Pin, "Algorithms for computing finite semigroups",
-1997).  Its one kernel, `product(i, letters)`, walks the letters of a
-right factor through the table from element i, so a product costs one
-lookup per letter and never rewrites.
+its generators and keeps the canonical words in discovery order, a dict
+from word to index, and the flat right Cayley table (Froidure & Pin,
+"Algorithms for computing finite semigroups", 1997).  Its one kernel,
+`product(i, letters)`, walks the letters of a right factor through the
+table from element i, so a product costs one lookup per letter and
+never rewrites.
 
-The closure decides each product u * g by the append-letter rule:
-appending g to a canonical word can create only one deletion, between
-the new g and the last g already in u, so the letters after that last g
-say whether the new g stays, drops, or deletes the old g.  In the last
-case the product is a walk through the rows of shorter elements, which
-are already complete.
+The closure runs in two phases.  The words phase, at construction,
+runs breadth first in index order and builds the words and the index.
+The table phase fills the table row by row in index order, on the first
+`product` or read of `table`.  Both decide each product u * g by the
+append-letter rule: appending g to a canonical word can create only one
+deletion, between the new g and the last g already in u, so the letters
+after that last g say whether the new g stays, drops, or deletes the old
+g.  Neither scans u for them.  Each element carries one gap state per
+generator, one of five: no copy of the letter, an empty gap after its
+last copy, a gap of smaller letters only, of larger letters only, or of
+both.  The states of u + (g,) follow from those of u by one transition,
+which is the one place the rule is written, and each distinct tuple of
+states memoizes its row's actions: a new element, u * g = u, or, when the
+old g is deleted, a walk through the rows of shorter elements, which the
+table phase has already filled.  At rank 6 there are 549 distinct tuples
+for 83,973 elements.
 
-Users: the CLI's `enum` lists its words and `stats` counts on its
-indices; the verify suites and `equations.solve_right_zero` take their
-products from its table; the constructive solver walks the submonoid
-avoiding letter 1, a `Semigroup` over the letters 2..n; and the tests
-hold `elements()` to the rewriter's `multiply`.  One-shot
+Users: the CLI's `enum` lists its words and never fills the table;
+`stats` counts on its indices and products; the verify suites and
+`equations.solve_right_zero` take their products from its table; the
+constructive solver walks the elements of the submonoid avoiding letter
+1, a `Semigroup` over the letters 2..n whose table stays empty; and the
+tests hold `elements()` to the rewriter's `multiply`.  One-shot
 arithmetic (`canon`, `mul`, `algebra.multiply`) builds no table and
 calls the rewriter.
 
@@ -70,6 +81,7 @@ __all__ = [
     "Semigroup",
     "enumerate_canonical_words",
     "letter_bounds",
+    "word_texts",
     "cache_path",
     "write_cache",
     "DEFAULT_ELEMENT_LIMIT",
@@ -87,6 +99,57 @@ CACHE_MAGIC = "kiselman-cache v1"
 KNOWN_CARDINALITIES: dict[int, int] = {1: 2, 2: 5, 3: 18, 4: 115, 5: 1710, 6: 83973}
 
 
+# What follows the last copy of a generator g in a canonical word u: its
+# gap state.  The two flags combine, so _SMALLER | _LARGER is _BOTH.
+_EMPTY, _SMALLER, _LARGER, _BOTH, _ABSENT = 0, 1, 2, 3, 4
+# The actions of a row that do not make a new element; a new one is
+# the child's gap states, as an index into the automaton.
+_SAME, _WALK = -1, -2
+
+
+def _gap_automaton(generators: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The row actions of every reachable tuple of gap states.
+
+    A word u's gap states hold one state per generator.  Row s of the
+    result has one action per generator g, decided by g's state in s:
+
+    - absent, or a gap with both a larger and a smaller letter: u + (g,)
+      is canonical, a new element, and the action is the row of its
+      gap states;
+    - an empty gap, or one of smaller letters only: the new g is
+      deleted, u * g = u (_SAME);
+    - a gap of larger letters only: the old g is deleted (_WALK).
+
+    Appending g empties g's gap and adds g to the gap of every other
+    generator present, so the states of u + (g,) follow from those of u
+    by one transition.  Every path from row 0, the identity's, spells a
+    canonical word, so the automaton is finite and acyclic.
+    """
+    start = (_ABSENT,) * len(generators)
+    ids = {start: 0}
+    pending = [start]
+    rows: list[tuple[int, ...]] = []
+    while len(rows) < len(pending):
+        gaps = pending[len(rows)]
+        row = []
+        for g, state in zip(generators, gaps):
+            if state == _ABSENT or state == _BOTH:
+                child = tuple(
+                    _EMPTY if h == g
+                    else s if s == _ABSENT
+                    else s | (_LARGER if g > h else _SMALLER)
+                    for h, s in zip(generators, gaps)
+                )
+                if child not in ids:
+                    ids[child] = len(pending)
+                    pending.append(child)
+                row.append(ids[child])
+            else:
+                row.append(_WALK if state == _LARGER else _SAME)
+        rows.append(tuple(row))
+    return rows
+
+
 class Semigroup:
     """The monoid generated by some letters of K_rank, closed and indexed.
 
@@ -94,9 +157,15 @@ class Semigroup:
     canonical word words[i]; index maps each canonical word back to its
     element; table[i * width + j] is the element words[i] * generators[j],
     where width = len(generators), so table is the right Cayley table.
-    Elements are numbered in discovery order, which is round order, and
-    frontier_rounds and multiplications count the rounds and the table
-    entries of the closure.
+    Elements are numbered in discovery order, which is `sort_key` order:
+    shortest first, then letter by letter.  frontier_rounds counts the
+    rounds of the closure, one per word length and a last one that finds
+    nothing.
+
+    The words are built with the semigroup; the table is filled on the
+    first `product` or read of `table`, so a caller that needs only the
+    words never pays for it.  multiplications counts the table entries
+    filled: 0 before that, len(words) * width after.
 
     `product` is the one multiplication kernel: it walks the letters of
     a right factor through the table, one lookup per letter.  Building
@@ -105,8 +174,9 @@ class Semigroup:
     """
 
     __slots__ = (
-        "rank", "generators", "words", "index", "table",
-        "frontier_rounds", "multiplications", "_width", "_column",
+        "rank", "generators", "words", "index", "frontier_rounds",
+        "multiplications", "_width", "_column", "_automaton", "_states",
+        "_table",
     )
 
     def __init__(
@@ -131,72 +201,76 @@ class Semigroup:
         self.generators = gens
         self._width = len(gens)
         self._column = {g: j for j, g in enumerate(gens)}
-        self.words: list[tuple[int, ...]] = [()]
-        self.index: dict[tuple[int, ...], int] = {(): 0}
-        self.table: list[int] = []
+        self._table: list[int] | None = None
+        self.multiplications = 0
         self._close(limit)
 
     def _close(self, limit: int) -> None:
-        """Close {identity} under right multiplication, filling the table.
+        """Close {identity} under right multiplication: the words phase.
 
-        Each product u * g is decided by where g last occurs in u and
-        which letters follow it there:
-
-        - no g in u, or the gap after it holds both a larger and a
-          smaller letter: u + (g,) is canonical, and it is a new element;
-        - the gap is empty or all smaller: the new g is deleted, u * g = u;
-        - the gap is all larger: the old g is deleted, so u * g is the
-          element u[:p] * gap * g, a walk through the table.
-
-        The walk in the last case relies on one invariant.  An element
-        is first found in the round equal to its canonical length (its
-        longest proper prefix is canonical and one letter shorter, and no
-        product of a shorter word is that long), and elements are
-        processed in index order, which is round order.  Every element
-        the walk visits is a product of at most len(u) - 1 letters, so
-        its canonical word is shorter than u, it was processed in an
-        earlier round, and its table row is already complete.
+        Elements are processed in index order, and each u * g that is a
+        new element is appended as u + (g,), so the words come out in
+        `sort_key` order.  The products that are not new are already
+        known: they are at most as long as u, and every such element was
+        found in an earlier round.  They wait for the table phase.
         """
-        words, index, table = self.words, self.index, self.table
-        product = self.product
-        rounds = 0
-        start, end = 0, 1
-        while start < end:
-            rounds += 1
-            for ui in range(start, end):
-                u = words[ui]
-                for g in self.generators:
-                    larger = smaller = False
-                    p = len(u) - 1
-                    while p >= 0:
-                        h = u[p]
-                        if h == g:
-                            break
-                        if h > g:
-                            larger = True
-                        else:
-                            smaller = True
-                        if larger and smaller:
-                            break
-                        p -= 1
-                    if p < 0 or (larger and smaller):
-                        if len(words) >= limit:
-                            raise ResourceLimitError(
-                                f"enumeration at rank {self.rank} exceeded "
-                                f"the element cap of {limit}"
-                            )
-                        new = u + (g,)
-                        index[new] = len(words)
-                        table.append(len(words))
-                        words.append(new)
-                    elif not larger:
-                        table.append(ui)
-                    else:
-                        # u * g = u[:p] * gap * g; every row read is complete
-                        table.append(product(index[u[:p]], u[p + 1:] + (g,)))
-            start, end = end, len(words)
-        self.frontier_rounds = rounds
+        automaton = _gap_automaton(self.generators)
+        news = [
+            [(g, action) for g, action in zip(self.generators, row) if action >= 0]
+            for row in automaton
+        ]
+        words: list[tuple[int, ...]] = [()]
+        states = [0]
+        # both lists grow as the loop runs, and zip reads the new items
+        for u, state in zip(words, states):
+            for g, child in news[state]:
+                if len(words) >= limit:
+                    raise ResourceLimitError(
+                        f"enumeration at rank {self.rank} exceeded "
+                        f"the element cap of {limit}"
+                    )
+                words.append(u + (g,))
+                states.append(child)
+        self.words = words
+        self.index = dict(zip(words, range(len(words))))
+        self.frontier_rounds = len(words[-1]) + 1
+        self._automaton = automaton
+        self._states = states
+
+    def _fill(self) -> list[int]:
+        """Fill the right Cayley table from the row actions: the table phase.
+
+        A walk, for u * g with the old g deleted, is the element
+        u[:p] * gap * g, where p is the last g in u.  Every element it
+        visits is a product of at most len(u) - 1 letters, so its word is
+        shorter than u; rows are filled in index order, which is length
+        order, so every row the walk reads is already complete.
+        """
+        words, index, column, width = self.words, self.index, self._column, self._width
+        table: list[int] = []
+        new = 1  # the words phase appended the new elements in this order
+        automaton = self._automaton
+        for ui, (u, state) in enumerate(zip(words, self._states)):
+            for g, action in zip(self.generators, automaton[state]):
+                if action >= 0:
+                    table.append(new)
+                    new += 1
+                elif action == _SAME:
+                    table.append(ui)
+                else:
+                    p = len(u) - 1 - u[::-1].index(g)
+                    i = index[u[:p]]
+                    for h in u[p + 1:] + (g,):
+                        i = table[i * width + column[h]]
+                    table.append(i)
+        self._table = table
         self.multiplications = len(table)
+        return table
+
+    @property
+    def table(self) -> list[int]:
+        """The right Cayley table, filled on first use."""
+        return self._fill() if self._table is None else self._table
 
     def __len__(self) -> int:
         return len(self.words)
@@ -215,11 +289,6 @@ class Semigroup:
     def elements(self) -> frozenset[Element]:
         """Every element as an `Element`; a set, so no traversal order shows."""
         return frozenset(map(self.element, range(len(self.words))))
-
-    def sorted_indices(self) -> list[int]:
-        """Every index, in the package's length-lexicographic element order."""
-        words = self.words
-        return sorted(range(len(words)), key=lambda i: sort_key(words[i]))
 
 
 def letter_bounds(rank: int) -> dict[int, int]:
@@ -291,6 +360,16 @@ def enumerate_canonical_words(rank: int) -> set[Word]:
     return found
 
 
+def word_texts(words: Iterable[tuple[int, ...]], rank: int) -> list[str]:
+    """Each word's letters joined by spaces, as `str(Word)` writes them.
+
+    >>> word_texts([(), (2, 1)], 2)
+    ['', '2 1']
+    """
+    digit = [str(letter) for letter in range(rank + 1)].__getitem__
+    return [" ".join(map(digit, letters)) for letters in words]
+
+
 def cache_path(cache_dir: str | Path, rank: int) -> Path:
     return Path(cache_dir) / f"k{rank}.cache"
 
@@ -310,7 +389,7 @@ def write_cache(
     # sort first: a set would shuffle input that is usually sorted already
     ordered = list(dict.fromkeys(sorted(words, key=sort_key)))
     lines = [f"{CACHE_MAGIC} n={rank} count={len(ordered)}"]
-    lines.extend(" ".join(map(str, letters)) for letters in ordered)
+    lines.extend(word_texts(ordered, rank))
     # opened like any new file, so the cache keeps the umask's permissions
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,7 +82,6 @@ class _Context:
     samples: int
     rng: random.Random
     semigroup: Semigroup
-    order: list[int]  # the semigroup's indices in sort_key order
     words: set[Word]
     submonoid: frozenset[Element]
 
@@ -123,7 +123,6 @@ def _build_context(rank: int, seed: int, samples: int, limit: int) -> _Context:
         samples=samples,
         rng=random.Random(seed),
         semigroup=semigroup,
-        order=semigroup.sorted_indices(),
         words=words,
         submonoid=submonoid,
     )
@@ -205,7 +204,7 @@ def _suite_idempotents(ctx: _Context) -> dict:
     )
 
 
-def _pairs(pool: list, rng: random.Random, count: int | None):
+def _pairs(pool: Sequence, rng: random.Random, count: int | None):
     """Ordered pairs from pool: every one when count is None, else count
     seeded draws, each drawing its left member first."""
     if count is None:
@@ -218,7 +217,7 @@ def _suite_content(ctx: _Context) -> dict:
     s = ctx.semigroup
     exhaustive = ctx.rank <= _EXHAUSTIVE_PAIR_RANK
     checked = 0
-    for x, y in _pairs(ctx.order, ctx.rng, None if exhaustive else ctx.samples):
+    for x, y in _pairs(range(len(s)), ctx.rng, None if exhaustive else ctx.samples):
         checked += 1
         if set(s.words[s.product(x, s.words[y])]) != set(s.words[x] + s.words[y]):
             failures.append(
@@ -256,7 +255,8 @@ def _suite_antiautomorphism(ctx: _Context) -> dict:
     # tau on indices, from the letter tuples by the map tau itself applies
     flipped = [_reverse_flip(w, ctx.rank) for w in words]
     image = [s.index.get(w) for w in flipped]
-    missing = [i for i in ctx.order if image[i] is None]
+    pool = range(len(s))
+    missing = [i for i in pool if image[i] is None]
     if missing:
         failures.extend(
             f"image '{' '.join(map(str, flipped[i]))}' of '{s.element(i)}' "
@@ -264,11 +264,11 @@ def _suite_antiautomorphism(ctx: _Context) -> dict:
             for i in missing
         )
         return _result("antiautomorphism", checks, failures, detail)
-    for i in ctx.order:
+    for i in pool:
         checks += 1
         if image[image[i]] != i:
             failures.append(f"not an involution at '{s.element(i)}'")
-    for i, j in _pairs(ctx.order, ctx.rng, None if exhaustive else ctx.samples):
+    for i, j in _pairs(pool, ctx.rng, None if exhaustive else ctx.samples):
         checks += 1
         # tau(x * y) against tau(y) * tau(x), both products from the table
         if image[s.product(i, words[j])] != s.product(image[j], words[image[i]]):
@@ -284,9 +284,9 @@ def _suite_word_bounds(ctx: _Context) -> dict:
     failures: list[str] = []
     bounds = letter_bounds(ctx.rank)
     s = ctx.semigroup
-    for i in ctx.order:
+    for i, letters in enumerate(s.words):
         for letter, bound in bounds.items():
-            count = s.words[i].count(letter)
+            count = letters.count(letter)
             if count > bound:
                 failures.append(
                     f"canonical word '{s.element(i)}' uses letter {letter} "
@@ -347,7 +347,7 @@ def _suite_prefix_recovery(ctx: _Context) -> dict:
         pairs = [(w, u) for w in sorted(ctx.words, key=sort_key) for u in suffixes]
     else:
         pairs = [
-            (ctx.semigroup.element(ctx.rng.choice(ctx.order)).word,
+            (ctx.semigroup.element(ctx.rng.randrange(len(ctx.semigroup))).word,
              _random_word(ctx, 6, alphabet))
             for _ in range(ctx.samples)
         ]
@@ -377,7 +377,7 @@ def _suite_zero_cancellation(ctx: _Context) -> dict:
     failures: list[str] = []
     s = ctx.semigroup
     words, product, element = s.words, s.product, s.element
-    rank, pool = ctx.rank, ctx.order
+    rank, pool = ctx.rank, range(len(s))
     zero_index = s.index[zero(rank).word.letters]
     # the suite's own draws, so its sample does not depend on which
     # suites ran before it

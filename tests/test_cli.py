@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -103,6 +105,41 @@ def test_enum_csv(capsys):
     assert out.splitlines() == [
         "index,length,word", "0,0,", "1,1,1", "2,1,2", "3,2,1 2", "4,2,2 1",
     ]
+
+
+# sha256 of `enum --n 4` stdout per format, and of the k4.cache it writes
+ENUM_RANK_4_DIGESTS = {
+    "text": "8dcc6cc92f202357bfc2e851731897c0a26e022aab0bb2ade8ae7e02fe8e8da1",
+    "json": "e4077fc9964f9f329f22004f4c1e6b0e4ccfd152bd256f75c8d65b1b092713ca",
+    "csv": "6b2ab6614ea1efa509c2ad64e4e116c2250860a1462040050042fb69b97a04ba",
+}
+CACHE_RANK_4_DIGEST = "620e5e5ae39f9fd5df6d793c76f871c37f27f5078371830e2e49cf7036246a64"
+
+
+@pytest.mark.parametrize("fmt", sorted(ENUM_RANK_4_DIGESTS))
+def test_enum_fills_no_table(capsys, tmp_path, monkeypatch, fmt):
+    def refuse(self):
+        raise AssertionError("enum filled the table")
+
+    monkeypatch.setattr(Semigroup, "_fill", refuse)
+    code, out, err = run(
+        capsys, "enum", "--n", "4", "--format", fmt, "--cache-dir", str(tmp_path),
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUM_RANK_4_DIGESTS[fmt]
+    cache = (tmp_path / "k4.cache").read_bytes()
+    assert hashlib.sha256(cache).hexdigest() == CACHE_RANK_4_DIGEST
+
+
+@pytest.mark.n6
+def test_enum_rank_6_csv_is_fast(capsys):
+    start = time.perf_counter()
+    code = main(["enum", "--n", "6", "--format", "csv"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("\n") == 1 + 83973
+    assert elapsed < 0.8, f"enum --n 6 --format csv took {elapsed:.2f} s"
 
 
 def test_enum_writes_and_reuses_cache(capsys, tmp_path):

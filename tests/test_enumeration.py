@@ -165,8 +165,19 @@ def test_extreme_letters_occur_at_most_once(k4):
 
 
 def test_sorted_elements_order(k2):
-    ordered = [k2.element(i) for i in k2.sorted_indices()]
+    ordered = [k2.element(i) for i in range(len(k2))]
     assert [str(x) for x in ordered] == ["", "1", "2", "1 2", "2 1"]
+
+
+def test_table_is_filled_on_first_product():
+    s = Semigroup(3)
+    s.words, s.index, len(s), s.element(5), s.elements()
+    assert s.multiplications == 0
+    assert s.product(s.index[(2,)], (1,)) == s.index[(2, 1)]
+    assert s.multiplications == 18 * 3
+    assert s.product(0, (3, 2, 1)) == s.index[(3, 2, 1)]
+    assert s.multiplications == 18 * 3
+    assert len(s.table) == 18 * 3
 
 
 def test_enumeration_result_is_reproducible():
@@ -228,6 +239,9 @@ def _rewriter_closure(rank, generators, limit):
 
 def _check_table_against_rewriter(rank, generators):
     s = Semigroup(rank, generators, DEFAULT_ELEMENT_LIMIT)
+    # the words come in sort_key order, and no table is filled for them
+    assert s.words == sorted(s.words, key=sort_key)
+    assert s.multiplications == 0
     words, table = s.words, s.table
     width = len(generators)
     assert len(set(words)) == len(words)
@@ -366,7 +380,7 @@ def test_product_matches_rewriter_sampled_rank_6():
 def test_semigroup_views_agree_with_elements(k3):
     elements = k3.elements()
     assert len(elements) == len(k3)
-    ordered = [k3.element(i) for i in k3.sorted_indices()]
+    ordered = [k3.element(i) for i in range(len(k3))]
     assert ordered == sorted(elements, key=sort_key)
     assert k3.product(0, ()) == 0
 

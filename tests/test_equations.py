@@ -73,6 +73,16 @@ def test_constructive_matches_brute_force(k2, k3, k4):
         assert constructed.solutions == brute.solutions
 
 
+def test_construction_fills_no_table(monkeypatch):
+    # the construction reads only the submonoid's elements
+    def refuse(self):
+        raise AssertionError("the table was filled")
+
+    monkeypatch.setattr(Semigroup, "_fill", refuse)
+    constructed = construct_right_zero_solutions(5)
+    assert len(constructed.solutions) == 1 + KNOWN_CARDINALITIES[4]
+
+
 def test_decomposition_fields_rank_2():
     solved = solve_right_zero(generator(1, 2))
     decomp = solved.decomposition

@@ -31,6 +31,7 @@ Structural maps:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -93,8 +94,12 @@ def identity(rank: int) -> Element:
     return Element(Word((), rank))
 
 
+@functools.cache
 def zero(rank: int) -> Element:
     """The absorbing element, whose canonical word is rank, rank-1, ..., 1.
+
+    One element per rank, built once: `Element` is frozen, and the
+    solution rule and `zero_threshold` ask for it on every call.
 
     >>> str(zero(3))
     '3 2 1'

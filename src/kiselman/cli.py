@@ -116,15 +116,28 @@ def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
     sys.stdout.write(buffer.getvalue())
 
 
-def _write_cache(args: argparse.Namespace, words: list[tuple[int, ...]]) -> None:
+def _write_cache(
+    args: argparse.Namespace,
+    words: list[tuple[int, ...]],
+    texts: list[str] | None = None,
+) -> None:
+    """Write k<rank>.cache if a cache directory is set.
+
+    words are `Semigroup.words`, in the order the cache file wants;
+    texts, when the caller has them, are their `word_texts`, which are
+    otherwise formatted only if a file is written.
+    """
     cache_dir = args.cache_dir or os.environ.get("KISELMAN_CACHE_DIR")
-    if cache_dir is not None:
-        try:
-            write_cache(cache_dir, args.rank, words)
-        except OSError as exc:
-            raise ValidationError(
-                f"cannot write the cache to {cache_dir}: {exc}"
-            ) from exc
+    if cache_dir is None:
+        return
+    if texts is None:
+        texts = word_texts(words, args.rank)
+    try:
+        write_cache(cache_dir, args.rank, texts)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write the cache to {cache_dir}: {exc}"
+        ) from exc
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
@@ -182,19 +195,20 @@ def _cmd_enum(args: argparse.Namespace) -> int:
     # only the words, already in sort_key order: enum never multiplies,
     # so the table is never filled
     words = Semigroup(args.rank, limit=args.element_limit).words
-    _write_cache(args, words)
+    # each word is formatted once, for the cache and for stdout alike
     texts = word_texts(words, args.rank)
+    _write_cache(args, words, texts)
     if args.format == "json":
         print(json.dumps(
             {"rank": args.rank, "count": len(texts), "words": texts},
             indent=2,
         ))
     elif args.format == "csv":
-        rows = (
-            [index, len(letters), text]
+        # a text holds only digits and spaces, so no field needs quoting
+        sys.stdout.write("index,length,word\n" + "".join([
+            f"{index},{len(letters)},{text}\n"
             for index, (letters, text) in enumerate(zip(words, texts))
-        )
-        _emit_csv(["index", "length", "word"], rows)
+        ]))
     else:
         print(f"n={args.rank} count={len(texts)}")
         for text in texts:

@@ -62,8 +62,10 @@ canonical word per line, shortest first::
 
 They are written for other tools and never read back: building the
 semigroup costs less than validating a file would, and a file cannot
-vouch for a count that no second route has checked.  Writes replace the
-file in one step.
+vouch for a count that no second route has checked.  The caller
+supplies the lines, already formatted by `word_texts`, in `sort_key`
+order and without repeats, as `Semigroup.words` holds them; the writer
+neither sorts nor checks them.  Writes replace the file in one step.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ from __future__ import annotations
 import math
 import os
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .algebra import Element, sort_key
+from .algebra import Element
 from .errors import ResourceLimitError, ValidationError
 from .words import Word
 
@@ -374,27 +376,24 @@ def cache_path(cache_dir: str | Path, rank: int) -> Path:
     return Path(cache_dir) / f"k{rank}.cache"
 
 
-def write_cache(
-    cache_dir: str | Path, rank: int, words: Iterable[tuple[int, ...]]
-) -> Path:
-    """Write one rank's canonical words, given as letter tuples.
+def write_cache(cache_dir: str | Path, rank: int, texts: Sequence[str]) -> Path:
+    """Write one rank's cache file: the header, then the given lines.
 
-    The words may come in any order and repeat; the file is the same.
-    The text goes to a temporary file in the same directory, which then
-    replaces the cache file in one step, so a concurrent reader sees the
-    old file or the new one and never a partial write.
+    texts are the rank's canonical words as `word_texts` formats them,
+    in `sort_key` order and without repeats; the file holds exactly
+    those lines, and the header counts them.  The text goes to a
+    temporary file in the same directory, which then replaces the cache
+    file in one step, so a concurrent reader sees the old file or the
+    new one and never a partial write.
     """
     path = cache_path(cache_dir, rank)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # sort first: a set would shuffle input that is usually sorted already
-    ordered = list(dict.fromkeys(sorted(words, key=sort_key)))
-    lines = [f"{CACHE_MAGIC} n={rank} count={len(ordered)}"]
-    lines.extend(word_texts(ordered, rank))
+    header = f"{CACHE_MAGIC} n={rank} count={len(texts)}"
     # opened like any new file, so the cache keeps the umask's permissions
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write("\n".join([header, *texts]) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

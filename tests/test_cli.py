@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import time
 from collections import Counter
@@ -139,7 +141,37 @@ def test_enum_rank_6_csv_is_fast(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("\n") == 1 + 83973
-    assert elapsed < 0.8, f"enum --n 6 --format csv took {elapsed:.2f} s"
+    assert elapsed < 0.5, f"enum --n 6 --format csv took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_enum_cache_lines_are_the_csv_words(capsys, tmp_path, rank):
+    # one formatting serves both outputs: the cache body is the CSV's
+    # word column, line for line, under a header that counts it
+    code, out, err = run(
+        capsys, "enum", "--n", str(rank), "--format", "csv", "--cache-dir", str(tmp_path),
+    )
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["index", "length", "word"]
+    assert [row[:2] for row in rows] == [
+        [str(i), str(len(word.split()))] for i, (_, _, word) in enumerate(rows)
+    ]
+    first, *lines = (tmp_path / f"k{rank}.cache").read_text().split("\n")[:-1]
+    assert first == f"kiselman-cache v1 n={rank} count={len(rows)}"
+    assert lines == [word for _, _, word in rows]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_stats_without_a_cache_dir_formats_no_words(capsys, monkeypatch, fmt):
+    def refuse(words, rank):
+        raise AssertionError("stats formatted words for no cache")
+
+    monkeypatch.delenv("KISELMAN_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cli, "word_texts", refuse)
+    code, out, err = run(capsys, "stats", "--n", "4", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_enum_writes_and_reuses_cache(capsys, tmp_path):

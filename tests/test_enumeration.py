@@ -24,6 +24,7 @@ from kiselman.enumeration import (
     enumerate_canonical_words,
     letter_bounds,
     Semigroup,
+    word_texts,
     write_cache,
 )
 from kiselman.errors import ResourceLimitError, ValidationError
@@ -239,7 +240,8 @@ def _rewriter_closure(rank, generators, limit):
 
 def _check_table_against_rewriter(rank, generators):
     s = Semigroup(rank, generators, DEFAULT_ELEMENT_LIMIT)
-    # the words come in sort_key order, and no table is filled for them
+    # the words come in sort_key order without repeats, which write_cache
+    # relies on, and no table is filled for them
     assert s.words == sorted(s.words, key=sort_key)
     assert s.multiplications == 0
     words, table = s.words, s.table
@@ -302,13 +304,13 @@ def test_cayley_table_matches_rewriter_rank_6():
 def test_cache_write_keeps_ordinary_file_permissions(tmp_path, k2):
     plain = tmp_path / "plain"
     plain.write_text("")
-    path = write_cache(tmp_path, 2, k2.words)
+    path = write_cache(tmp_path, 2, word_texts(k2.words, 2))
     assert path.stat().st_mode == plain.stat().st_mode
 
 
 def test_cache_writers_race_without_partial_reads(tmp_path, k4):
-    words = set(k4.words)
-    path = write_cache(tmp_path, 4, words)
+    texts = word_texts(k4.words, 4)
+    path = write_cache(tmp_path, 4, texts)
     full = path.read_bytes()
     stop = threading.Event()
     errors = []
@@ -317,7 +319,7 @@ def test_cache_writers_race_without_partial_reads(tmp_path, k4):
     def writer():
         try:
             while not stop.is_set():
-                write_cache(tmp_path, 4, words)
+                write_cache(tmp_path, 4, texts)
         except Exception as exc:  # reported by the assertion below
             errors.append(repr(exc))
 
@@ -388,10 +390,9 @@ def test_semigroup_views_agree_with_elements(k3):
 def test_cache_file_format_is_unchanged(tmp_path):
     # the same bytes as the Word-based writer: header, then str(w)
     # shortest first; the digest pins the rank-4 file itself
-    path = write_cache(tmp_path, 4, (w.letters for w in enumerate_canonical_words(4)))
-    expected = ["kiselman-cache v1 n=4 count=115"] + [
-        str(w) for w in sorted(enumerate_canonical_words(4), key=sort_key)
-    ]
+    ordered = sorted(enumerate_canonical_words(4), key=sort_key)
+    path = write_cache(tmp_path, 4, word_texts((w.letters for w in ordered), 4))
+    expected = ["kiselman-cache v1 n=4 count=115"] + [str(w) for w in ordered]
     data = path.read_bytes()
     assert data == ("\n".join(expected) + "\n").encode("ascii")
     assert hashlib.sha256(data).hexdigest() == (
@@ -399,12 +400,10 @@ def test_cache_file_format_is_unchanged(tmp_path):
     )
 
 
-def test_cache_write_ignores_input_order_and_repeats(tmp_path, k4):
-    # discovery order, sorted, and shuffled with repeats: one file
-    first = write_cache(tmp_path / "a", 4, k4.words).read_bytes()
-    ordered = sorted(k4.words, key=sort_key)
-    assert write_cache(tmp_path / "b", 4, ordered).read_bytes() == first
-    shuffled = k4.words + k4.words[:40]
-    random.Random(4).shuffle(shuffled)
-    assert write_cache(tmp_path / "c", 4, shuffled).read_bytes() == first
-    assert first.split(b"\n", 1)[0] == b"kiselman-cache v1 n=4 count=115"
+def test_cache_write_writes_the_header_and_the_given_lines(tmp_path):
+    # the lines are written as given, neither sorted nor de-duplicated:
+    # keeping them in sort_key order is the caller's part
+    texts = ["2 1", "", "1", "1"]
+    path = write_cache(tmp_path, 2, texts)
+    assert path.read_bytes() == b"kiselman-cache v1 n=2 count=4\n2 1\n\n1\n1\n"
+    assert write_cache(tmp_path, 2, []).read_bytes() == b"kiselman-cache v1 n=2 count=0\n"

@@ -1,6 +1,7 @@
 """Command line interface.
 
-Commands: canon, mul, enum, solve, verify, stats.  Exit codes: 0 ok,
+Commands: canon, mul, enum, solve, verify, stats; each takes only the
+options it reads.  Exit codes: 0 ok, 1 stdout closed by the reader,
 2 usage or validation, 3 resource cap, 4 correctness failure.  Output
 for a given (command, flags, seed) is byte-identical across runs, and
 error paths write to stderr only.
@@ -9,13 +10,11 @@ error paths write to stderr only.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 from collections import Counter
-from typing import Callable, Iterable
+from typing import Callable
 
 from .algebra import display, from_word, multiply, sort_key
 from .enumeration import (
@@ -37,6 +36,7 @@ from .verify import SUITE_NAMES, run_suites
 from .words import parse_word
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
@@ -51,28 +51,29 @@ def build_parser() -> argparse.ArgumentParser:
         "solving for Kiselman's semigroup.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of the four commands that build a Semigroup
+    enumerating = argparse.ArgumentParser(add_help=False)
+    enumerating.add_argument("--limit", dest="element_limit", type=int,
+                             default=DEFAULT_ELEMENT_LIMIT,
+                             help="enumeration element cap")
+    enumerating.add_argument("--allow-large", action="store_true",
+                             help=f"permit ranks above {MAX_DEFAULT_RANK}")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="seed for sampled checks")
 
     def command(
         name: str,
         run: Callable[[argparse.Namespace], int],
         summary: str,
         formats: tuple[str, ...] = ("text", "json"),
+        parents: tuple[argparse.ArgumentParser, ...] = (),
     ) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, parents=parents)
         p.set_defaults(run=run)
         p.add_argument("--n", dest="rank", type=int, required=True,
                        help="number of generators")
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--cache-dir", default=None,
-                       help="directory for per-rank enumeration caches "
-                       "(default: $KISELMAN_CACHE_DIR)")
-        p.add_argument("--limit", dest="element_limit", type=int,
-                       default=DEFAULT_ELEMENT_LIMIT,
-                       help="enumeration element cap")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled checks")
-        p.add_argument("--allow-large", action="store_true",
-                       help=f"permit ranks above {MAX_DEFAULT_RANK}")
         return p
 
     tables = ("text", "json", "csv")
@@ -85,17 +86,25 @@ def build_parser() -> argparse.ArgumentParser:
     mul.add_argument("left")
     mul.add_argument("right")
 
-    command("enum", _cmd_enum, "list every element at a rank", tables)
+    enum = command("enum", _cmd_enum, "list every element at a rank", tables,
+                   parents=(enumerating,))
+    enum.add_argument("--cache-dir", default=None,
+                      help="directory to write k<rank>.cache to")
 
-    solve = command("solve", _cmd_solve, "solve x * y = zero for x")
+    # solve and stats read no seed: they take --seed only because the
+    # benchmark's cli workload passes it to them
+    solve = command("solve", _cmd_solve, "solve x * y = zero for x",
+                    parents=(enumerating, seeded))
     solve.add_argument("--y", dest="y_text", required=True,
                        help="right factor as word text")
 
-    verify = command("verify", _cmd_verify, "run the verification suites")
+    verify = command("verify", _cmd_verify, "run the verification suites",
+                     parents=(enumerating, seeded))
     verify.add_argument("--suite", default="all",
                         choices=["all"] + SUITE_NAMES)
 
-    command("stats", _cmd_stats, "summary numbers for a rank", tables)
+    command("stats", _cmd_stats, "summary numbers for a rank", tables,
+            parents=(enumerating, seeded))
 
     return parser
 
@@ -106,38 +115,6 @@ def _check_rank_policy(args: argparse.Namespace) -> None:
             f"rank {args.rank} exceeds the default cap of "
             f"{MAX_DEFAULT_RANK}; pass --allow-large to proceed"
         )
-
-
-def _emit_csv(header: list[str], rows: Iterable[list]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
-
-
-def _write_cache(
-    args: argparse.Namespace,
-    words: list[tuple[int, ...]],
-    texts: list[str] | None = None,
-) -> None:
-    """Write k<rank>.cache if a cache directory is set.
-
-    words are `Semigroup.words`, in the order the cache file wants;
-    texts, when the caller has them, are their `word_texts`, which are
-    otherwise formatted only if a file is written.
-    """
-    cache_dir = args.cache_dir or os.environ.get("KISELMAN_CACHE_DIR")
-    if cache_dir is None:
-        return
-    if texts is None:
-        texts = word_texts(words, args.rank)
-    try:
-        write_cache(cache_dir, args.rank, texts)
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot write the cache to {cache_dir}: {exc}"
-        ) from exc
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
@@ -197,7 +174,13 @@ def _cmd_enum(args: argparse.Namespace) -> int:
     words = Semigroup(args.rank, limit=args.element_limit).words
     # each word is formatted once, for the cache and for stdout alike
     texts = word_texts(words, args.rank)
-    _write_cache(args, words, texts)
+    if args.cache_dir:
+        try:
+            write_cache(args.cache_dir, args.rank, texts)
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write the cache to {args.cache_dir}: {exc}"
+            ) from exc
     if args.format == "json":
         print(json.dumps(
             {"rank": args.rank, "count": len(texts), "words": texts},
@@ -326,7 +309,6 @@ def _zero_thresholds(semigroup: Semigroup) -> Counter[int]:
 def _cmd_stats(args: argparse.Namespace) -> int:
     _check_rank_policy(args)
     semigroup = Semigroup(args.rank, limit=args.element_limit)
-    _write_cache(args, semigroup.words)
     words = semigroup.words
     ordered = sorted(_zero_thresholds(semigroup).items())
     containing_one = sum(1 for letters in words if 1 in letters)
@@ -347,7 +329,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             indent=2,
         ))
     elif args.format == "csv":
-        _emit_csv(["threshold", "count"], [[k, v] for k, v in ordered])
+        sys.stdout.write("threshold,count\n" + "".join([
+            f"{k},{v}\n" for k, v in ordered
+        ]))
     else:
         print(f"n={args.rank} cardinality={len(words)}")
         print(f"containing letter 1: {containing_one}")
@@ -367,7 +351,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.rank < 1:
             raise ValidationError(f"--n must be >= 1, got {args.rank}")
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered, which the
+        # interpreter would flush at exit, goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,12 +6,13 @@ runs.  A claim of the paper is checked here and nowhere else in the
 package: zero cancellation in its suite, from the products alone, and
 the parity of |K_n| in its suite, from the canonical words and the
 cardinalities of the two ranks below.  Suites share one context, built
-once per run around one closure, the indexed `Semigroup` of K_n: the
-submonoid avoiding letter 1 is its words without that letter, and the
-constructed solutions of x * a_1 = zero, which close the letters 2..n
-on their own, are built on first use.  The suites about products take
-them from the table; the rewriter stays where it is the point of a
-suite (confluence, the prefix facts, and the slow-way check inside
+once per run around one closure, the indexed `Semigroup` of K_n.  The
+rest is built on first use, by the suites that read it: the direct
+search of K_n, the submonoid avoiding letter 1 (the closure's words
+without that letter), and the constructed solutions of x * a_1 = zero,
+which close the letters 2..n on their own.  The suites about products
+take them from the table; the rewriter stays where it is the point of
+a suite (confluence, the prefix facts, and the slow-way check inside
 `solution_word`).  A suite returns its report entry; one that does not
 apply at the requested rank reports itself as skipped with a reason,
 and the report always lists every selected suite.
@@ -82,8 +83,20 @@ class _Context:
     samples: int
     rng: random.Random
     semigroup: Semigroup
-    words: set[Word]
-    submonoid: frozenset[Element]
+
+    @cached_property
+    def words(self) -> set[Word]:
+        """K_n by the direct search, the closure's independent check."""
+        return enumerate_canonical_words(self.rank)
+
+    @cached_property
+    def submonoid(self) -> frozenset[Element]:
+        # not a second closure: prefix_bijection holds the construction's to it
+        return frozenset(
+            self.semigroup.element(i)
+            for i, w in enumerate(self.semigroup.words)
+            if 1 not in w
+        )
 
     @cached_property
     def solutions(self) -> ZeroSolutionSet:
@@ -111,20 +124,12 @@ def _skip(name: str, reason: str) -> dict:
 
 
 def _build_context(rank: int, seed: int, samples: int, limit: int) -> _Context:
-    semigroup = Semigroup(rank, limit=limit)
-    words = enumerate_canonical_words(rank)
-    # not a second closure: prefix_bijection holds the construction's to it
-    submonoid = frozenset(
-        semigroup.element(i) for i, w in enumerate(semigroup.words) if 1 not in w
-    )
     return _Context(
         rank=rank,
         seed=seed,
         samples=samples,
         rng=random.Random(seed),
-        semigroup=semigroup,
-        words=words,
-        submonoid=submonoid,
+        semigroup=Semigroup(rank, limit=limit),
     )
 
 

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -167,7 +172,6 @@ def test_stats_without_a_cache_dir_formats_no_words(capsys, monkeypatch, fmt):
     def refuse(words, rank):
         raise AssertionError("stats formatted words for no cache")
 
-    monkeypatch.delenv("KISELMAN_CACHE_DIR", raising=False)
     monkeypatch.setattr(cli, "word_texts", refuse)
     code, out, err = run(capsys, "stats", "--n", "4", "--format", fmt)
     assert (code, err) == (0, "")
@@ -209,7 +213,7 @@ BAD_CACHES = {
 }
 
 
-@pytest.mark.parametrize("command", ["enum", "stats"])
+@pytest.mark.parametrize("command", ["enum"])  # the commands that write a cache
 @pytest.mark.parametrize("case", BAD_CACHES)
 def test_bad_cache_is_replaced_without_changing_output(capsys, tmp_path, case, command):
     # the cache is only written: stdout is the uncached run's, and the
@@ -248,24 +252,11 @@ def test_limit_applies_with_a_valid_cache(capsys, tmp_path):
 
 
 def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):
+    # nothing reads the variable: enum without --cache-dir writes no file
     monkeypatch.setenv("KISELMAN_CACHE_DIR", str(tmp_path))
     code, _, _ = run(capsys, "enum", "--n", "2")
     assert code == 0
-    assert (tmp_path / "k2.cache").exists()
-
-
-def test_cache_flag_overrides_env_var(capsys, tmp_path, monkeypatch):
-    env_dir = tmp_path / "env"
-    flag_dir = tmp_path / "flag"
-    env_dir.mkdir()
-    flag_dir.mkdir()
-    monkeypatch.setenv("KISELMAN_CACHE_DIR", str(env_dir))
-    code, _, _ = run(
-        capsys, "enum", "--n", "2", "--cache-dir", str(flag_dir),
-    )
-    assert code == 0
-    assert (flag_dir / "k2.cache").exists()
-    assert not (env_dir / "k2.cache").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_enum_with_a_file_as_cache_dir_is_a_usage_error(capsys, tmp_path):
@@ -276,16 +267,6 @@ def test_enum_with_a_file_as_cache_dir_is_a_usage_error(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write the cache to {blocker}: ")
     assert blocker.read_text() == "not a directory\n"
-
-
-def test_stats_with_a_cache_dir_under_a_file_is_a_usage_error(capsys, tmp_path):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    code, out, err = run(
-        capsys, "stats", "--n", "2", "--cache-dir", str(blocker / "sub"),
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot write the cache to {blocker / 'sub'}: ")
 
 
 def test_solve_json_shape(capsys):
@@ -448,6 +429,73 @@ def test_csv_rejected_for_non_tabular_commands(capsys):
         assert code == 2
         assert out == ""
         assert "csv" in err
+
+
+# The options each subcommand declares, besides --help.
+COMMAND_OPTIONS = {
+    "canon": {"--n", "--format", "--trace"},
+    "mul": {"--n", "--format"},
+    "enum": {"--n", "--format", "--limit", "--allow-large", "--cache-dir"},
+    "solve": {"--n", "--format", "--y", "--limit", "--allow-large", "--seed"},
+    "verify": {"--n", "--format", "--suite", "--limit", "--allow-large", "--seed"},
+    "stats": {"--n", "--format", "--limit", "--allow-large", "--seed"},
+}
+# a call each command accepts
+VALID_CALLS = {
+    "canon": ["--n", "2", "1"],
+    "mul": ["--n", "2", "1", "2"],
+    "enum": ["--n", "2"],
+    "solve": ["--n", "2", "--y", "1"],
+    "verify": ["--n", "2", "--suite", "cardinality"],
+    "stats": ["--n", "2"],
+}
+# the options only some commands take, each with the value it needs
+NARROWED_OPTIONS = {"--cache-dir": ["cache"], "--limit": ["100"], "--seed": ["5"], "--allow-large": []}
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_each_command_declares_only_the_options_it_reads(command):
+    (commands,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    declared = {
+        flag for action in commands.choices[command]._actions for flag in action.option_strings
+    }
+    assert declared - {"-h", "--help"} == COMMAND_OPTIONS[command]
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option)
+    for command, options in COMMAND_OPTIONS.items()
+    for option in NARROWED_OPTIONS
+    if option not in options
+])
+def test_removed_option_is_a_usage_error(capsys, tmp_path, monkeypatch, command, option):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, command, *VALID_CALLS[command])[0] == 0
+    code, out, err = run(
+        capsys, command, *VALID_CALLS[command], option, *NARROWED_OPTIONS[option],
+    )
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {option}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # rank 6 prints about 1 MB, far more than a pipe holds, so the child
+    # is still writing when the reader closes
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "kiselman", "enum", "--n", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert child.stdout.readline() == b"n=6 count=83973\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_rank_must_be_positive(capsys):

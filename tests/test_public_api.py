@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import kiselman
+from kiselman import cli
 
 MODULES = ["errors", "words", "rewrite", "algebra", "enumeration", "equations", "verify"]
 
@@ -36,6 +37,19 @@ BENCHMARK_NAMES = [
     "verify.run_suites",
     "verify.SUITE_NAMES",
     "cli.main",
+]
+
+# Every argv shape the benchmark's cli workload passes to the CLI, so
+# that narrowing a subcommand's options cannot break it unnoticed.
+BENCHMARK_ARGVS = [
+    ["enum", "--n", "2", "--format", "csv"],
+    ["enum", "--n", "6", "--format", "csv", "--cache-dir", "D"],
+    ["stats", "--n", "5", "--format", "json", "--seed", "1000"],
+    ["solve", "--y", "1", "--n", "5", "--format", "json", "--seed", "1000"],
+    ["verify", "--n", "5", "--format", "json", "--seed", "1000"],
+    ["canon", "--n", "6", "1 2 3 1"],
+    ["canon", "--n", "6", "--trace", "1 2 3 1"],
+    ["mul", "--n", "6", "2 1", "1 3"],
 ]
 
 
@@ -66,3 +80,9 @@ def test_benchmark_names_resolve(dotted):
     *module, attr = dotted.split(".")
     owner = importlib.import_module(".".join(["kiselman", *module]))
     assert hasattr(owner, attr)
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGVS, ids=" ".join)
+def test_benchmark_argvs_parse(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert args.command == argv[0]

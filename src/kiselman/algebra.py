@@ -98,8 +98,8 @@ def identity(rank: int) -> Element:
 def zero(rank: int) -> Element:
     """The absorbing element, whose canonical word is rank, rank-1, ..., 1.
 
-    One element per rank, built once: `Element` is frozen, and the
-    solution rule and `zero_threshold` ask for it on every call.
+    One element per rank, built once: `Element` is frozen, and
+    `zero_threshold` asks for it on every call.
 
     >>> str(zero(3))
     '3 2 1'

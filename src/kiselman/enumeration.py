@@ -1,18 +1,20 @@
 """The indexed semigroup, and exhaustive construction by two routes.
 
-`Semigroup` is the package's one indexed representation of an
-enumerated monoid.  It closes {identity} under right multiplication by
-its generators and keeps the canonical words in discovery order, a dict
-from word to index, and the flat right Cayley table (Froidure & Pin,
-"Algorithms for computing finite semigroups", 1997).  Its one kernel,
-`product(i, letters)`, walks the letters of a right factor through the
-table from element i, so a product costs one lookup per letter and
-never rewrites.
+`Semigroup` is the package's one indexed representation of an enumerated
+monoid.  It closes {identity} under right multiplication by its
+generators and keeps the canonical words in discovery order, each word's
+parent, a dict from word to index, and the flat right Cayley table
+(Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
+Its one kernel, `product(i, letters)`, walks the letters of a right
+factor through the table from element i, so a product costs one lookup
+per letter and never rewrites.
 
-The closure runs in two phases.  The words phase, at construction,
-runs breadth first in index order and builds the words and the index.
-The table phase fills the table row by row in index order, on the first
-`product` or read of `table`.  Both decide each product u * g by the
+The closure runs in two phases.  The words phase, at construction, runs
+breadth first in index order and builds the words and their parents: the
+parent of u is u without its last letter.  The table phase fills the
+table row by row in index order, on the first `product` or read of
+`table`.  The index, from word to element, is built on its first read;
+neither phase needs it.  Both phases decide each product u * g by the
 append-letter rule: appending g to a canonical word can create only one
 deletion, between the new g and the last g already in u, so the letters
 after that last g say whether the new g stays, drops, or deletes the old
@@ -21,13 +23,15 @@ generator, one of five: no copy of the letter, an empty gap after its
 last copy, a gap of smaller letters only, of larger letters only, or of
 both.  The states of u + (g,) follow from those of u by one transition,
 which is the one place the rule is written, and each distinct tuple of
-states memoizes its row's actions: a new element, u * g = u, or, when the
-old g is deleted, a walk through the rows of shorter elements, which the
-table phase has already filled.  At rank 6 there are 549 distinct tuples
-for 83,973 elements.
+states memoizes its row's actions: a new element, u * g = u, or, when
+the old g is deleted, a walk through the rows of shorter elements, which
+the table phase has already filled; the walk starts from u[:p], p the
+last g in u, reached by parent links.  At rank 6 there are 549 distinct
+tuples for 83,973 elements.
 
-Users: the CLI's `enum` lists its words and never fills the table;
-`stats` counts on its indices and products; the verify suites and
+Users: the CLI's `enum` lists its words and their `texts()`, each text
+its parent's plus one letter, and builds neither the index nor the
+table; `stats` counts on its indices and products; the verify suites and
 `equations.solve_right_zero` take their products from its table; the
 constructive solver walks the elements of the submonoid avoiding letter
 1, a `Semigroup` over the letters 2..n whose table stays empty; and the
@@ -63,15 +67,16 @@ canonical word per line, shortest first::
 They are written for other tools and never read back: building the
 semigroup costs less than validating a file would, and a file cannot
 vouch for a count that no second route has checked.  The caller
-supplies the lines, already formatted by `word_texts`, in `sort_key`
-order and without repeats, as `Semigroup.words` holds them; the writer
-neither sorts nor checks them.  Writes replace the file in one step.
+supplies the lines, as `Semigroup.texts()` returns them: formatted, in
+`sort_key` order and without repeats; the writer neither sorts nor
+checks them.  Writes replace the file in one step.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -83,7 +88,6 @@ __all__ = [
     "Semigroup",
     "enumerate_canonical_words",
     "letter_bounds",
-    "word_texts",
     "cache_path",
     "write_cache",
     "DEFAULT_ELEMENT_LIMIT",
@@ -156,18 +160,21 @@ class Semigroup:
     """The monoid generated by some letters of K_rank, closed and indexed.
 
     The generators default to every letter 1..rank.  Element i is the
-    canonical word words[i]; index maps each canonical word back to its
-    element; table[i * width + j] is the element words[i] * generators[j],
-    where width = len(generators), so table is the right Cayley table.
+    canonical word words[i], and its parent is the element of words[i]
+    without its last letter (0 for the identity itself); index maps each
+    canonical word back to its element; table[i * width + j] is the
+    element words[i] * generators[j], where width = len(generators), so
+    table is the right Cayley table.
     Elements are numbered in discovery order, which is `sort_key` order:
     shortest first, then letter by letter.  frontier_rounds counts the
     rounds of the closure, one per word length and a last one that finds
     nothing.
 
-    The words are built with the semigroup; the table is filled on the
-    first `product` or read of `table`, so a caller that needs only the
-    words never pays for it.  multiplications counts the table entries
-    filled: 0 before that, len(words) * width after.
+    The words and parents are built with the semigroup, the index and
+    the table on their first read (the table also on the first
+    `product`), so a caller that needs only the words, or their
+    `texts()`, pays for neither.  multiplications counts the table
+    entries filled: 0 before that, len(words) * width after.
 
     `product` is the one multiplication kernel: it walks the letters of
     a right factor through the table, one lookup per letter.  Building
@@ -176,8 +183,8 @@ class Semigroup:
     """
 
     __slots__ = (
-        "rank", "generators", "words", "index", "frontier_rounds",
-        "multiplications", "_width", "_column", "_automaton", "_states",
+        "rank", "generators", "words", "frontier_rounds", "multiplications",
+        "_width", "_column", "_automaton", "_states", "_parents", "_index",
         "_table",
     )
 
@@ -203,6 +210,7 @@ class Semigroup:
         self.generators = gens
         self._width = len(gens)
         self._column = {g: j for j, g in enumerate(gens)}
+        self._index: dict[tuple[int, ...], int] | None = None
         self._table: list[int] | None = None
         self.multiplications = 0
         self._close(limit)
@@ -211,10 +219,11 @@ class Semigroup:
         """Close {identity} under right multiplication: the words phase.
 
         Elements are processed in index order, and each u * g that is a
-        new element is appended as u + (g,), so the words come out in
-        `sort_key` order.  The products that are not new are already
-        known: they are at most as long as u, and every such element was
-        found in an earlier round.  They wait for the table phase.
+        new element is appended as u + (g,), with u as its parent, so the
+        words come out in `sort_key` order.  The products that are not
+        new are already known: they are at most as long as u, and every
+        such element was found in an earlier round.  They wait for the
+        table phase.
         """
         automaton = _gap_automaton(self.generators)
         news = [
@@ -223,8 +232,9 @@ class Semigroup:
         ]
         words: list[tuple[int, ...]] = [()]
         states = [0]
+        parents = [0]
         # both lists grow as the loop runs, and zip reads the new items
-        for u, state in zip(words, states):
+        for ui, (u, state) in enumerate(zip(words, states)):
             for g, child in news[state]:
                 if len(words) >= limit:
                     raise ResourceLimitError(
@@ -233,22 +243,26 @@ class Semigroup:
                     )
                 words.append(u + (g,))
                 states.append(child)
+                parents.append(ui)
         self.words = words
-        self.index = dict(zip(words, range(len(words))))
         self.frontier_rounds = len(words[-1]) + 1
         self._automaton = automaton
         self._states = states
+        self._parents = parents
 
     def _fill(self) -> list[int]:
         """Fill the right Cayley table from the row actions: the table phase.
 
         A walk, for u * g with the old g deleted, is the element
-        u[:p] * gap * g, where p is the last g in u.  Every element it
-        visits is a product of at most len(u) - 1 letters, so its word is
+        u[:p] * gap * g, where p is the last g in u; u[:p] is reached
+        from u by len(u) - p parent links.  Every element the walk visits
+        is a product of at most len(u) - 1 letters, so its word is
         shorter than u; rows are filled in index order, which is length
         order, so every row the walk reads is already complete.
         """
-        words, index, column, width = self.words, self.index, self._column, self._width
+        words, parents, column, width = (
+            self.words, self._parents, self._column, self._width
+        )
         table: list[int] = []
         new = 1  # the words phase appended the new elements in this order
         automaton = self._automaton
@@ -260,9 +274,12 @@ class Semigroup:
                 elif action == _SAME:
                     table.append(ui)
                 else:
-                    p = len(u) - 1 - u[::-1].index(g)
-                    i = index[u[:p]]
-                    for h in u[p + 1:] + (g,):
+                    i = ui
+                    for h in reversed(u):
+                        i = parents[i]
+                        if h == g:
+                            break
+                    for h in u[len(words[i]) + 1:] + (g,):
                         i = table[i * width + column[h]]
                     table.append(i)
         self._table = table
@@ -273,6 +290,31 @@ class Semigroup:
     def table(self) -> list[int]:
         """The right Cayley table, filled on first use."""
         return self._fill() if self._table is None else self._table
+
+    @property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Each canonical word's element, built on first use."""
+        if self._index is None:
+            self._index = dict(zip(self.words, range(len(self.words))))
+        return self._index
+
+    def texts(self) -> list[str]:
+        """Each word's letters joined by spaces, as `str(Word)` writes them.
+
+        Each text is its parent's text and one more letter, so no word
+        is joined from scratch.
+
+        >>> Semigroup(2).texts()
+        ['', '1', '2', '1 2', '2 1']
+        """
+        # the identity, then its children (g,), one per generator: the
+        # only texts without a space
+        texts = [""] + [str(g) for g in self.generators]
+        spaced = [f" {g}" for g in range(self.rank + 1)]
+        pairs = zip(self._parents, self.words)
+        for parent, u in islice(pairs, len(texts), None):
+            texts.append(texts[parent] + spaced[u[-1]])
+        return texts
 
     def __len__(self) -> int:
         return len(self.words)
@@ -329,47 +371,45 @@ def enumerate_canonical_words(rank: int) -> set[Word]:
     >>> sorted(str(w) for w in enumerate_canonical_words(2))
     ['', '1', '1 2', '2', '2 1']
     """
+    return {Word(letters, rank) for letters in _canonical_words(rank)}
+
+
+def _canonical_words(rank: int) -> list[tuple[int, ...]]:
+    """The direct search behind `enumerate_canonical_words`, as letter tuples.
+
+    Each canonical word comes once, in depth-first order: the search
+    tree holds each word once, as the path of its prefixes.  The verify
+    suites count and compare these tuples and never build a `Word`.
+    """
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
-    bounds = letter_bounds(rank)
-    prefix: list[int] = []
-    counts = dict.fromkeys(range(1, rank + 1), 0)
-    last_pos: dict[int, int] = {}
-    found: set[Word] = set()
+    bounds = [0, *letter_bounds(rank).values()]
+    letters = range(1, rank + 1)
+    counts = [0] * (rank + 1)
+    last = [-1] * (rank + 1)  # the position of each letter's last copy
+    found: list[tuple[int, ...]] = []
 
-    def grow() -> None:
-        found.add(Word(tuple(prefix), rank))
-        for i in range(1, rank + 1):
-            if counts[i] + 1 > bounds[i]:
+    def grow(prefix: tuple[int, ...]) -> None:
+        found.append(prefix)
+        end = len(prefix)
+        for i in letters:
+            if counts[i] == bounds[i]:
                 continue
-            prev = last_pos.get(i)
-            if prev is not None:
+            prev = last[i]
+            if prev >= 0:
+                # the gap after the last i holds no i: it needs a larger
+                # and a smaller letter
                 gap = prefix[prev + 1:]
-                if not (any(g > i for g in gap) and any(g < i for g in gap)):
+                if not gap or max(gap) < i or min(gap) > i:
                     continue
-            prefix.append(i)
             counts[i] += 1
-            last_pos[i] = len(prefix) - 1
-            grow()
-            prefix.pop()
+            last[i] = end
+            grow(prefix + (i,))
             counts[i] -= 1
-            if prev is None:
-                del last_pos[i]
-            else:
-                last_pos[i] = prev
+            last[i] = prev
 
-    grow()
+    grow(())
     return found
-
-
-def word_texts(words: Iterable[tuple[int, ...]], rank: int) -> list[str]:
-    """Each word's letters joined by spaces, as `str(Word)` writes them.
-
-    >>> word_texts([(), (2, 1)], 2)
-    ['', '2 1']
-    """
-    digit = [str(letter) for letter in range(rank + 1)].__getitem__
-    return [" ".join(map(digit, letters)) for letters in words]
 
 
 def cache_path(cache_dir: str | Path, rank: int) -> Path:
@@ -379,8 +419,8 @@ def cache_path(cache_dir: str | Path, rank: int) -> Path:
 def write_cache(cache_dir: str | Path, rank: int, texts: Sequence[str]) -> Path:
     """Write one rank's cache file: the header, then the given lines.
 
-    texts are the rank's canonical words as `word_texts` formats them,
-    in `sort_key` order and without repeats; the file holds exactly
+    texts are the rank's canonical words as `Semigroup.texts()` returns
+    them, in `sort_key` order and without repeats; the file holds exactly
     those lines, and the header counts them.  The text goes to a
     temporary file in the same directory, which then replaces the cache
     file in one step, so a concurrent reader sees the old file or the

@@ -9,7 +9,11 @@ the submonoid avoiding letter 1, namely x * a_1 * e_{2..m} with m the
 zero threshold of x; the canonical word of that solution is literally
 the concatenation of the three parts, no rewriting needed, which is what
 makes the constructive build cheap.  The solution set is closed under
-multiplication and its products follow a three-case rule.
+multiplication and its products follow a three-case rule: special *
+special = special, anything * special is unchanged, and a right factor
+containing letter 1 collapses the product to the zero.  The rule is
+written once, in the solution_structure verification suite, which checks
+it on the indices of the table against every product it samples.
 
 The solver here exists to keep the construction honest: it scans the
 whole of K_n, a `Semigroup` over every letter, takes every product from
@@ -47,7 +51,6 @@ __all__ = [
     "solve_right_zero",
     "construct_right_zero_solutions",
     "solution_word",
-    "solution_rule",
 ]
 
 
@@ -177,28 +180,3 @@ def solution_word(x: Element) -> Word:
             f"(product rewrites to '{computed}')"
         )
     return direct
-
-
-def solution_rule(x: Element, y: Element, solutions: ZeroSolutionSet) -> Element:
-    """The three-case rule for a product of two x * a_1 = zero solutions.
-
-    special * special = special; anything * special is unchanged; a
-    right factor containing letter 1 collapses the product to the zero.
-    `solutions` is the rank's constructed set, which names the special
-    solution.  The rule alone: the solution_structure verification suite checks it
-    against the table product.
-    """
-    if x.rank != y.rank:
-        raise ValidationError(f"rank mismatch: {x.rank} vs {y.rank}")
-    if solutions.rank != x.rank:
-        raise ValidationError(
-            f"solution set is for rank {solutions.rank}, factors have rank {x.rank}"
-        )
-    if solutions.decomposition is None:
-        raise ValidationError("solution set carries no decomposition")
-    if x not in solutions.solutions or y not in solutions.solutions:
-        raise DomainError("both factors must solve x * a_1 = zero")
-    special = solutions.decomposition.special
-    if y != special:
-        return zero(x.rank)
-    return x

@@ -10,12 +10,17 @@ once per run around one closure, the indexed `Semigroup` of K_n.  The
 rest is built on first use, by the suites that read it: the direct
 search of K_n, the submonoid avoiding letter 1 (the closure's words
 without that letter), and the constructed solutions of x * a_1 = zero,
-which close the letters 2..n on their own.  The suites about products
-take them from the table; the rewriter stays where it is the point of
-a suite (confluence, the prefix facts, and the slow-way check inside
-`solution_word`).  A suite returns its report entry; one that does not
-apply at the requested rank reports itself as skipped with a reason,
-and the report always lists every selected suite.
+which close the letters 2..n on their own.  The direct search comes as
+letter tuples and the suites compare those; a `Word` or an `Element` is
+built only for a report line or to compare with what a public function
+returns.  Every suite about products, the prefix facts and the three-case
+rule of the solutions included, takes them from the table, on indices.
+The deletion rewriter serves only the confluence suite, where it is the
+point, and the construction, whose `solution_word` checks each
+concatenated word against the product computed the slow way.  A suite
+returns its report entry; one that does not apply at the requested rank
+reports itself as skipped with a reason, and the report always lists
+every selected suite.
 """
 
 from __future__ import annotations
@@ -33,25 +38,23 @@ from .algebra import (
     generator,
     idempotent,
     prefix_before_one,
-    sort_key,
     zero,
 )
 from .enumeration import (
     DEFAULT_ELEMENT_LIMIT,
     KNOWN_CARDINALITIES,
     Semigroup,
-    enumerate_canonical_words,
+    _canonical_words,
     letter_bounds,
 )
 from .equations import (
     ZeroSolutionSet,
     construct_right_zero_solutions,
-    solution_rule,
     solve_right_zero,
 )
 from .errors import InvariantError, ResourceLimitError, ValidationError
 from .rewrite import all_normal_forms, canonical_form
-from .words import Word, is_quasi_subword, letter_subsets, mirror
+from .words import Word, letter_subsets
 
 __all__ = ["SUITE_NAMES", "run_suites"]
 
@@ -85,9 +88,9 @@ class _Context:
     semigroup: Semigroup
 
     @cached_property
-    def words(self) -> set[Word]:
+    def words(self) -> list[tuple[int, ...]]:
         """K_n by the direct search, the closure's independent check."""
-        return enumerate_canonical_words(self.rank)
+        return _canonical_words(self.rank)
 
     @cached_property
     def submonoid(self) -> frozenset[Element]:
@@ -133,11 +136,16 @@ def _build_context(rank: int, seed: int, samples: int, limit: int) -> _Context:
     )
 
 
-def _random_word(ctx: _Context, max_len: int, letters: tuple[int, ...]) -> Word:
+def _random_letters(
+    ctx: _Context, max_len: int, letters: tuple[int, ...]
+) -> tuple[int, ...]:
     length = ctx.rng.randint(0, max_len)
-    return Word(
-        tuple(ctx.rng.choice(letters) for _ in range(length)), ctx.rank
-    )
+    return tuple(ctx.rng.choice(letters) for _ in range(length))
+
+
+def _text(letters: tuple[int, ...]) -> str:
+    """The letters as `str(Word)` writes them."""
+    return " ".join(map(str, letters))
 
 
 def _suite_cardinality(ctx: _Context) -> dict:
@@ -150,7 +158,7 @@ def _suite_cardinality(ctx: _Context) -> dict:
             f"closure found {closure_count} elements, canonical-word "
             f"search found {direct_count}"
         )
-    if set(ctx.semigroup.words) != {w.letters for w in ctx.words}:
+    if set(ctx.semigroup.words) != set(ctx.words):
         failures.append("the two enumeration routes disagree on the element sets")
     golden = KNOWN_CARDINALITIES.get(ctx.rank)
     if golden is not None:
@@ -163,7 +171,7 @@ def _suite_cardinality(ctx: _Context) -> dict:
     listings = {1: {"", "1"}, 2: {"", "1", "2", "1 2", "2 1"}}
     if ctx.rank in listings:
         checks += 1
-        got = {str(w) for w in ctx.words}
+        got = set(map(_text, ctx.words))
         if got != listings[ctx.rank]:
             failures.append(f"rank-{ctx.rank} listing is {sorted(got)}")
     detail = {"closure": closure_count, "direct": direct_count}
@@ -177,7 +185,7 @@ def _suite_confluence(ctx: _Context) -> dict:
     max_len = 12
     alphabet = tuple(range(1, ctx.rank + 1))
     for _ in range(ctx.samples):
-        w = _random_word(ctx, max_len, alphabet)
+        w = Word(_random_letters(ctx, max_len, alphabet), ctx.rank)
         normals = all_normal_forms(w)
         expected = canonical_form(w)
         if normals != {expected}:
@@ -308,28 +316,31 @@ def _suite_prefix_stability(ctx: _Context) -> dict:
     if ctx.rank < 2:
         return _skip("prefix_stability", "needs letters above 1")
     failures: list[str] = []
-    stems = sorted(
-        (w for w in ctx.words if 1 not in w.letters), key=sort_key
-    )
+    s = ctx.semigroup
+    # w . 1 is canonical, since its only 1 is new
+    stems = [w for w in s.words if 1 not in w]
     alphabet = tuple(range(2, ctx.rank + 1))
     per_stem = max(1, ctx.samples // len(stems))
     cases = 0
     for w in stems:
+        head = w + (1,)
+        start = s.index[head]
         for _ in range(per_stem):
-            u = _random_word(ctx, 8, alphabet)
-            combined = Word(w.letters + (1,) + u.letters, ctx.rank)
-            reduced = canonical_form(combined)
-            head = w.letters + (1,)
+            u = _random_letters(ctx, 8, alphabet)
+            reduced = s.words[s.product(start, u)]
             cases += 1
-            if reduced.letters[:len(head)] != head:
+            if reduced[:len(head)] != head:
                 failures.append(
-                    f"can('{combined}') = '{reduced}' lost the stem '{w}' + 1"
+                    f"can('{_text(head + u)}') = '{_text(reduced)}' "
+                    f"lost the stem '{_text(w)}' + 1"
                 )
                 continue
-            tail = Word(reduced.letters[len(head):], ctx.rank)
-            if not is_quasi_subword(tail, u):
+            tail = reduced[len(head):]
+            rest = iter(u)
+            if not all(letter in rest for letter in tail):
                 failures.append(
-                    f"can('{combined}') tail '{tail}' is not a subsequence of '{u}'"
+                    f"can('{_text(head + u)}') tail '{_text(tail)}' "
+                    f"is not a subsequence of '{_text(u)}'"
                 )
     return _result(
         "prefix_stability", cases, failures, {"stems": len(stems)}
@@ -342,35 +353,34 @@ def _suite_prefix_recovery(ctx: _Context) -> dict:
     if ctx.rank < 2:
         return _skip("prefix_recovery", "needs letters above 1")
     failures: list[str] = []
+    s = ctx.semigroup
     alphabet = tuple(range(2, ctx.rank + 1))
     if ctx.rank <= _EXHAUSTIVE_PAIR_RANK:
         suffixes = [
-            Word(p, ctx.rank)
-            for length in range(0, 4)
+            p for length in range(0, 4)
             for p in itertools.product(alphabet, repeat=length)
         ]
-        pairs = [(w, u) for w in sorted(ctx.words, key=sort_key) for u in suffixes]
+        pairs = [(i, u) for i in range(len(s)) for u in suffixes]
     else:
         pairs = [
-            (ctx.semigroup.element(ctx.rng.randrange(len(ctx.semigroup))).word,
-             _random_word(ctx, 6, alphabet))
+            (ctx.rng.randrange(len(s)), _random_letters(ctx, 6, alphabet))
             for _ in range(ctx.samples)
         ]
     cases = 0
-    for w, u in pairs:
+    for i, u in pairs:
         cases += 1
-        reduced = canonical_form(Word(w.letters + u.letters, ctx.rank))
-        if 1 not in reduced.letters:
+        reduced = s.words[s.product(i, u)]
+        if 1 not in reduced:
             continue
-        pos = reduced.letters.index(1)
-        if 1 in reduced.letters[pos + 1:]:
-            failures.append(f"canonical form '{reduced}' repeats letter 1")
+        pos = reduced.index(1)
+        if 1 in reduced[pos + 1:]:
+            failures.append(f"canonical form '{_text(reduced)}' repeats letter 1")
             continue
-        head = reduced.letters[:pos + 1]
-        if w.letters[:pos + 1] != head:
+        w = s.words[i]
+        if w[:pos + 1] != reduced[:pos + 1]:
             failures.append(
-                f"can('{w}' + '{u}') = '{reduced}' but '{w}' does not "
-                "begin with the part up to letter 1"
+                f"can('{_text(w)}' + '{_text(u)}') = '{_text(reduced)}' but "
+                f"'{_text(w)}' does not begin with the part up to letter 1"
             )
     return _result("prefix_recovery", cases, failures, {})
 
@@ -458,26 +468,32 @@ def _suite_solution_structure(ctx: _Context) -> dict:
         )
     if ctx.rank >= 2:
         checks += 1
-        one_down = len(enumerate_canonical_words(ctx.rank - 1))
+        one_down = len(_canonical_words(ctx.rank - 1))
         if len(ctx.submonoid) != one_down:
             failures.append(
                 f"submonoid avoiding letter 1 has {len(ctx.submonoid)} members, "
                 f"rank {ctx.rank - 1} has {one_down} elements"
             )
-    ordered = constructed.sorted_solutions()
-    exhaustive = len(ordered) <= _EXHAUSTIVE_SOLUTION_PAIRS
-    for x, y in _pairs(ordered, ctx.rng, None if exhaustive else ctx.samples):
+    # the three-case rule, on indices: special * special = special,
+    # anything * special is unchanged, and a right factor containing
+    # letter 1 collapses the product to the zero
+    members = sorted(s.index[x.word.letters] for x in constructed.solutions)
+    member_set = set(members)
+    special = s.index[constructed.decomposition.special.word.letters]
+    exhaustive = len(members) <= _EXHAUSTIVE_SOLUTION_PAIRS
+    for x, y in _pairs(members, ctx.rng, None if exhaustive else ctx.samples):
         checks += 1
-        product = solution_rule(x, y, constructed)
-        actual = s.product(s.index[x.word.letters], y.word.letters)
-        if product.word.letters != s.words[actual]:
+        rule = x if y == special else zero_index
+        actual = s.product(x, s.words[y])
+        if rule != actual:
             failures.append(
-                f"case rule gave '{product}' but the product is '{s.element(actual)}'"
+                f"case rule gave '{s.element(rule)}' but the product is "
+                f"'{s.element(actual)}'"
             )
             continue
-        if product not in constructed.solutions:
+        if rule not in member_set:
             failures.append(
-                f"product '{product}' of solutions escaped the solution set"
+                f"product '{s.element(rule)}' of solutions escaped the solution set"
             )
     return _result(
         "solution_structure",
@@ -527,20 +543,19 @@ def _suite_parity(ctx: _Context) -> dict:
     detail: dict = {"cardinality": cardinality, "parity": parity}
     if rank >= 3:
         checks += 3
-        one_first: set[Word] = set()
-        top_first: set[Word] = set()
+        one_first: set[tuple[int, ...]] = set()
+        top_first: set[tuple[int, ...]] = set()
         for w in ctx.words:
-            letters = w.letters
-            if 1 not in letters or rank not in letters:
+            if 1 not in w or rank not in w:
                 continue
-            if letters.count(1) != 1 or letters.count(rank) != 1:
+            if w.count(1) != 1 or w.count(rank) != 1:
                 raise InvariantError(
-                    f"extreme letters must occur exactly once, got '{w}'"
+                    f"extreme letters must occur exactly once, got '{_text(w)}'"
                 )
-            half = one_first if letters.index(1) < letters.index(rank) else top_first
+            half = one_first if w.index(1) < w.index(rank) else top_first
             half.add(w)
-        card_1 = len(enumerate_canonical_words(rank - 1))
-        card_2 = len(enumerate_canonical_words(rank - 2))
+        card_1 = len(_canonical_words(rank - 1))
+        card_2 = len(_canonical_words(rank - 2))
         if cardinality != card_2 + 2 * (card_1 - card_2) + 2 * len(one_first):
             failures.append("the counting identity fails")
         if len(one_first) != len(top_first):
@@ -548,7 +563,8 @@ def _suite_parity(ctx: _Context) -> dict:
                 f"extreme-letter halves differ: {len(one_first)} "
                 f"vs {len(top_first)}"
             )
-        if {mirror(w) for w in one_first} != top_first:
+        # the mirror map sends each letter i to rank - i + 1
+        if {tuple(rank + 1 - i for i in w) for w in one_first} != top_first:
             failures.append("the mirror map does not pair the two halves")
         detail["one_first"] = len(one_first)
         detail["top_first"] = len(top_first)

@@ -169,13 +169,43 @@ def test_enum_cache_lines_are_the_csv_words(capsys, tmp_path, rank):
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_stats_without_a_cache_dir_formats_no_words(capsys, monkeypatch, fmt):
-    def refuse(words, rank):
+    def refuse(self):
         raise AssertionError("stats formatted words for no cache")
 
-    monkeypatch.setattr(cli, "word_texts", refuse)
+    monkeypatch.setattr(Semigroup, "texts", refuse)
     code, out, err = run(capsys, "stats", "--n", "4", "--format", fmt)
     assert (code, err) == (0, "")
     assert out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_enum_builds_neither_the_index_nor_the_table(capsys, monkeypatch, tmp_path, fmt):
+    # enum reads only the words and their texts
+    def refuse(self):
+        raise AssertionError("enum looked a word up or multiplied")
+
+    expected = run(capsys, "enum", "--n", "4", "--format", fmt)
+    for name in ("index", "table"):
+        monkeypatch.setattr(Semigroup, name, property(refuse))
+    monkeypatch.setattr(Semigroup, "_fill", refuse)
+    got = run(capsys, "enum", "--n", "4", "--format", fmt, "--cache-dir", str(tmp_path))
+    assert got == expected
+    assert (tmp_path / "k4.cache").is_file()
+
+
+@pytest.mark.parametrize("command", ["solve", "stats"])
+def test_seed_help_says_the_seed_is_ignored(capsys, command):
+    # solve and stats take --seed for callers that pass it, and read no seed
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert "--seed SEED           accepted and ignored" in out
+    assert "sampled checks" not in out
+
+
+def test_verify_seed_help_names_the_sampled_checks(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    assert "--seed SEED           seed for sampled checks" in out
 
 
 def test_enum_writes_and_reuses_cache(capsys, tmp_path):

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import kiselman.enumeration as enumeration
 from kiselman.algebra import (
     Element,
     content,
@@ -24,12 +25,12 @@ from kiselman.enumeration import (
     enumerate_canonical_words,
     letter_bounds,
     Semigroup,
-    word_texts,
     write_cache,
 )
 from kiselman.errors import ResourceLimitError, ValidationError
 from kiselman.rewrite import canonical_letters
 from kiselman.words import (
+    Word,
     is_canonical,
     letter_subsets,
     parse_word,
@@ -304,12 +305,12 @@ def test_cayley_table_matches_rewriter_rank_6():
 def test_cache_write_keeps_ordinary_file_permissions(tmp_path, k2):
     plain = tmp_path / "plain"
     plain.write_text("")
-    path = write_cache(tmp_path, 2, word_texts(k2.words, 2))
+    path = write_cache(tmp_path, 2, k2.texts())
     assert path.stat().st_mode == plain.stat().st_mode
 
 
 def test_cache_writers_race_without_partial_reads(tmp_path, k4):
-    texts = word_texts(k4.words, 4)
+    texts = k4.texts()
     path = write_cache(tmp_path, 4, texts)
     full = path.read_bytes()
     stop = threading.Event()
@@ -391,7 +392,7 @@ def test_cache_file_format_is_unchanged(tmp_path):
     # the same bytes as the Word-based writer: header, then str(w)
     # shortest first; the digest pins the rank-4 file itself
     ordered = sorted(enumerate_canonical_words(4), key=sort_key)
-    path = write_cache(tmp_path, 4, word_texts((w.letters for w in ordered), 4))
+    path = write_cache(tmp_path, 4, Semigroup(4).texts())
     expected = ["kiselman-cache v1 n=4 count=115"] + [str(w) for w in ordered]
     data = path.read_bytes()
     assert data == ("\n".join(expected) + "\n").encode("ascii")
@@ -407,3 +408,41 @@ def test_cache_write_writes_the_header_and_the_given_lines(tmp_path):
     path = write_cache(tmp_path, 2, texts)
     assert path.read_bytes() == b"kiselman-cache v1 n=2 count=4\n2 1\n\n1\n1\n"
     assert write_cache(tmp_path, 2, []).read_bytes() == b"kiselman-cache v1 n=2 count=0\n"
+
+
+def _check_texts(rank, generators=None):
+    s = Semigroup(rank, generators)
+    assert s.texts() == [str(Word(w, rank)) for w in s.words]
+    # built from the parent links alone: no lookup, no product
+    assert (s._index, s._table) == (None, None)
+
+
+@pytest.mark.parametrize(
+    ("rank", "generators"),
+    [(1, None), (2, None), (3, None), (4, None), (5, None), (4, (2, 4))],
+    ids=["rank1", "rank2", "rank3", "rank4", "rank5", "rank4-letters-2-4"],
+)
+def test_texts_are_the_words_as_str_writes_them(rank, generators):
+    _check_texts(rank, generators)
+
+
+@pytest.mark.n6
+def test_texts_are_the_words_as_str_writes_them_rank_6():
+    _check_texts(6)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_direct_search_core_lists_each_word_once(rank):
+    # the verify suites count these tuples: a repeat would inflate |K_n|
+    core = enumeration._canonical_words(rank)
+    assert len(core) == len(set(core)) == KNOWN_CARDINALITIES[rank]
+    assert {Word(w, rank) for w in core} == enumerate_canonical_words(rank)
+
+
+def test_index_is_built_on_first_read():
+    s = Semigroup(3)
+    assert s._index is None
+    s.product(0, (1, 2))
+    assert s._index is None
+    assert s.index[(2, 1)] == s.words.index((2, 1))
+    assert s.index is s.index

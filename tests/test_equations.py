@@ -15,7 +15,6 @@ from kiselman.algebra import (
 from kiselman.enumeration import KNOWN_CARDINALITIES, Semigroup
 from kiselman.equations import (
     construct_right_zero_solutions,
-    solution_rule,
     solution_word,
     solve_right_zero,
 )
@@ -131,36 +130,32 @@ def test_solution_words_enumerate_the_nontrivial_solutions(k2, k3, k4):
 
 
 def test_solution_multiply_three_cases():
-    # the rule alone, against products written out by hand
+    # the three-case rule of the solution_structure suite, on products
+    # written out by hand and taken by the rewriter
     special = elem("2", 2)
     s = elem("1 2", 2)
     t = elem("2 1", 2)
-    pool = construct_right_zero_solutions(2)
+    assert construct_right_zero_solutions(2).solutions == {special, s, t}
     # the special solution is neutral as a right factor
-    assert solution_rule(special, special, pool) == special
-    assert solution_rule(s, special, pool) == s
-    assert solution_rule(t, special, pool) == t
+    assert multiply(special, special) == special
+    assert multiply(s, special) == s
+    assert multiply(t, special) == t
     # a right factor containing letter 1 collapses the product
-    assert solution_rule(special, s, pool) == zero(2)
-    assert solution_rule(s, t, pool) == zero(2)
-    assert solution_rule(t, s, pool) == zero(2)
-    assert solution_rule(s, s, pool) == zero(2)
+    assert multiply(special, s) == zero(2)
+    assert multiply(s, t) == zero(2)
+    assert multiply(t, s) == zero(2)
+    assert multiply(s, s) == zero(2)
 
 
 def test_solution_multiply_closure_and_agreement(k3):
     # the rule against the rewriter's product, on every pair of solutions
     solved = solve_right_zero(generator(1, 3), k3)
-    pool = construct_right_zero_solutions(3)
+    special = solved.decomposition.special
     for x in solved.solutions:
         for y in solved.solutions:
-            product = solution_rule(x, y, pool)
+            product = multiply(x, y)
             assert product in solved.solutions
-            assert product == multiply(x, y)
-
-
-def test_solution_multiply_rejects_non_solutions():
-    with pytest.raises(DomainError, match="solve"):
-        solution_rule(identity(2), elem("2", 2), construct_right_zero_solutions(2))
+            assert product == (x if y == special else zero(3))
 
 
 def test_prefix_map_bijects_solutions_onto_the_submonoid(k3, k4):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import kiselman.algebra as algebra
@@ -192,3 +194,38 @@ def test_report_is_pinned(rank, samples):
     report = run_suites(rank, samples=samples)
     got = [(s["name"], s["status"], s["checks"], s["detail"]) for s in report["suites"]]
     assert got == PINNED_REPORTS[rank, samples]
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_only_confluence_calls_the_rewriter(monkeypatch, rank):
+    # every other suite takes its products from the table; the
+    # construction multiplies through algebra, not through these names
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite called the rewriter")
+
+    monkeypatch.setattr(verify, "canonical_form", refuse)
+    monkeypatch.setattr(verify, "all_normal_forms", refuse)
+    names = [name for name in SUITE_NAMES if name != "confluence"]
+    report = run_suites(rank, names=names)
+    assert report["aborted"] is False
+    assert [(s["name"], s["status"]) for s in report["suites"]] == [
+        (name, "pass") for name in names
+    ]
+
+
+def test_solution_structure_catches_a_wrong_special_solution(monkeypatch):
+    # name a different solution as the special one: the three-case rule
+    # then disagrees with the table on the products with it on the right
+    construct = verify.construct_right_zero_solutions
+
+    def wrong_special(rank):
+        built = construct(rank)
+        other = max(built.decomposition.containing_one, key=algebra.sort_key)
+        decomposition = dataclasses.replace(built.decomposition, special=other)
+        return dataclasses.replace(built, decomposition=decomposition)
+
+    monkeypatch.setattr(verify, "construct_right_zero_solutions", wrong_special)
+    report = run_suites(3, names=["solution_structure"])
+    (suite,) = report["suites"]
+    assert suite["status"] == "fail"
+    assert suite["failures"][0].startswith("case rule gave")

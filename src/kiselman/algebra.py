@@ -32,7 +32,6 @@ Structural maps:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, InvariantError, ValidationError
@@ -56,17 +55,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Element:
-    """A semigroup element, held as its canonical word."""
+    """A semigroup element, held as its canonical word.
 
+    Immutable.  Equal elements hash as the tuple (word,) does, and
+    pickling and copying go through the constructor, which validates
+    again.
+    """
+
+    __slots__ = ("word",)
     word: Word
 
-    def __post_init__(self) -> None:
-        if not is_canonical(self.word):
-            raise ValidationError(
-                f"element word must be canonical, got '{self.word}'"
-            )
+    def __init__(self, word: Word) -> None:
+        if not is_canonical(word):
+            raise ValidationError(f"element word must be canonical, got '{word}'")
+        object.__setattr__(self, "word", word)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Element, (self.word,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
+
+    def __repr__(self) -> str:
+        return f"Element(word={self.word!r})"
 
     @property
     def rank(self) -> int:

@@ -29,7 +29,7 @@ image of the solutions of x * a_1 = zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     Element,
@@ -54,16 +54,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolutionDecomposition:
+class SolutionDecomposition(NamedTuple):
     """The split of the x * a_1 = zero solutions by use of letter 1."""
 
     special: Element
     containing_one: frozenset[Element]
 
 
-@dataclass(frozen=True)
-class ZeroSolutionSet:
+class ZeroSolutionSet(NamedTuple):
     """All solutions of one zero equation at one rank."""
 
     rank: int

@@ -18,9 +18,8 @@ the endpoint really is unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ResourceLimitError, ValidationError
 from .words import Word
@@ -44,8 +43,7 @@ class ReductionKind(Enum):
     LEFT_DELETION = "LeftDeletion"
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """One deletion step, with 0-based positions into the word it acts on.
 
     A right deletion keeps the left copy (kept < removed); a left
@@ -64,8 +62,7 @@ class Reduction:
         )
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """A deletion chain from a source word down to its canonical form."""
 
     source: Word

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
@@ -79,13 +78,13 @@ _EXHAUSTIVE_CANCELLATION_RANK = 4
 _EXHAUSTIVE_SOLUTION_PAIRS = 200
 
 
-@dataclass
 class _Context:
-    rank: int
-    seed: int
-    samples: int
-    rng: random.Random
-    semigroup: Semigroup
+    def __init__(self, rank: int, seed: int, samples: int, limit: int) -> None:
+        self.rank = rank
+        self.seed = seed
+        self.samples = samples
+        self.rng = random.Random(seed)
+        self.semigroup = Semigroup(rank, limit=limit)
 
     @cached_property
     def words(self) -> list[tuple[int, ...]]:
@@ -124,16 +123,6 @@ def _result(name: str, checks: int, failures: list[str], detail: dict) -> dict:
 
 def _skip(name: str, reason: str) -> dict:
     return _result(name, 0, [], {"reason": reason}) | {"status": "skip"}
-
-
-def _build_context(rank: int, seed: int, samples: int, limit: int) -> _Context:
-    return _Context(
-        rank=rank,
-        seed=seed,
-        samples=samples,
-        rng=random.Random(seed),
-        semigroup=Semigroup(rank, limit=limit),
-    )
 
 
 def _random_letters(
@@ -321,7 +310,9 @@ def _suite_prefix_stability(ctx: _Context) -> dict:
     stems = [w for w in s.words if 1 not in w]
     alphabet = tuple(range(2, ctx.rank + 1))
     per_stem = max(1, ctx.samples // len(stems))
-    cases = 0
+    # deleted counts the products shorter than w . 1 . u: the
+    # concatenation itself would pass both checks below with none
+    cases = deleted = 0
     for w in stems:
         head = w + (1,)
         start = s.index[head]
@@ -329,6 +320,7 @@ def _suite_prefix_stability(ctx: _Context) -> dict:
             u = _random_letters(ctx, 8, alphabet)
             reduced = s.words[s.product(start, u)]
             cases += 1
+            deleted += len(reduced) < len(head) + len(u)
             if reduced[:len(head)] != head:
                 failures.append(
                     f"can('{_text(head + u)}') = '{_text(reduced)}' "
@@ -343,7 +335,8 @@ def _suite_prefix_stability(ctx: _Context) -> dict:
                     f"is not a subsequence of '{_text(u)}'"
                 )
     return _result(
-        "prefix_stability", cases, failures, {"stems": len(stems)}
+        "prefix_stability", cases, failures,
+        {"stems": len(stems), "deleted": deleted},
     )
 
 
@@ -366,23 +359,26 @@ def _suite_prefix_recovery(ctx: _Context) -> dict:
             (ctx.rng.randrange(len(s)), _random_letters(ctx, 6, alphabet))
             for _ in range(ctx.samples)
         ]
-    cases = 0
+    # deleted counts the products shorter than w . u: the concatenation
+    # itself would pass the check below with none
+    cases = deleted = 0
     for i, u in pairs:
         cases += 1
+        w = s.words[i]
         reduced = s.words[s.product(i, u)]
+        deleted += len(reduced) < len(w) + len(u)
         if 1 not in reduced:
             continue
         pos = reduced.index(1)
         if 1 in reduced[pos + 1:]:
             failures.append(f"canonical form '{_text(reduced)}' repeats letter 1")
             continue
-        w = s.words[i]
         if w[:pos + 1] != reduced[:pos + 1]:
             failures.append(
                 f"can('{_text(w)}' + '{_text(u)}') = '{_text(reduced)}' but "
                 f"'{_text(w)}' does not begin with the part up to letter 1"
             )
-    return _result("prefix_recovery", cases, failures, {})
+    return _result("prefix_recovery", cases, failures, {"deleted": deleted})
 
 
 def _suite_zero_cancellation(ctx: _Context) -> dict:
@@ -613,7 +609,7 @@ def run_suites(
         "suites": [],
     }
     try:
-        ctx = _build_context(rank, seed, samples, limit)
+        ctx = _Context(rank, seed, samples, limit)
     except ResourceLimitError as exc:
         report["aborted"] = True
         report["all_passed"] = False

@@ -21,7 +21,6 @@ instead of silently reinterpreting letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Iterator
 
@@ -38,23 +37,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Word:
-    """An immutable word over the letters 1..rank."""
+    """An immutable word over the letters 1..rank.
 
+    Equal words hash as the tuple (letters, rank) does.  Pickling and
+    copying go through the constructor, which validates again.
+    """
+
+    __slots__ = ("letters", "rank")
     letters: tuple[int, ...]
     rank: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
-        for pos, letter in enumerate(self.letters):
-            if not 1 <= letter <= self.rank:
+    def __init__(self, letters: Iterable[int], rank: int) -> None:
+        letters = tuple(letters)
+        if rank < 1:
+            raise ValidationError(f"rank must be >= 1, got {rank}")
+        for pos, letter in enumerate(letters):
+            if not 1 <= letter <= rank:
                 raise ValidationError(
                     f"letter index {letter} at position {pos} "
-                    f"out of range [1, {self.rank}]"
+                    f"out of range [1, {rank}]"
                 )
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Word, (self.letters, self.rank)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters and self.rank == other.rank
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.rank))
+
+    def __repr__(self) -> str:
+        return f"Word(letters={self.letters!r}, rank={self.rank!r})"
 
     def __len__(self) -> int:
         return len(self.letters)

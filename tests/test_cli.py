@@ -528,6 +528,33 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert err == b""
 
 
+def _imported_modules(*args):
+    """The modules a child interpreter imports, from its -X importtime log."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in child.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["-c", "import kiselman.cli"], ["-m", "kiselman", "canon", "--n", "2", "1"]],
+    ids=["import", "canon"],
+)
+def test_start_up_imports_neither_dataclasses_nor_inspect(args):
+    # every command is a fresh interpreter, and importing dataclasses and
+    # inspect would add about 12 ms to each start-up
+    added = _imported_modules(*args) - _imported_modules("-c", "pass")
+    assert "kiselman.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
+
+
 def test_rank_must_be_positive(capsys):
     code, out, err = run(capsys, "enum", "--n", "0")
     assert code == 2

@@ -22,7 +22,6 @@ from .equations import (
     SolutionDecomposition,
     ZeroSolutionSet,
     construct_right_zero_solutions,
-    solution_word,
     solve_right_zero,
 )
 from .errors import (

@@ -23,7 +23,10 @@ Structural maps:
   Cayley table, so it checks the code this function runs.
 * `zero_threshold` -- the least i such that right-multiplying by the
   decreasing idempotent over {1..i} gives the zero; zero exactly on the
-  zero element itself.
+  zero element itself.  This is the definition, by rewriter products,
+  and the tests' oracle: `stats` and the construction of the solutions
+  of x * a_1 = zero read `enumeration.Semigroup.zero_thresholds()`,
+  which takes the same products from the Cayley table.
 * `prefix_before_one` -- for an element whose canonical form contains
   the letter 1 (necessarily exactly once), the element of the prefix
   before that letter.

@@ -290,33 +290,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_INVARIANT
 
 
-def _zero_thresholds(semigroup: Semigroup) -> Counter[int]:
-    """How many elements have each value of `algebra.zero_threshold`.
-
-    Element i has threshold m when m is the least length of a tail
-    m, m-1, ..., 1 that takes words[i] to the zero; the tail of length
-    rank is the zero itself, so every element has one.
-    """
-    tails = [tuple(range(m, 0, -1)) for m in range(semigroup.rank + 1)]
-    zero = semigroup.index[tails[-1]]
-    histogram: Counter[int] = Counter()
-    for i in range(len(semigroup)):
-        for m, tail in enumerate(tails):
-            if semigroup.product(i, tail) == zero:
-                histogram[m] += 1
-                break
-        else:
-            raise InvariantError(
-                f"'{semigroup.element(i)}' times the zero is not the zero"
-            )
-    return histogram
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     _check_rank_policy(args)
     semigroup = Semigroup(args.rank, limit=args.element_limit)
     words = semigroup.words
-    ordered = sorted(_zero_thresholds(semigroup).items())
+    ordered = sorted(Counter(semigroup.zero_thresholds()).items())
     containing_one = sum(1 for letters in words if 1 in letters)
     idempotents = sum(
         1 for i, letters in enumerate(words) if semigroup.product(i, letters) == i

@@ -31,11 +31,13 @@ tuples for 83,973 elements.
 
 Users: the CLI's `enum` lists its words and their `texts()`, each text
 its parent's plus one letter, and builds neither the index nor the
-table; `stats` counts on its indices and products; the verify suites and
+table; `stats` counts on its indices and products, its zero-threshold
+histogram from `zero_thresholds()`; the verify suites and
 `equations.solve_right_zero` take their products from its table; the
-constructive solver walks the elements of the submonoid avoiding letter
-1, a `Semigroup` over the letters 2..n whose table stays empty; and the
-tests hold `elements()` to the rewriter's `multiply`.  One-shot
+constructive solver reads the words and `zero_thresholds()` of the
+submonoid avoiding letter 1, a `Semigroup` over the letters 2..n, and
+never builds K_n; and the tests hold `elements()` to the rewriter's
+`multiply`, and `zero_thresholds()` to `algebra.zero_threshold`.  One-shot
 arithmetic (`canon`, `mul`, `algebra.multiply`) builds no table and
 calls the rewriter.
 
@@ -81,7 +83,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .algebra import Element
-from .errors import ResourceLimitError, ValidationError
+from .errors import InvariantError, ResourceLimitError, ValidationError
 from .words import Word
 
 __all__ = [
@@ -325,6 +327,31 @@ class Semigroup:
         for g in letters:
             i = table[i * width + column[g]]
         return i
+
+    def zero_thresholds(self) -> list[int]:
+        """Each element's zero threshold, read from the table.
+
+        Entry i is the least m such that words[i] * (g_m, ..., g_1) is
+        the zero, the decreasing word over the generators g_1 < ... < g_k;
+        m = k always works, since the zero absorbs.  Over every letter
+        1..rank this is `algebra.zero_threshold` of element i.
+
+        >>> Semigroup(2).zero_thresholds()
+        [2, 2, 1, 1, 0]
+        """
+        tails = [self.generators[:m][::-1] for m in range(self._width + 1)]
+        zero = self.product(0, tails[-1])
+        thresholds = []
+        for i in range(len(self.words)):
+            for m, tail in enumerate(tails):
+                if self.product(i, tail) == zero:
+                    thresholds.append(m)
+                    break
+            else:
+                raise InvariantError(
+                    f"'{self.element(i)}' times the zero is not the zero"
+                )
+        return thresholds
 
     def element(self, i: int) -> Element:
         """Element i as an `Element`."""

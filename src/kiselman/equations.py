@@ -18,8 +18,9 @@ it on the indices of the table against every product it samples.
 The solver here exists to keep the construction honest: it scans the
 whole of K_n, a `Semigroup` over every letter, takes every product from
 its right Cayley table and never assumes any of the structure above.
-The construction goes through `solution_word`, which multiplies with the
-rewriter, so the two routes share no multiplication code.  The remaining
+The construction reads only the table of the submonoid over the letters
+2..n, for the thresholds, and the rewriter, for one membership product
+per solution, so the two routes share no product of K_n.  The remaining
 facts are checked by the verification suites alone: the
 zero_cancellation suite holds that x * y reaches the zero with y over
 the letters 2..n only when x is the zero, and the solution_structure
@@ -39,18 +40,16 @@ from .algebra import (
     multiply,
     sort_key,
     zero,
-    zero_threshold,
 )
 from .enumeration import DEFAULT_ELEMENT_LIMIT, Semigroup
-from .errors import DomainError, InvariantError, ValidationError
-from .words import Word, idempotent_word
+from .errors import InvariantError, ValidationError
+from .words import Word
 
 __all__ = [
     "SolutionDecomposition",
     "ZeroSolutionSet",
     "solve_right_zero",
     "construct_right_zero_solutions",
-    "solution_word",
 ]
 
 
@@ -119,30 +118,35 @@ def construct_right_zero_solutions(
 ) -> ZeroSolutionSet:
     """Build the solutions of x * a_1 = zero without enumerating K_n.
 
-    Walks only the submonoid avoiding letter 1, whose size is that of
-    the semigroup one rank down, and emits one solution per member, the
-    element of its `solution_word`; the decreasing idempotent over
-    2..rank completes the set.  Membership and distinctness are
-    re-checked on the way out, so a construction bug cannot produce a
-    quietly wrong set.
+    Walks only the submonoid avoiding letter 1, a `Semigroup` over the
+    letters 2..rank whose size is that of the semigroup one rank down,
+    and emits one solution per member x: x * a_1 * e_{2..m}, with m the
+    zero threshold of x in K_rank.  The decreasing idempotent over
+    2..rank completes the set.
+
+    m is read from the submonoid's own table, as t + 1 with t the
+    threshold `Semigroup.zero_thresholds` gives x there.  Appending a_1
+    to a word without letter 1 just appends it, so x * e_{1..m} is the
+    zero exactly when x * e_{2..m} is the submonoid's zero, rank..2.
+    The canonical word of the solution is the concatenation
+    x, 1, m, m-1, ..., 2 itself, which the `Element` constructor checks.
+    Membership, by one rewriter product per solution, and distinctness
+    are re-checked on the way out, so a construction bug cannot produce
+    a quietly wrong set.
     """
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
-    submonoid = Semigroup(rank, range(2, rank + 1), limit).elements()
+    submonoid = Semigroup(rank, range(2, rank + 1), limit)
     a1 = generator(1, rank)
     target = zero(rank)
     special = idempotent(range(2, rank + 1), rank)
     if multiply(special, a1) != target:
         raise InvariantError("the special solution must reach the zero")
     containing_one: set[Element] = set()
-    for x in submonoid:
-        solution = Element(solution_word(x))
+    for x, t in zip(submonoid.words, submonoid.zero_thresholds()):
+        solution = Element(Word(x + (1,) + tuple(range(t + 1, 1, -1)), rank))
         if multiply(solution, a1) != target:
             raise InvariantError(f"constructed non-solution '{solution}'")
-        if 1 not in content(solution):
-            raise InvariantError(
-                f"constructed solution '{solution}' avoids letter 1"
-            )
         containing_one.add(solution)
     if len(containing_one) != len(submonoid):
         raise InvariantError(
@@ -153,28 +157,3 @@ def construct_right_zero_solutions(
     return ZeroSolutionSet(
         rank, a1, solutions, SolutionDecomposition(special, frozenset(containing_one))
     )
-
-
-def solution_word(x: Element) -> Word:
-    """Canonical word of x * a_1 * e_{2..m(x)}, written down directly.
-
-    For x avoiding letter 1 the concatenation of the three parts is
-    already canonical; the result is cross-checked against the product
-    computed the slow way.
-    """
-    if 1 in content(x):
-        raise DomainError(
-            "solution word defined only for elements avoiding letter 1"
-        )
-    threshold = zero_threshold(x)
-    tail = idempotent_word(range(2, threshold + 1), x.rank)
-    direct = Word(x.word.letters + (1,) + tail.letters, x.rank)
-    computed = multiply(
-        multiply(x, generator(1, x.rank)), idempotent(range(2, threshold + 1), x.rank)
-    )
-    if direct != computed.word:
-        raise InvariantError(
-            f"concatenated solution word '{direct}' is not canonical "
-            f"(product rewrites to '{computed}')"
-        )
-    return direct

@@ -16,8 +16,8 @@ built only for a report line or to compare with what a public function
 returns.  Every suite about products, the prefix facts and the three-case
 rule of the solutions included, takes them from the table, on indices.
 The deletion rewriter serves only the confluence suite, where it is the
-point, and the construction, whose `solution_word` checks each
-concatenated word against the product computed the slow way.  A suite
+point, and the construction, which checks each solution it builds with
+one `multiply` by a_1.  A suite
 returns its report entry; one that does not apply at the requested rank
 reports itself as skipped with a reason, and the report always lists
 every selected suite.

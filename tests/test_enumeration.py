@@ -18,6 +18,7 @@ from kiselman.algebra import (
     multiply,
     sort_key,
     zero,
+    zero_threshold,
 )
 from kiselman.enumeration import (
     DEFAULT_ELEMENT_LIMIT,
@@ -446,3 +447,21 @@ def test_index_is_built_on_first_read():
     assert s._index is None
     assert s.index[(2, 1)] == s.words.index((2, 1))
     assert s.index is s.index
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_zero_thresholds_match_the_rewriter(rank):
+    s = Semigroup(rank)
+    thresholds = s.zero_thresholds()
+    assert len(thresholds) == len(s)
+    for i, t in enumerate(thresholds):
+        assert t == zero_threshold(s.element(i))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_submonoid_thresholds_are_one_below_the_rewriter(rank):
+    # over the letters 2..rank the tails lack letter 1, which appending
+    # a_1 supplies: the threshold in K_rank is one more
+    sub = Semigroup(rank, range(2, rank + 1))
+    for x, t in zip(sub.words, sub.zero_thresholds()):
+        assert t + 1 == zero_threshold(Element(Word(x, rank)))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import kiselman.algebra as algebra
 from kiselman.algebra import (
     content,
     from_word,
@@ -15,10 +16,10 @@ from kiselman.algebra import (
 from kiselman.enumeration import KNOWN_CARDINALITIES, Semigroup
 from kiselman.equations import (
     construct_right_zero_solutions,
-    solution_word,
     solve_right_zero,
 )
-from kiselman.errors import DomainError, ValidationError
+from kiselman.errors import ValidationError
+from kiselman.rewrite import canonical_letters
 from kiselman.words import parse_word
 
 
@@ -72,14 +73,45 @@ def test_constructive_matches_brute_force(k2, k3, k4):
         assert constructed.solutions == brute.solutions
 
 
-def test_construction_fills_no_table(monkeypatch):
-    # the construction reads only the submonoid's elements
-    def refuse(self):
-        raise AssertionError("the table was filled")
+def test_construction_builds_no_semigroup_over_letter_one(monkeypatch):
+    # the construction reads only the submonoid over the letters 2..n
+    built = []
+    init = Semigroup.__init__
 
-    monkeypatch.setattr(Semigroup, "_fill", refuse)
+    def recording(self, rank, generators=None, *args, **kwargs):
+        init(self, rank, generators, *args, **kwargs)
+        built.append(self.generators)
+
+    monkeypatch.setattr(Semigroup, "__init__", recording)
     constructed = construct_right_zero_solutions(5)
+    assert built and all(1 not in generators for generators in built)
     assert len(constructed.solutions) == 1 + KNOWN_CARDINALITIES[4]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_construction_calls_the_rewriter_once_per_solution(rank, monkeypatch):
+    # one membership product per member of the submonoid, and one for
+    # the special solution
+    calls = []
+
+    def counting(letters):
+        calls.append(letters)
+        return canonical_letters(letters)
+
+    monkeypatch.setattr(algebra, "canonical_letters", counting)
+    construct_right_zero_solutions(rank)
+    assert len(calls) == KNOWN_CARDINALITIES[rank - 1] + 1
+
+
+@pytest.mark.n7
+def test_construction_rank_7():
+    # the paper's count one rank past enumeration, with no K_7
+    constructed = construct_right_zero_solutions(7)
+    assert len(constructed.solutions) == 1 + 83973
+    with_one = constructed.decomposition.containing_one
+    image = {prefix_before_one(x) for x in with_one}
+    assert len(image) == len(with_one)
+    assert image == Semigroup(7, range(2, 8)).elements()
 
 
 def test_decomposition_fields_rank_2():
@@ -107,26 +139,17 @@ def test_every_solution_actually_solves(k3):
 
 def test_solution_word_identity_element():
     # the empty starting point contributes the bare descending tail
-    assert str(solution_word(identity(2))) == "1 2"
-    assert str(solution_word(identity(3))) == "1 3 2"
-
-
-def test_solution_word_rejects_letter_one():
-    with pytest.raises(DomainError, match="letter 1"):
-        solution_word(elem("1 2", 2))
+    assert elem("1 2", 2) in construct_right_zero_solutions(2).solutions
+    assert elem("1 3 2", 3) in construct_right_zero_solutions(3).solutions
 
 
 def test_solution_words_enumerate_the_nontrivial_solutions(k2, k3, k4):
     for result in (k2, k3, k4):
         rank = result.rank
-        sub = Semigroup(rank, range(2, rank + 1)).elements()
-        built = {solution_word(x) for x in sub}
-        assert len(built) == len(sub)
+        built = construct_right_zero_solutions(rank).decomposition.containing_one
         solved = solve_right_zero(generator(1, rank), result)
-        # the constructed words are exactly the solutions containing letter 1
-        with_one = {x for x in solved.solutions if 1 in content(x)}
-        assert {from_word(w) for w in built} == with_one
-        assert with_one == solved.decomposition.containing_one
+        assert built == solved.decomposition.containing_one
+        assert len(built) == KNOWN_CARDINALITIES[rank - 1]
 
 
 def test_solution_multiply_three_cases():

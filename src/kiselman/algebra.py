@@ -3,7 +3,8 @@
 An element is identified with its canonical word, so equality and
 hashing are word-level and the deterministic element order used in all
 output is length-lexicographic on canonical words.  Multiplication
-concatenates canonical words and re-canonicalizes.  The empty word is
+folds the right factor's letters onto the left factor's canonical word
+with `rewrite._fold`, which never rescans that word.  The empty word is
 the unit; the strictly decreasing word n, n-1, ..., 1 is the zero,
 absorbing on both sides.
 
@@ -23,8 +24,8 @@ Structural maps:
   Cayley table, so it checks the code this function runs.
 * `zero_threshold` -- the least i such that right-multiplying by the
   decreasing idempotent over {1..i} gives the zero; zero exactly on the
-  zero element itself.  This is the definition, by rewriter products,
-  and the tests' oracle: `stats` and the construction of the solutions
+  zero element itself.  This is the definition, by `multiply`, and the
+  tests' oracle: `stats` and the construction of the solutions
   of x * a_1 = zero read `enumeration.Semigroup.zero_thresholds()`,
   which takes the same products from the Cayley table.
 * `prefix_before_one` -- for an element whose canonical form contains
@@ -38,7 +39,7 @@ import functools
 from typing import Iterable
 
 from .errors import DomainError, InvariantError, ValidationError
-from .rewrite import canonical_form, canonical_letters
+from .rewrite import _fold, canonical_form
 from .words import Word, idempotent_word, is_canonical
 
 __all__ = [
@@ -146,9 +147,13 @@ def idempotent(members: Iterable[int], rank: int) -> Element:
 
 
 def multiply(x: Element, y: Element) -> Element:
-    """Concatenate canonical words and re-canonicalize.
+    """The product: y's letters folded onto x's canonical word.
 
-    Associative, with `identity` neutral and `zero` absorbing.
+    The fold appends one letter at a time and resolves the one deletion
+    each append can create, so x's word is never rescanned.  The result
+    is the canonical form of the concatenation, and the `Element`
+    constructor checks that it is canonical.  Associative, with
+    `identity` neutral and `zero` absorbing.
 
     >>> from .words import parse_word
     >>> str(multiply(generator(2, 2), from_word(parse_word("1 2", 2))))
@@ -156,7 +161,7 @@ def multiply(x: Element, y: Element) -> Element:
     """
     if x.rank != y.rank:
         raise ValidationError(f"rank mismatch: {x.rank} vs {y.rank}")
-    return Element(Word(canonical_letters(x.word.letters + y.word.letters), x.rank))
+    return Element(Word(_fold(x.word.letters, y.word.letters), x.rank))
 
 
 def content(x: Element) -> frozenset[int]:

@@ -36,10 +36,12 @@ histogram from `zero_thresholds()`; the verify suites and
 `equations.solve_right_zero` take their products from its table; the
 constructive solver reads the words and `zero_thresholds()` of the
 submonoid avoiding letter 1, a `Semigroup` over the letters 2..n, and
-never builds K_n; and the tests hold `elements()` to the rewriter's
-`multiply`, and `zero_thresholds()` to `algebra.zero_threshold`.  One-shot
-arithmetic (`canon`, `mul`, `algebra.multiply`) builds no table and
-calls the rewriter.
+never builds K_n; and the tests hold `elements()` and `product` to
+`algebra.multiply`, and `zero_thresholds()` to the rewriter.  One-shot
+arithmetic builds no table: `algebra.multiply`, which `mul` calls,
+folds the right factor onto the left one's canonical word
+(`rewrite._fold`) by the same append-letter rule, on letters instead of
+gap states, and `canon` calls the rewriter.
 
 The deletion rewriter stays as the oracle.  The direct route backtracks
 over canonical words, growing a word one letter at a time; every prefix

@@ -19,13 +19,14 @@ The solver here exists to keep the construction honest: it scans the
 whole of K_n, a `Semigroup` over every letter, takes every product from
 its right Cayley table and never assumes any of the structure above.
 The construction reads only the table of the submonoid over the letters
-2..n, for the thresholds, and the rewriter, for one membership product
-per solution, so the two routes share no product of K_n.  The remaining
-facts are checked by the verification suites alone: the
-zero_cancellation suite holds that x * y reaches the zero with y over
-the letters 2..n only when x is the zero, and the solution_structure
-suite that the solutions of a_n * y = zero are the antiautomorphism's
-image of the solutions of x * a_1 = zero.
+2..n, for the thresholds, and `multiply`, which folds letters without
+any table, for one membership product per solution, so the two routes
+share no product of K_n.  The remaining facts are checked by the
+verification suites alone: the zero_cancellation suite holds that
+x * y reaches the zero with y over the letters 2..n only when x is the
+zero, and the solution_structure suite that the solutions of
+a_n * y = zero are the antiautomorphism's image of the solutions of
+x * a_1 = zero.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ def construct_right_zero_solutions(
     zero exactly when x * e_{2..m} is the submonoid's zero, rank..2.
     The canonical word of the solution is the concatenation
     x, 1, m, m-1, ..., 2 itself, which the `Element` constructor checks.
-    Membership, by one rewriter product per solution, and distinctness
-    are re-checked on the way out, so a construction bug cannot produce
-    a quietly wrong set.
+    Membership, by one `multiply` per solution, and distinctness are
+    re-checked on the way out, so a construction bug cannot produce a
+    quietly wrong set.
     """
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")

@@ -14,6 +14,15 @@ reproducible byte for byte, while `all_normal_forms` deliberately
 follows every maximal deletion sequence and reports every endpoint,
 which makes it the independent oracle the tests use to confirm that
 the endpoint really is unique.
+
+Products start from two canonical words, and `_fold` uses that: it
+appends a right factor's letters one at a time to a canonical prefix.
+Appending a letter to a canonical word can create only one deletion,
+between the new letter and its last earlier copy (Kudryavtseva &
+Mazorchuk, "On Kiselman's semigroup", 2009), so the prefix is never
+rescanned.  `algebra.multiply` folds; `canonical_form`,
+`canonical_letters`, `reduction_trace` and `all_normal_forms` keep the
+rewriter, which the tests hold the fold to.
 """
 
 from __future__ import annotations
@@ -106,6 +115,50 @@ def canonical_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
             return current
         removed = redex[3]
         current = current[:removed] + current[removed + 1:]
+
+
+def _fold(prefix: tuple[int, ...], letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical form of prefix + letters, for a canonical prefix.
+
+    Appends the letters one at a time.  Appending g to a canonical word
+    can pair only with the last copy of g in it, and the gap after that
+    copy decides, as in `enumeration._gap_automaton`: no copy, or a gap
+    holding both a larger and a smaller letter, keeps the new g; an
+    empty gap, or one of smaller letters only, absorbs it; a gap of
+    larger letters only deletes the old g, after which the gap and then
+    g are appended again to the word before the old g.  Letters still to
+    append wait on an explicit stack, so a long word cannot exhaust the
+    interpreter's recursion limit.  The word is held reversed, so the
+    last copy of g is its first index there.
+
+    >>> _fold((2, 1), (2,))
+    (2, 1)
+    >>> _fold((1, 3), (2, 1))
+    (3, 2, 1)
+    """
+    word = list(prefix)
+    word.reverse()
+    pending = list(letters)
+    pending.reverse()
+    while pending:
+        g = pending.pop()
+        if g not in word:
+            word.insert(0, g)
+            continue
+        p = word.index(g)
+        if not p:
+            continue
+        gap = word[:p]
+        if max(gap) < g:
+            continue
+        if min(gap) < g:
+            word.insert(0, g)
+            continue
+        pending.append(g)
+        pending.extend(gap)  # held reversed, so it pops in word order
+        del word[:p + 1]
+    word.reverse()
+    return tuple(word)
 
 
 def canonical_form(w: Word) -> Word:

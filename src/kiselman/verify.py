@@ -16,11 +16,11 @@ built only for a report line or to compare with what a public function
 returns.  Every suite about products, the prefix facts and the three-case
 rule of the solutions included, takes them from the table, on indices.
 The deletion rewriter serves only the confluence suite, where it is the
-point, and the construction, which checks each solution it builds with
-one `multiply` by a_1.  A suite
-returns its report entry; one that does not apply at the requested rank
-reports itself as skipped with a reason, and the report always lists
-every selected suite.
+point.  The construction checks each solution it builds with one
+`multiply` by a_1, which folds and reads no table.  A suite returns its
+report entry; one that does not apply at the requested rank reports
+itself as skipped with a reason, and the report always lists every
+selected suite.
 """
 
 from __future__ import annotations

@@ -52,12 +52,14 @@ class Word:
         letters = tuple(letters)
         if rank < 1:
             raise ValidationError(f"rank must be >= 1, got {rank}")
-        for pos, letter in enumerate(letters):
-            if not 1 <= letter <= rank:
-                raise ValidationError(
-                    f"letter index {letter} at position {pos} "
-                    f"out of range [1, {rank}]"
-                )
+        if letters and not (1 <= min(letters) and max(letters) <= rank):
+            # the scan only finds the first bad letter for the message
+            for pos, letter in enumerate(letters):
+                if not 1 <= letter <= rank:
+                    raise ValidationError(
+                        f"letter index {letter} at position {pos} "
+                        f"out of range [1, {rank}]"
+                    )
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rank", rank)
 
@@ -133,7 +135,9 @@ def is_canonical(w: Word) -> bool:
     Checking consecutive occurrences of each letter suffices: a violating
     factor with another copy of the same letter inside contains a violating
     consecutive pair, because that inner copy is neither larger nor smaller
-    than its own value.
+    than its own value.  A consecutive pair's gap holds no copy of its
+    letter, so it lacks a larger letter exactly when its max is smaller,
+    and a smaller one exactly when its min is larger.
 
     >>> is_canonical(parse_word("3 2 1", 3))
     True
@@ -150,7 +154,7 @@ def is_canonical(w: Word) -> bool:
         prev = last.get(i)
         if prev is not None:
             gap = letters[prev + 1:pos]
-            if not (any(g > i for g in gap) and any(g < i for g in gap)):
+            if not gap or max(gap) < i or min(gap) > i:
                 return False
         last[i] = pos
     return True

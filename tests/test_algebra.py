@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from kiselman.algebra import (
     zero,
     zero_threshold,
 )
+from kiselman.enumeration import Semigroup
 from kiselman.errors import DomainError, ValidationError
 from kiselman.words import Word, letter_subsets, parse_word
 
@@ -57,6 +59,29 @@ def test_multiply_matches_concatenation():
     y = from_word(parse_word("1 2", 2))
     assert str(multiply(x, y)) == "2 1"
     assert str(x * y) == "2 1"
+
+
+def _assert_multiply_matches_the_table(s, pairs):
+    for i, j in pairs:
+        product = multiply(s.element(i), s.element(j))
+        assert product.word.letters == s.words[s.product(i, s.words[j])], (i, j)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_multiply_matches_the_table_on_every_pair(rank):
+    s = Semigroup(rank)
+    _assert_multiply_matches_the_table(s, itertools.product(range(len(s)), repeat=2))
+
+
+@pytest.mark.parametrize(
+    "rank, samples",
+    [(5, 2000), pytest.param(6, 20_000, marks=pytest.mark.n6)],
+)
+def test_multiply_matches_the_table_sampled(rank, samples):
+    s = Semigroup(rank)
+    rng = random.Random(rank)
+    pairs = [(rng.randrange(len(s)), rng.randrange(len(s))) for _ in range(samples)]
+    _assert_multiply_matches_the_table(s, pairs)
 
 
 def test_multiply_rejects_rank_mismatch():

@@ -19,7 +19,7 @@ from kiselman.equations import (
     solve_right_zero,
 )
 from kiselman.errors import ValidationError
-from kiselman.rewrite import canonical_letters
+from kiselman.rewrite import _fold
 from kiselman.words import parse_word
 
 
@@ -89,16 +89,16 @@ def test_construction_builds_no_semigroup_over_letter_one(monkeypatch):
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
-def test_construction_calls_the_rewriter_once_per_solution(rank, monkeypatch):
+def test_construction_folds_once_per_solution(rank, monkeypatch):
     # one membership product per member of the submonoid, and one for
-    # the special solution
+    # the special solution, each by the fold that `multiply` runs
     calls = []
 
-    def counting(letters):
+    def counting(prefix, letters):
         calls.append(letters)
-        return canonical_letters(letters)
+        return _fold(prefix, letters)
 
-    monkeypatch.setattr(algebra, "canonical_letters", counting)
+    monkeypatch.setattr(algebra, "_fold", counting)
     construct_right_zero_solutions(rank)
     assert len(calls) == KNOWN_CARDINALITIES[rank - 1] + 1
 

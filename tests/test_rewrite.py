@@ -4,17 +4,20 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import words
-from kiselman.enumeration import enumerate_canonical_words
+from kiselman.enumeration import enumerate_canonical_words, letter_bounds
 from kiselman.errors import ResourceLimitError, ValidationError
 from kiselman.rewrite import (
     Reduction,
     ReductionKind,
+    _fold,
     _redexes,
     all_normal_forms,
     canonical_form,
+    canonical_letters,
     reduction_trace,
 )
 from kiselman.words import (
@@ -241,3 +244,72 @@ def test_zero_word_absorbs_on_the_left():
         for _ in range(50):
             u = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8)))
             assert canonical_form(Word(zero_word + u, rank)).letters == zero_word
+
+
+# The fold behind `multiply` appends letters to a canonical prefix and
+# resolves the one deletion each append can create; the rewriter, which
+# rescans the whole word after every deletion, is its oracle.
+
+
+@st.composite
+def fold_inputs(draw, max_rank=7, max_letters=300):
+    """A canonical prefix, by the rewriter, and arbitrary letters to fold on."""
+    rank = draw(st.integers(1, max_rank))
+    letter = st.integers(1, rank)
+    prefix = canonical_letters(tuple(draw(st.lists(letter, max_size=60))))
+    return prefix, tuple(draw(st.lists(letter, max_size=max_letters)))
+
+
+def _long_fold_input():
+    rng = random.Random(14)
+    prefix = canonical_letters(tuple(rng.randint(1, 7) for _ in range(60)))
+    return prefix, tuple(rng.randint(1, 7) for _ in range(1000))
+
+
+@given(fold_inputs())
+@example(_long_fold_input())
+@settings(deadline=None, max_examples=100)
+def test_fold_matches_the_rewriter(case):
+    prefix, letters = case
+    assert _fold(prefix, letters) == canonical_letters(prefix + letters)
+
+
+@st.composite
+def short_fold_inputs(draw):
+    """A canonical prefix and letters, at most 10 letters in all."""
+    rank = draw(st.integers(1, 7))
+    w = tuple(draw(st.lists(st.integers(1, rank), max_size=10)))
+    cut = draw(st.integers(0, len(w)))
+    return rank, canonical_letters(w[:cut]), w[cut:]
+
+
+@given(short_fold_inputs())
+def test_fold_is_the_one_normal_form(case):
+    rank, prefix, letters = case
+    forms = all_normal_forms(Word(prefix + letters, rank))
+    assert forms == {Word(_fold(prefix, letters), rank)}
+
+
+def _ruler(lo, hi):
+    """Each letter of lo..hi between two copies of the ruler over lo+1..hi."""
+    if lo == hi:
+        return (lo,)
+    inner = _ruler(lo + 1, hi)
+    return inner + (lo,) + inner
+
+
+def test_fold_of_the_longest_rank_20_word_with_its_reversal():
+    # the ruler over the lower half, letter by letter with its mirror
+    # over the upper half, meets every bound of `letter_bounds`: 2,046
+    # letters.  Folding on its reversal leaves 20 of the 4,092 letters,
+    # and more than 2,000 of the appends delete the old copy
+    lower = _ruler(1, 10)
+    w = tuple(i for pair in zip(lower, (21 - i for i in lower)) for i in pair)
+    assert is_canonical(Word(w, 20))
+    assert len(w) == sum(letter_bounds(20).values()) == 2046
+    assert _fold(w, w[::-1]) == canonical_letters(w + w[::-1])
+
+
+def test_fold_does_not_call_itself():
+    # letters wait on a stack, so no word is too long for the recursion limit
+    assert "_fold" not in _fold.__code__.co_names

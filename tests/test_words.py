@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import words
 from kiselman.errors import ValidationError
+from kiselman.rewrite import canonical_letters
 from kiselman.words import (
     Word,
     idempotent_word,
@@ -70,6 +71,15 @@ def test_canonical_examples():
     assert not is_canonical(parse_word("1 1", 1))
     assert not is_canonical(parse_word("2 1 2", 3))
     assert not is_canonical(parse_word("1 2 1", 2))
+
+
+def test_canonical_exactly_when_the_rewriter_deletes_nothing():
+    # every word of at most 7 letters at ranks 1-4
+    for rank in range(1, 5):
+        for length in range(8):
+            for letters in product(range(1, rank + 1), repeat=length):
+                expected = canonical_letters(letters) == letters
+                assert is_canonical(Word(letters, rank)) is expected, letters
 
 
 def test_mirror_examples():

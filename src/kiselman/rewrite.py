@@ -13,7 +13,10 @@ deletions were applied; that unique fixpoint is the canonical form.
 reproducible byte for byte, while `all_normal_forms` deliberately
 follows every maximal deletion sequence and reports every endpoint,
 which makes it the independent oracle the tests use to confirm that
-the endpoint really is unique.
+the endpoint really is unique.  The oracle finds each word's deletions
+in one left-to-right pass of its own; the redex scan `_redexes` serves
+only `canonical_letters` and `reduction_trace`, whose pair order fixes
+the traces.
 
 Products start from two canonical words, and `_fold` uses that: it
 appends a right factor's letters one at a time to a canonical prefix.
@@ -21,8 +24,8 @@ Appending a letter to a canonical word can create only one deletion,
 between the new letter and its last earlier copy (Kudryavtseva &
 Mazorchuk, "On Kiselman's semigroup", 2009), so the prefix is never
 rescanned.  `algebra.multiply` folds; `canonical_form`,
-`canonical_letters`, `reduction_trace` and `all_normal_forms` keep the
-rewriter, which the tests hold the fold to.
+`canonical_letters` and `reduction_trace` keep the rewriter, which the
+tests hold the fold to, as they hold it to `all_normal_forms`.
 """
 
 from __future__ import annotations
@@ -89,7 +92,9 @@ def _redexes(letters: tuple[int, ...]) -> Iterator[tuple[ReductionKind, int, int
     the letter inside the gap is neither smaller nor larger than its own
     value, so it defeats both deletion conditions.  Pairs are scanned by
     the position of their left copy, right deletion checked first, and
-    that order is what makes `canonical_form` deterministic.
+    that order is what makes `canonical_form` and `reduction_trace`
+    deterministic.  Only those two read it: `all_normal_forms` has its
+    own scan, so the oracle shares no code with what it checks.
     """
     for p, i in enumerate(letters):
         q = None
@@ -107,7 +112,11 @@ def _redexes(letters: tuple[int, ...]) -> Iterator[tuple[ReductionKind, int, int
 
 
 def canonical_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Tuple-level canonical form; the hot path used by enumeration."""
+    """Tuple-level canonical form.
+
+    Its callers are `canonical_form`, the tests and the benchmark; no
+    enumerator calls it.
+    """
     current = letters
     while True:
         redex = next(_redexes(current), None)
@@ -203,27 +212,43 @@ def reduction_trace(w: Word) -> ReductionTrace:
 def all_normal_forms(w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> set[Word]:
     """Endpoints of every maximal deletion sequence starting at w.
 
-    Visited words are deduplicated, so the search walks a DAG rather
-    than a tree.  Once more than node_budget distinct words have been
-    visited a ResourceLimitError is raised; that is a resource failure,
-    never a wrong answer.  Confluence promises a singleton result, but
-    this function must not assume it: it is the oracle that checks it.
+    Each word's deletions come from one left-to-right pass that keeps
+    the last position of every letter: only consecutive copies can pair
+    (see `_redexes`), and the gap between a pair is sliced once.  An
+    empty or all-smaller gap drops the right copy, and an all-larger gap
+    the left one; on an empty gap both kinds give the same word.  The
+    pass shares no code with `_redexes`.  Visited words are
+    deduplicated, so the search walks a DAG rather than a tree.  A
+    ResourceLimitError is raised exactly when more than node_budget
+    distinct words are reachable from w, w included; that is a resource
+    failure, never a wrong answer.  Confluence promises a singleton
+    result, but this function must not assume it: it is the oracle that
+    checks it.
     """
     if node_budget < 1:
         raise ValidationError(f"node budget must be >= 1, got {node_budget}")
     seen: set[tuple[int, ...]] = {w.letters}
     stack: list[tuple[int, ...]] = [w.letters]
     normals: set[tuple[int, ...]] = set()
+    absent = [-1] * (w.rank + 1)
     while stack:
         current = stack.pop()
-        successors = {
-            current[:removed] + current[removed + 1:]
-            for _, _, _, removed in _redexes(current)
-        }
-        if not successors:
-            normals.add(current)
-            continue
-        for nxt in successors:
+        last = absent[:]
+        terminal = True
+        for q, i in enumerate(current):
+            p = last[i]
+            last[i] = q
+            if p < 0:
+                continue
+            gap = current[p + 1:q]
+            if not gap or max(gap) < i:
+                removed = q
+            elif min(gap) > i:
+                removed = p
+            else:
+                continue
+            terminal = False
+            nxt = current[:removed] + current[removed + 1:]
             if nxt in seen:
                 continue
             if len(seen) >= node_budget:
@@ -233,4 +258,6 @@ def all_normal_forms(w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> set[Wor
                 )
             seen.add(nxt)
             stack.append(nxt)
+        if terminal:
+            normals.add(current)
     return {Word(letters, w.rank) for letters in normals}

@@ -16,7 +16,10 @@ built only for a report line or to compare with what a public function
 returns.  Every suite about products, the prefix facts and the three-case
 rule of the solutions included, takes them from the table, on indices.
 The deletion rewriter serves only the confluence suite, where it is the
-point.  The construction checks each solution it builds with one
+point: there `canonical_form`, through the redex scan `_redexes`, meets
+the oracle `all_normal_forms`, which finds deletions by a one-pass scan
+of its own; `_redexes` serves only `canonical_letters` and
+`reduction_trace`.  The construction checks each solution it builds with one
 `multiply` by a_1, which folds and reads no table.  A suite returns its
 report entry; one that does not apply at the requested rank reports
 itself as skipped with a reason, and the report always lists every

@@ -431,8 +431,9 @@ def test_stats_csv(capsys):
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
-def test_stats_matches_rewriter_products(capsys, rank):
-    # the table-driven counts against algebra.zero_threshold and multiply
+def test_stats_matches_folded_products(capsys, rank):
+    # the table-driven counts against algebra.zero_threshold and multiply,
+    # which fold and read no table
     elements = Semigroup(rank).elements()
     histogram = Counter(zero_threshold(x) for x in elements)
     code, out, _ = run(capsys, "stats", "--n", str(rank), "--format", "json")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -29,8 +30,10 @@ from kiselman.words import (
 
 
 # The one-step deletion relation is the private redex scan behind
-# canonical_form, reduction_trace and all_normal_forms; it yields
-# (kind, letter, kept position, removed position) for every deletion.
+# canonical_letters and reduction_trace; it yields (kind, letter, kept
+# position, removed position) for every deletion.  all_normal_forms has
+# its own one-pass scan, held below to a search written from the
+# definition.
 RIGHT, LEFT = ReductionKind.RIGHT_DELETION, ReductionKind.LEFT_DELETION
 
 
@@ -93,6 +96,70 @@ def test_all_normal_forms_budget_is_a_resource_error():
 def test_all_normal_forms_rejects_nonpositive_budget():
     with pytest.raises(ValidationError):
         all_normal_forms(parse_word("1", 1), node_budget=0)
+
+
+def _search_by_definition(letters):
+    """The normal forms of letters and the number of words reachable from it.
+
+    Written from the module docstring: any two equal letters, consecutive
+    copies or not, delete when the letters between them are all smaller
+    (the right copy goes) or all larger (the left copy goes).
+    """
+    seen = {letters}
+    stack = [letters]
+    normals = set()
+    while stack:
+        current = stack.pop()
+        successors = set()
+        for p, q in itertools.combinations(range(len(current)), 2):
+            i = current[p]
+            if current[q] != i:
+                continue
+            gap = current[p + 1:q]
+            if all(g < i for g in gap):
+                successors.add(current[:q] + current[q + 1:])
+            if all(g > i for g in gap):
+                successors.add(current[:p] + current[p + 1:])
+        if not successors:
+            normals.add(current)
+        fresh = successors - seen
+        seen |= fresh
+        stack.extend(fresh)
+    return normals, len(seen)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_all_normal_forms_matches_the_definition_exhaustively(rank):
+    # every word of at most 6 letters
+    for length in range(7):
+        for letters in itertools.product(range(1, rank + 1), repeat=length):
+            normals, _ = _search_by_definition(letters)
+            assert all_normal_forms(Word(letters, rank)) == {
+                Word(v, rank) for v in normals
+            }
+
+
+@pytest.mark.parametrize(
+    "text, rank",
+    [
+        ("1 1", 1),
+        ("1 1 1", 1),
+        ("2 1 2 1", 2),
+        ("1 2 1 2 1 2", 2),
+        ("3 1 2 3 1 2 3", 3),
+        ("2 2 1 4 3 1 2 4 4 1", 4),
+    ],
+)
+def test_all_normal_forms_budget_boundary(text, rank):
+    # the budget bounds the distinct words reachable, start included
+    w = parse_word(text, rank)
+    normals, reachable = _search_by_definition(w.letters)
+    assert reachable >= 2
+    assert all_normal_forms(w, node_budget=reachable) == {
+        Word(v, rank) for v in normals
+    }
+    with pytest.raises(ResourceLimitError):
+        all_normal_forms(w, node_budget=reachable - 1)
 
 
 def test_trace_on_canonical_word_is_empty():

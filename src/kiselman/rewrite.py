@@ -216,14 +216,13 @@ def all_normal_forms(w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> set[Wor
     the last position of every letter: only consecutive copies can pair
     (see `_redexes`), and the gap between a pair is sliced once.  An
     empty or all-smaller gap drops the right copy, and an all-larger gap
-    the left one; on an empty gap both kinds give the same word.  The
-    pass shares no code with `_redexes`.  Visited words are
-    deduplicated, so the search walks a DAG rather than a tree.  A
-    ResourceLimitError is raised exactly when more than node_budget
-    distinct words are reachable from w, w included; that is a resource
-    failure, never a wrong answer.  Confluence promises a singleton
-    result, but this function must not assume it: it is the oracle that
-    checks it.
+    the left one; on an empty gap both kinds give the same word.
+    Visited words are deduplicated, so the search walks a DAG rather
+    than a tree.  A ResourceLimitError is raised exactly when more than
+    node_budget distinct words are reachable from w, w included; that is
+    a resource failure, never a wrong answer.  Confluence promises a
+    singleton result, but this function must not assume it: it is the
+    oracle that checks it.
     """
     if node_budget < 1:
         raise ValidationError(f"node budget must be >= 1, got {node_budget}")

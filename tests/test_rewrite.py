@@ -142,7 +142,6 @@ def test_all_normal_forms_matches_the_definition_exhaustively(rank):
 @pytest.mark.parametrize(
     "text, rank",
     [
-        ("1 1", 1),
         ("1 1 1", 1),
         ("2 1 2 1", 2),
         ("1 2 1 2 1 2", 2),

@@ -43,7 +43,6 @@ from .words import (
     Word,
     idempotent_word,
     is_canonical,
-    is_quasi_subword,
     letter_subsets,
     mirror,
     parse_word,

@@ -4,7 +4,9 @@ An element is identified with its canonical word, so equality and
 hashing are word-level and the deterministic element order used in all
 output is length-lexicographic on canonical words.  Multiplication
 folds the right factor's letters onto the left factor's canonical word
-with `rewrite._fold`, which never rescans that word.  The empty word is
+with `rewrite._fold`, which never rescans that word: each append is one
+lookup in the append-letter transition on gap states that
+`enumeration.Semigroup` closes through too.  The empty word is
 the unit; the strictly decreasing word n, n-1, ..., 1 is the zero,
 absorbing on both sides.
 
@@ -161,7 +163,7 @@ def multiply(x: Element, y: Element) -> Element:
     """
     if x.rank != y.rank:
         raise ValidationError(f"rank mismatch: {x.rank} vs {y.rank}")
-    return Element(Word(_fold(x.word.letters, y.word.letters), x.rank))
+    return Element(Word(_fold(x.word.letters, y.word.letters, x.rank), x.rank))
 
 
 def content(x: Element) -> frozenset[int]:

@@ -22,12 +22,13 @@ g.  Neither scans u for them.  Each element carries one gap state per
 generator, one of five: no copy of the letter, an empty gap after its
 last copy, a gap of smaller letters only, of larger letters only, or of
 both.  The states of u + (g,) follow from those of u by one transition,
-which is the one place the rule is written, and each distinct tuple of
-states memoizes its row's actions: a new element, u * g = u, or, when
-the old g is deleted, a walk through the rows of shorter elements, which
-the table phase has already filled; the walk starts from u[:p], p the
-last g in u, reached by parent links.  At rank 6 there are 549 distinct
-tuples for 83,973 elements.
+`rewrite._GapAutomaton.act`, the one place the rule is written; the
+closure grows that automaton in full for its generators and reads each
+state's actions: a new element, u * g = u, or, when the old g is
+deleted, a walk through the rows of shorter elements, which the table
+phase has already filled; the walk starts from u[:p], p the last g in
+u, reached by parent links.  At rank 6 there are 549 states for 83,973
+elements.
 
 Users: the CLI's `enum` lists its words and their `texts()`, each text
 its parent's plus one letter, and builds neither the index nor the
@@ -37,11 +38,11 @@ histogram from `zero_thresholds()`; the verify suites and
 constructive solver reads the words and `zero_thresholds()` of the
 submonoid avoiding letter 1, a `Semigroup` over the letters 2..n, and
 never builds K_n; and the tests hold `elements()` and `product` to
-`algebra.multiply`, and `zero_thresholds()` to the rewriter.  One-shot
-arithmetic builds no table: `algebra.multiply`, which `mul` calls,
-folds the right factor onto the left one's canonical word
-(`rewrite._fold`) by the same append-letter rule, on letters instead of
-gap states, and `canon` calls the rewriter.
+`algebra.multiply`, and `zero_thresholds()` and the automaton's actions
+to the rewriter.  One-shot arithmetic builds no table:
+`algebra.multiply`, which `mul` calls, folds the right factor onto the
+left one's canonical word (`rewrite._fold`) through the same automaton,
+growing only the states it visits, and `canon` calls the rewriter.
 
 The deletion rewriter stays as the oracle.  The direct route backtracks
 over canonical words, growing a word one letter at a time; every prefix
@@ -86,6 +87,7 @@ from typing import Iterable, Sequence
 
 from .algebra import Element
 from .errors import InvariantError, ResourceLimitError, ValidationError
+from .rewrite import _SAME, _automaton
 from .words import Word
 
 __all__ = [
@@ -107,57 +109,6 @@ CACHE_MAGIC = "kiselman-cache v1"
 # cross-validated by this module's two independent enumerators agreeing
 # element for element (see the cardinality verification suite).
 KNOWN_CARDINALITIES: dict[int, int] = {1: 2, 2: 5, 3: 18, 4: 115, 5: 1710, 6: 83973}
-
-
-# What follows the last copy of a generator g in a canonical word u: its
-# gap state.  The two flags combine, so _SMALLER | _LARGER is _BOTH.
-_EMPTY, _SMALLER, _LARGER, _BOTH, _ABSENT = 0, 1, 2, 3, 4
-# The actions of a row that do not make a new element; a new one is
-# the child's gap states, as an index into the automaton.
-_SAME, _WALK = -1, -2
-
-
-def _gap_automaton(generators: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The row actions of every reachable tuple of gap states.
-
-    A word u's gap states hold one state per generator.  Row s of the
-    result has one action per generator g, decided by g's state in s:
-
-    - absent, or a gap with both a larger and a smaller letter: u + (g,)
-      is canonical, a new element, and the action is the row of its
-      gap states;
-    - an empty gap, or one of smaller letters only: the new g is
-      deleted, u * g = u (_SAME);
-    - a gap of larger letters only: the old g is deleted (_WALK).
-
-    Appending g empties g's gap and adds g to the gap of every other
-    generator present, so the states of u + (g,) follow from those of u
-    by one transition.  Every path from row 0, the identity's, spells a
-    canonical word, so the automaton is finite and acyclic.
-    """
-    start = (_ABSENT,) * len(generators)
-    ids = {start: 0}
-    pending = [start]
-    rows: list[tuple[int, ...]] = []
-    while len(rows) < len(pending):
-        gaps = pending[len(rows)]
-        row = []
-        for g, state in zip(generators, gaps):
-            if state == _ABSENT or state == _BOTH:
-                child = tuple(
-                    _EMPTY if h == g
-                    else s if s == _ABSENT
-                    else s | (_LARGER if g > h else _SMALLER)
-                    for h, s in zip(generators, gaps)
-                )
-                if child not in ids:
-                    ids[child] = len(pending)
-                    pending.append(child)
-                row.append(ids[child])
-            else:
-                row.append(_WALK if state == _LARGER else _SAME)
-        rows.append(tuple(row))
-    return rows
 
 
 class Semigroup:
@@ -188,7 +139,7 @@ class Semigroup:
 
     __slots__ = (
         "rank", "generators", "words", "frontier_rounds", "multiplications",
-        "_width", "_column", "_automaton", "_states", "_parents", "_index",
+        "_width", "_column", "_actions", "_states", "_parents", "_index",
         "_table",
     )
 
@@ -229,10 +180,14 @@ class Semigroup:
         such element was found in an earlier round.  They wait for the
         table phase.
         """
-        automaton = _gap_automaton(self.generators)
+        automaton = _automaton(self.generators)
+        automaton.grow()
+        # each state's actions in generator order, as the table lays
+        # them out
+        actions = [[row[g] for g in self.generators] for row in automaton.rows]
         news = [
             [(g, action) for g, action in zip(self.generators, row) if action >= 0]
-            for row in automaton
+            for row in actions
         ]
         words: list[tuple[int, ...]] = [()]
         states = [0]
@@ -250,7 +205,7 @@ class Semigroup:
                 parents.append(ui)
         self.words = words
         self.frontier_rounds = len(words[-1]) + 1
-        self._automaton = automaton
+        self._actions = actions
         self._states = states
         self._parents = parents
 
@@ -269,9 +224,9 @@ class Semigroup:
         )
         table: list[int] = []
         new = 1  # the words phase appended the new elements in this order
-        automaton = self._automaton
+        actions = self._actions
         for ui, (u, state) in enumerate(zip(words, self._states)):
-            for g, action in zip(self.generators, automaton[state]):
+            for g, action in zip(self.generators, actions[state]):
                 if action >= 0:
                     table.append(new)
                     new += 1

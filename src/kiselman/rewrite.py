@@ -22,15 +22,21 @@ Products start from two canonical words, and `_fold` uses that: it
 appends a right factor's letters one at a time to a canonical prefix.
 Appending a letter to a canonical word can create only one deletion,
 between the new letter and its last earlier copy (Kudryavtseva &
-Mazorchuk, "On Kiselman's semigroup", 2009), so the prefix is never
-rescanned.  `algebra.multiply` folds; `canonical_form`,
-`canonical_letters` and `reduction_trace` keep the rewriter, which the
-tests hold the fold to, as they hold it to `all_normal_forms`.
+Mazorchuk, "On Kiselman's semigroup", 2009), and the gap after that
+copy decides it.  `_GapAutomaton` writes that rule once, as one
+transition on gap states, grown lazily and shared by the process: the
+fold reads it one lookup per append, and `enumeration.Semigroup`
+closes through the same automaton, fully grown for its generators.
+`algebra.multiply` folds; `canonical_form`, `canonical_letters` and
+`reduction_trace` keep the rewriter, which the tests hold the fold and
+the automaton to, as they hold the fold to `all_normal_forms`.  Neither
+oracle, nor `words.is_canonical`, reads the automaton.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from threading import Lock
 from typing import Iterator, NamedTuple
 
 from .errors import ResourceLimitError, ValidationError
@@ -126,47 +132,164 @@ def canonical_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
         current = current[:removed] + current[removed + 1:]
 
 
-def _fold(prefix: tuple[int, ...], letters: tuple[int, ...]) -> tuple[int, ...]:
+# What follows the last copy of a letter g in a canonical word u: its
+# gap state.  The two flags combine, so _SMALLER | _LARGER is _BOTH.
+_EMPTY, _SMALLER, _LARGER, _BOTH, _ABSENT = 0, 1, 2, 3, 4
+# The actions of a letter that do not make a new word; a new word's
+# action is the id of its gap states.
+_SAME, _WALK = -1, -2
+
+# The most states one generator tuple's memo keeps: the reachable count
+# over the full alphabet at rank 10, about 23 MB at some 360 bytes a
+# state.  Every automaton up to rank 10 therefore grows once and stays,
+# while a higher rank, whose states multiply about threefold per rank
+# (664,305 at rank 12), drops its memo once past the bound and starts a
+# new one, instead of holding the process's memory for good.
+_MEMO_LIMIT = 63_973
+
+
+class _GapAutomaton:
+    """The append-letter rule as an automaton on gap states, grown lazily.
+
+    A canonical word's gap states hold, for every letter, one of five
+    states: no copy of it, an empty gap after its last copy, a gap of
+    smaller letters only, of larger letters only, or of both.  They are
+    indexed by letter, and a letter outside the generators stays absent.
+    Appending g to a canonical word u can pair only with the last g in u
+    (Kudryavtseva & Mazorchuk, "On Kiselman's semigroup", 2009), so g's
+    state decides the product u * g:
+
+    - absent, or a gap with both a larger and a smaller letter: u + (g,)
+      is canonical, and the action is the id of its gap states;
+    - an empty gap, or one of smaller letters only: the new g is
+      deleted, u * g = u (_SAME);
+    - a gap of larger letters only: the old g is deleted (_WALK), and
+      the product is u[:p] * gap * g, p the last g in u.
+
+    Appending g empties g's gap and adds g to the gap of every other
+    letter present, so the states of u + (g,) follow from those of u by
+    one transition, `act`, the one place the rule is written.  States
+    are interned to ids, 0 being the empty word's, and rows[s][g] holds
+    the action of letter g at state s, or None until it is first asked
+    for.  Every path from state 0 spells a canonical word, so the
+    automaton is finite and acyclic: 549 states over the six letters of
+    rank 6.
+    """
+
+    __slots__ = ("generators", "states", "ids", "rows")
+
+    def __init__(self, generators: tuple[int, ...]) -> None:
+        start = (_ABSENT,) * (max(generators, default=0) + 1)
+        self.generators = generators
+        self.states = [start]
+        self.ids = {start: 0}
+        self.rows: list[list[int | None]] = [[None] * len(start)]
+
+    def act(self, s: int, g: int) -> int:
+        """The action of letter g at state s, computed and memoized.
+
+        Readers look actions up without the lock: a new state's row is
+        in place before any action names it.
+        """
+        with _GROWING:
+            gaps = self.states[s]
+            state = gaps[g]
+            if state == _ABSENT or state == _BOTH:
+                child = tuple(
+                    _EMPTY if h == g
+                    else t if t == _ABSENT
+                    else t | (_LARGER if g > h else _SMALLER)
+                    for h, t in enumerate(gaps)
+                )
+                action = self.ids.get(child)
+                if action is None:
+                    action = self.ids[child] = len(self.states)
+                    self.states.append(child)
+                    self.rows.append([None] * len(child))
+                    if len(self.states) > _MEMO_LIMIT and (
+                        _AUTOMATA.get(self.generators) is self
+                    ):
+                        # whoever holds this one finishes with it; the
+                        # next fold starts a new memo
+                        del _AUTOMATA[self.generators]
+            else:
+                action = _WALK if state == _LARGER else _SAME
+            self.rows[s][g] = action
+            return action
+
+    def grow(self) -> None:
+        """Compute every action of every state reachable by the generators."""
+        rows = self.rows
+        s = 0
+        while s < len(rows):  # act appends the new states' rows
+            row = rows[s]
+            for g in self.generators:
+                if row[g] is None:
+                    self.act(s, g)
+            s += 1
+
+
+_AUTOMATA: dict[tuple[int, ...], _GapAutomaton] = {}
+# Growth is rare, so one lock serves every automaton.
+_GROWING = Lock()
+
+
+def _automaton(generators: tuple[int, ...]) -> _GapAutomaton:
+    """The process's one gap automaton for these generators, in sorted order."""
+    automaton = _AUTOMATA.get(generators)
+    if automaton is None:
+        automaton = _AUTOMATA[generators] = _GapAutomaton(generators)
+    return automaton
+
+
+def _fold(
+    prefix: tuple[int, ...], letters: tuple[int, ...], rank: int
+) -> tuple[int, ...]:
     """The canonical form of prefix + letters, for a canonical prefix.
 
-    Appends the letters one at a time.  Appending g to a canonical word
-    can pair only with the last copy of g in it, and the gap after that
-    copy decides, as in `enumeration._gap_automaton`: no copy, or a gap
-    holding both a larger and a smaller letter, keeps the new g; an
-    empty gap, or one of smaller letters only, absorbs it; a gap of
-    larger letters only deletes the old g, after which the gap and then
-    g are appended again to the word before the old g.  Letters still to
-    append wait on an explicit stack, so a long word cannot exhaust the
-    interpreter's recursion limit.  The word is held reversed, so the
-    last copy of g is its first index there.
+    Appends the letters one at a time through the gap automaton over
+    1..rank, keeping a stack of states, one per length of the word so
+    far; after the prefix is walked in, each append is one lookup of
+    its action.  A new word appends g; _SAME drops it; a walk deletes
+    the old g, truncates the word and the stack to just before it, and
+    appends the gap and then g again.  Letters still to append wait on
+    an explicit stack, so a long word cannot exhaust the interpreter's
+    recursion limit.  The automaton grows only by the states this fold
+    visits.
 
-    >>> _fold((2, 1), (2,))
+    >>> _fold((2, 1), (2,), 2)
     (2, 1)
-    >>> _fold((1, 3), (2, 1))
+    >>> _fold((1, 3), (2, 1), 3)
     (3, 2, 1)
     """
+    automaton = _automaton(tuple(range(1, rank + 1)))
+    rows, act = automaton.rows, automaton.act
     word = list(prefix)
-    word.reverse()
+    s = 0
+    states = [s]
+    for g in prefix:
+        s = rows[s][g]
+        if s is None:
+            s = act(states[-1], g)
+        states.append(s)
     pending = list(letters)
     pending.reverse()
     while pending:
         g = pending.pop()
-        if g not in word:
-            word.insert(0, g)
-            continue
-        p = word.index(g)
-        if not p:
-            continue
-        gap = word[:p]
-        if max(gap) < g:
-            continue
-        if min(gap) < g:
-            word.insert(0, g)
-            continue
-        pending.append(g)
-        pending.extend(gap)  # held reversed, so it pops in word order
-        del word[:p + 1]
-    word.reverse()
+        action = rows[s][g]
+        if action is None:
+            action = act(s, g)
+        if action >= 0:
+            word.append(g)
+            states.append(action)
+            s = action
+        elif action == _WALK:
+            p = len(word) - 1 - word[::-1].index(g)
+            pending.append(g)
+            pending.extend(word[:p:-1])  # reversed, so it pops in word order
+            del word[p:]
+            del states[p + 1:]
+            s = states[p]
     return tuple(word)
 
 

@@ -3,9 +3,8 @@
 Kiselman's semigroup K_n is the monoid with generators a_1, ..., a_n and
 relations a_i^2 = a_i and a_i a_j a_i = a_j a_i a_j = a_i a_j for j < i.
 This module supplies the raw substrate: finite words over the letters
-1..n, the subsequence predicate the rewriting theory is phrased in, the
-canonicality test, the mirror map, and the strictly decreasing idempotent
-words.
+1..n, the canonicality test, the mirror map, and the strictly decreasing
+idempotent words.
 
 A word is *canonical* when every factor that starts and ends with the
 same letter i encloses both a letter larger than i and a letter smaller
@@ -29,7 +28,6 @@ from .errors import ValidationError
 __all__ = [
     "Word",
     "parse_word",
-    "is_quasi_subword",
     "is_canonical",
     "mirror",
     "idempotent_word",
@@ -111,22 +109,6 @@ def parse_word(text: str, rank: int) -> Word:
             f"cannot parse word text {text!r}: expected space-separated integers"
         ) from None
     return Word(indices, rank)
-
-
-def is_quasi_subword(v: Word, w: Word) -> bool:
-    """Is v a not-necessarily-contiguous subsequence of w?
-
-    Reflexive and transitive; every factor is also a quasi-subword.
-
-    >>> is_quasi_subword(parse_word("2 2", 2), parse_word("2 1 2", 2))
-    True
-    >>> is_quasi_subword(parse_word("1 2", 2), parse_word("2 1", 2))
-    False
-    """
-    if v.rank != w.rank:
-        raise ValidationError(f"rank mismatch: {v.rank} vs {w.rank}")
-    it = iter(w.letters)
-    return all(letter in it for letter in v.letters)
 
 
 def is_canonical(w: Word) -> bool:

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from conftest import gap_states
 import kiselman.enumeration as enumeration
 from kiselman.algebra import (
     Element,
@@ -28,7 +29,7 @@ from kiselman.enumeration import (
     write_cache,
 )
 from kiselman.errors import ResourceLimitError, ValidationError
-from kiselman.rewrite import canonical_letters
+from kiselman.rewrite import _SAME, _WALK, _automaton, canonical_letters
 from kiselman.words import (
     Word,
     is_canonical,
@@ -479,3 +480,45 @@ def test_submonoid_thresholds_are_one_below_the_rewriter(rank):
     sub = Semigroup(rank, range(2, rank + 1))
     for x, t in zip(sub.words, sub.zero_thresholds()):
         assert t + 1 == _rewriter_threshold(x, rank)
+
+
+# The closure reads the gap automaton of `rewrite`, the one the fold
+# grows lazily: fully grown, it has one state per distinct tuple of gap
+# states among the canonical words.
+AUTOMATON_STATES = {1: 2, 2: 5, 3: 15, 4: 49, 5: 164, 6: 549, 7: 1825}
+
+
+@pytest.mark.parametrize(
+    "rank", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.n7)]
+)
+def test_shared_automaton_state_counts(rank):
+    automaton = _automaton(tuple(range(1, rank + 1)))
+    automaton.grow()
+    assert len(automaton.states) == AUTOMATON_STATES[rank]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_automaton_actions_match_the_rewriter(rank):
+    # every canonical word's state is its gap states by definition, and
+    # each letter's action there is what the rewriter does to the word
+    # with that letter appended
+    Semigroup(rank)  # the closure grows the shared automaton in full
+    automaton = _automaton(tuple(range(1, rank + 1)))
+    states, rows = automaton.states, automaton.rows
+    seen = set()
+    for w in enumerate_canonical_words(rank):
+        u = w.letters
+        s = 0
+        for g in u:
+            s = rows[s][g]
+        assert states[s] == gap_states(u, rank)
+        seen.add(s)
+        for g in range(1, rank + 1):
+            action, product = rows[s][g], canonical_letters(u + (g,))
+            if product == u + (g,):
+                assert action >= 0 and states[action] == gap_states(product, rank)
+            elif product == u:
+                assert action == _SAME, (u, g)
+            else:
+                assert action == _WALK, (u, g)
+    assert len(seen) == len(states)

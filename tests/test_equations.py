@@ -94,9 +94,9 @@ def test_construction_folds_once_per_solution(rank, monkeypatch):
     # the special solution, each by the fold that `multiply` runs
     calls = []
 
-    def counting(prefix, letters):
+    def counting(prefix, letters, rank):
         calls.append(letters)
-        return _fold(prefix, letters)
+        return _fold(prefix, letters, rank)
 
     monkeypatch.setattr(algebra, "_fold", counting)
     construct_right_zero_solutions(rank)

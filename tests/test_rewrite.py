@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import words
-from kiselman.enumeration import enumerate_canonical_words, letter_bounds
+from conftest import gap_states, is_quasi_subword, words
+from kiselman import rewrite, words as words_module
+from kiselman.algebra import Element, multiply
+from kiselman.enumeration import Semigroup, enumerate_canonical_words, letter_bounds
 from kiselman.errors import ResourceLimitError, ValidationError
 from kiselman.rewrite import (
     Reduction,
@@ -24,7 +28,6 @@ from kiselman.rewrite import (
 from kiselman.words import (
     Word,
     is_canonical,
-    is_quasi_subword,
     parse_word,
 )
 
@@ -318,26 +321,30 @@ def test_zero_word_absorbs_on_the_left():
 
 
 @st.composite
-def fold_inputs(draw, max_rank=7, max_letters=300):
-    """A canonical prefix, by the rewriter, and arbitrary letters to fold on."""
+def fold_inputs(draw, max_rank=12, max_letters=300):
+    """A rank, a canonical prefix by the rewriter, and letters to fold on.
+
+    Ranks above 6 reach gap states that no enumeration at those ranks
+    could, grown lazily by the fold alone.
+    """
     rank = draw(st.integers(1, max_rank))
     letter = st.integers(1, rank)
     prefix = canonical_letters(tuple(draw(st.lists(letter, max_size=60))))
-    return prefix, tuple(draw(st.lists(letter, max_size=max_letters)))
+    return rank, prefix, tuple(draw(st.lists(letter, max_size=max_letters)))
 
 
 def _long_fold_input():
     rng = random.Random(14)
     prefix = canonical_letters(tuple(rng.randint(1, 7) for _ in range(60)))
-    return prefix, tuple(rng.randint(1, 7) for _ in range(1000))
+    return 7, prefix, tuple(rng.randint(1, 7) for _ in range(1000))
 
 
 @given(fold_inputs())
 @example(_long_fold_input())
 @settings(deadline=None, max_examples=100)
 def test_fold_matches_the_rewriter(case):
-    prefix, letters = case
-    assert _fold(prefix, letters) == canonical_letters(prefix + letters)
+    rank, prefix, letters = case
+    assert _fold(prefix, letters, rank) == canonical_letters(prefix + letters)
 
 
 @st.composite
@@ -353,7 +360,7 @@ def short_fold_inputs(draw):
 def test_fold_is_the_one_normal_form(case):
     rank, prefix, letters = case
     forms = all_normal_forms(Word(prefix + letters, rank))
-    assert forms == {Word(_fold(prefix, letters), rank)}
+    assert forms == {Word(_fold(prefix, letters, rank), rank)}
 
 
 def _ruler(lo, hi):
@@ -364,18 +371,136 @@ def _ruler(lo, hi):
     return inner + (lo,) + inner
 
 
+def _ruler_word():
+    lower = _ruler(1, 10)
+    return tuple(i for pair in zip(lower, (21 - i for i in lower)) for i in pair)
+
+
 def test_fold_of_the_longest_rank_20_word_with_its_reversal():
     # the ruler over the lower half, letter by letter with its mirror
     # over the upper half, meets every bound of `letter_bounds`: 2,046
     # letters.  Folding on its reversal leaves 20 of the 4,092 letters,
     # and more than 2,000 of the appends delete the old copy
-    lower = _ruler(1, 10)
-    w = tuple(i for pair in zip(lower, (21 - i for i in lower)) for i in pair)
+    w = _ruler_word()
     assert is_canonical(Word(w, 20))
     assert len(w) == sum(letter_bounds(20).values()) == 2046
-    assert _fold(w, w[::-1]) == canonical_letters(w + w[::-1])
+    assert _fold(w, w[::-1], 20) == canonical_letters(w + w[::-1])
 
 
 def test_fold_does_not_call_itself():
     # letters wait on a stack, so no word is too long for the recursion limit
     assert "_fold" not in _fold.__code__.co_names
+
+
+def test_canonicality_check_is_not_the_automaton():
+    # `Element` runs is_canonical on every product, so it must not read
+    # the automaton or the fold that made the product
+    names = set(is_canonical.__code__.co_names) | set(vars(words_module))
+    assert names.isdisjoint({"_fold", "_automaton", "_GapAutomaton", "rewrite"})
+
+
+# The fold's automaton is one memo per generator tuple, shared by the
+# whole process and grown only by the states a fold visits.
+
+
+def test_memo_stays_within_its_bound_after_the_rank_20_ruler(monkeypatch):
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    w = _ruler_word()
+    folded = _fold(w, w[::-1], 20)
+    assert len(folded) == 20
+    memo = rewrite._AUTOMATA[tuple(range(1, 21))]
+    assert len(memo.states) <= rewrite._MEMO_LIMIT
+
+
+def test_memo_past_its_bound_is_dropped_and_the_fold_still_right(monkeypatch):
+    w = _ruler_word()
+    expected = _fold(w, w[::-1], 20)
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    monkeypatch.setattr(rewrite, "_MEMO_LIMIT", 1000)
+    assert _fold(w, w[::-1], 20) == expected
+    assert tuple(range(1, 21)) not in rewrite._AUTOMATA
+    assert _fold((20, 1), (20,), 20) == (20, 1)
+    assert len(rewrite._AUTOMATA[tuple(range(1, 21))].states) == 3
+
+
+def _held_words(prefix, letters):
+    """Every word the fold of letters onto prefix holds, and its walks.
+
+    A replay on letters, by the gap test written out: the prefix's
+    prefixes, then the word after each append that keeps its letter.
+    """
+    word = list(prefix)
+    held = {prefix[:i] for i in range(len(prefix) + 1)}
+    walks = 0
+    pending = list(reversed(letters))
+    while pending:
+        g = pending.pop()
+        if g in word:
+            p = len(word) - 1 - word[::-1].index(g)
+            gap = word[p + 1:]
+            if not gap or max(gap) < g:
+                continue
+            if min(gap) > g:
+                walks += 1
+                pending += [g, *reversed(gap)]
+                del word[p:]
+                continue
+        word.append(g)
+        held.add(tuple(word))
+    return held, walks
+
+
+def test_fresh_memo_holds_only_the_states_one_multiply_visits(monkeypatch):
+    # one-shot arithmetic grows no more of the rank-6 automaton's 549
+    # states than the words its product held: m + k + 1 states at most
+    # when no append deletes an old copy, and in general one per word
+    rng = random.Random(16)
+    universe = Semigroup(6).words
+    without_walks = 0
+    for _ in range(300):
+        x, y = rng.choice(universe), rng.choice(universe)
+        monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+        multiply(Element(Word(x, 6)), Element(Word(y, 6)))
+        states = rewrite._AUTOMATA[tuple(range(1, 7))].states
+        held, walks = _held_words(x, y)
+        assert set(states) == {gap_states(u, 6) for u in held}
+        assert len(states) == len(set(states)) < 549
+        if not walks:
+            without_walks += 1
+            assert len(states) <= len(x) + len(y) + 1
+    assert without_walks > 0
+
+
+def test_threads_growing_one_memo_agree_with_the_rewriter(monkeypatch):
+    # the memo is shared by the process: folds racing to grow it from
+    # empty must neither give two states one id nor one state two ids
+    rng = random.Random(161)
+    cases = []
+    for _ in range(200):
+        prefix = canonical_letters(tuple(rng.randint(1, 8) for _ in range(30)))
+        letters = tuple(rng.randint(1, 8) for _ in range(30))
+        cases.append((prefix, letters, canonical_letters(prefix + letters)))
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    _fold((), (), 8)
+    wrong = []
+
+    def work(offset):
+        for prefix, letters, expected in cases[offset:] + cases[:offset]:
+            if _fold(prefix, letters, 8) != expected:
+                wrong.append((prefix, letters))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(50 * i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    memo = rewrite._AUTOMATA[tuple(range(1, 9))]
+    assert len(set(memo.states)) == len(memo.states)
+    assert all(memo.ids[state] == i for i, state in enumerate(memo.states))

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import words
+from conftest import is_quasi_subword, words
 from kiselman.errors import ValidationError
 from kiselman.rewrite import canonical_letters
 from kiselman.words import (
     Word,
     idempotent_word,
     is_canonical,
-    is_quasi_subword,
     mirror,
     parse_word,
 )

@@ -10,10 +10,10 @@ error paths write to stderr only.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
+from itertools import chain
 from typing import Callable
 
 from .algebra import display, from_word, multiply, sort_key
@@ -111,6 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(payload: dict) -> None:
+    # imported here, so that only the commands printing JSON pay for it
+    import json
+
+    print(json.dumps(payload, indent=2))
+
+
 def _check_rank_policy(args: argparse.Namespace) -> None:
     if args.rank > MAX_DEFAULT_RANK and not args.allow_large:
         raise ResourceLimitError(
@@ -138,7 +145,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
             ]
         else:
             payload["canonical"] = str(canonical_form(w))
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return EXIT_OK
     if args.trace:
         trace = reduction_trace(w)
@@ -155,15 +162,12 @@ def _cmd_mul(args: argparse.Namespace) -> int:
     y = from_word(parse_word(args.right, args.rank))
     product = multiply(x, y)
     if args.format == "json":
-        print(json.dumps(
-            {
-                "rank": args.rank,
-                "left": str(x),
-                "right": str(y),
-                "product": str(product),
-            },
-            indent=2,
-        ))
+        _print_json({
+            "rank": args.rank,
+            "left": str(x),
+            "right": str(y),
+            "product": str(product),
+        })
     else:
         print(display(product))
     return EXIT_OK
@@ -171,14 +175,14 @@ def _cmd_mul(args: argparse.Namespace) -> int:
 
 def _cmd_enum(args: argparse.Namespace) -> int:
     _check_rank_policy(args)
-    # only the words, already in sort_key order, and their texts: enum
-    # never multiplies or looks a word up, so neither the table nor the
-    # index is built
+    # only the texts, already in sort_key order, and the rounds, the
+    # elements of each length: enum never multiplies or looks a word up,
+    # so neither the table nor the index is built, nor any letter tuple
     semigroup = Semigroup(args.rank, limit=args.element_limit)
     # each word is formatted once, for the cache and for stdout alike
-    words, texts = semigroup.words, semigroup.texts()
-    # the output needs neither the parent links nor the gap states, and
-    # freeing them first lowers a rank-6 run's peak RSS by about 2 MB
+    texts, rounds = semigroup.texts(), semigroup.rounds()
+    # the output needs no more of the semigroup, and freeing its links
+    # first lowers a rank-6 csv or json run's peak RSS by 2 to 3 MB
     del semigroup
     if args.cache_dir:
         try:
@@ -188,16 +192,15 @@ def _cmd_enum(args: argparse.Namespace) -> int:
                 f"cannot write the cache to {args.cache_dir}: {exc}"
             ) from exc
     if args.format == "json":
-        print(json.dumps(
-            {"rank": args.rank, "count": len(texts), "words": texts},
-            indent=2,
-        ))
+        _print_json({"rank": args.rank, "count": len(texts), "words": texts})
     elif args.format == "csv":
-        # a text holds only digits and spaces, so no field needs quoting
-        sys.stdout.write("index,length,word\n" + "".join([
-            f"{index},{len(letters)},{text}\n"
-            for index, (letters, text) in enumerate(zip(words, texts))
-        ]))
+        # a text holds only digits and spaces, so no field needs quoting;
+        # the rows of one length are one format, with the length written
+        # in, over a flat tuple of indices and texts
+        sys.stdout.write("index,length,word\n")
+        for length, (start, end) in enumerate(rounds):
+            rows = tuple(chain.from_iterable(zip(range(start, end), texts[start:end])))
+            sys.stdout.write(f"%d,{length},%s\n" * (end - start) % rows)
     else:
         print(f"n={args.rank} count={len(texts)}")
         for text in texts:
@@ -220,16 +223,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             ],
         }
     if args.format == "json":
-        print(json.dumps(
-            {
-                "rank": args.rank,
-                "y": str(y),
-                "count": len(ordered),
-                "solutions": [str(x) for x in ordered],
-                "decomposition": decomposition,
-            },
-            indent=2,
-        ))
+        _print_json({
+            "rank": args.rank,
+            "y": str(y),
+            "count": len(ordered),
+            "solutions": [str(x) for x in ordered],
+            "decomposition": decomposition,
+        })
     else:
         print(f"n={args.rank} y={display(y)} count={len(ordered)}")
         for x in ordered:
@@ -243,7 +243,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _print_verify_report(args: argparse.Namespace, report: dict) -> None:
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        _print_json(report)
         return
     for suite in report["suites"]:
         line = f"{suite['status'].upper():4s} {suite['name']} checks={suite['checks']}"
@@ -300,18 +300,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         1 for i, letters in enumerate(words) if semigroup.product(i, letters) == i
     )
     if args.format == "json":
-        print(json.dumps(
-            {
-                "rank": args.rank,
-                "cardinality": len(words),
-                "containing_letter_one": containing_one,
-                "idempotents": idempotents,
-                "zero_threshold_histogram": {
-                    str(k): v for k, v in ordered
-                },
-            },
-            indent=2,
-        ))
+        _print_json({
+            "rank": args.rank,
+            "cardinality": len(words),
+            "containing_letter_one": containing_one,
+            "idempotents": idempotents,
+            "zero_threshold_histogram": {str(k): v for k, v in ordered},
+        })
     elif args.format == "csv":
         sys.stdout.write("threshold,count\n" + "".join([
             f"{k},{v}\n" for k, v in ordered

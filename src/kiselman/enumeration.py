@@ -2,38 +2,41 @@
 
 `Semigroup` is the package's one indexed representation of an enumerated
 monoid.  It closes {identity} under right multiplication by its
-generators and keeps the canonical words in discovery order, each word's
-parent, a dict from word to index, and the flat right Cayley table
-(Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
-Its one kernel, `product(i, letters)`, walks the letters of a right
-factor through the table from element i, so a product costs one lookup
-per letter and never rewrites.
+generators and stores each element, in discovery order, as a parent link
+and a last letter, with its gap state; the right Cayley graph is kept one
+generator at a time, as one column per letter (Froidure & Pin,
+"Algorithms for computing finite semigroups", 1997).  Its one kernel,
+`product(i, letters)`, walks the letters of a right factor through the
+columns from element i, so a product costs one list index per letter
+and never rewrites.
 
 The closure runs in two phases.  The words phase, at construction, runs
-breadth first in index order and builds the words and their parents: the
-parent of u is u without its last letter.  The table phase fills the
-table row by row in index order, on the first `product` or read of
-`table`.  The index, from word to element, is built on its first read;
-neither phase needs it.  Both phases decide each product u * g by the
-append-letter rule: appending g to a canonical word can create only one
-deletion, between the new g and the last g already in u, so the letters
-after that last g say whether the new g stays, drops, or deletes the old
-g.  Neither scans u for them.  Each element carries one gap state per
-generator, one of five: no copy of the letter, an empty gap after its
-last copy, a gap of smaller letters only, of larger letters only, or of
-both.  The states of u + (g,) follow from those of u by one transition,
-`rewrite._GapAutomaton.act`, the one place the rule is written; the
-closure grows that automaton in full for its generators and reads each
-state's actions: a new element, u * g = u, or, when the old g is
-deleted, a walk through the rows of shorter elements, which the table
-phase has already filled; the walk starts from u[:p], p the last g in
-u, reached by parent links.  At rank 6 there are 549 states for 83,973
-elements.
+breadth first in index order and fills three flat lists: each element's
+parent, the element of its word without the last letter, that last
+letter, and its gap state.  It builds no letter tuple.  The table phase
+fills the columns on the first `product` or read of `columns`.  The
+words, as letter tuples, and the index, from word to element, are built
+on their first read; neither phase needs them.  Both phases decide each
+product u * g by the append-letter rule: appending g to a canonical word
+can create only one deletion, between the new g and the last g already
+in u, so the letters after that last g say whether the new g stays,
+drops, or deletes the old g.  Neither scans u for them.  Each element
+carries one gap state per generator, one of five: no copy of the
+letter, an empty gap after its last copy, a gap of smaller letters only,
+of larger letters only, or of both.  The states of u + (g,) follow from
+those of u by one transition, `rewrite._GapAutomaton.act`, the one place
+the rule is written; the words phase asks it for each state's actions
+the first time an element reaches the state: a new element, u * g = u,
+or, when the old g is deleted, a walk.  The table phase resolves each
+walk in three lookups of entries already filled, by parent links and
+last letters (see `Semigroup._fill`).  At rank 6 there are 549 states
+for 83,973 elements.
 
-Users: the CLI's `enum` lists its words and their `texts()`, each text
-its parent's plus one letter, and builds neither the index nor the
-table; `stats` counts on its indices and products, its zero-threshold
-histogram from `zero_thresholds()`; the verify suites and
+Users: the CLI's `enum` lists the `texts()`, each its parent's plus
+one letter, by `rounds()`, the elements of each word length, and builds
+neither the words, the index nor the table; `stats` counts on its
+indices and products, its zero-threshold histogram from
+`zero_thresholds()`; the verify suites and
 `equations.solve_right_zero` take their products from its table; the
 constructive solver reads the words and `zero_thresholds()` of the
 submonoid avoiding letter 1, a `Semigroup` over the letters 2..n, and
@@ -56,9 +59,9 @@ their agreement is still a real check.  For the same reason the
 word_bounds verification suite checks the bounds on the closure's words:
 the direct search could never produce a word that breaks them.  The
 cardinality verification suite and tests/test_enumeration.py hold the
-closure to the direct search element for element; the same tests hold every table entry, and
-`product` on sampled words, to the deletion rewriter, and replay the
-rewriter-driven closure as a reference.
+closure to the direct search element for element; the same tests hold
+every table entry, and `product` on sampled words, to the deletion
+rewriter, and replay the rewriter-driven closure as a reference.
 
 Cardinalities grow double-exponentially with the rank.  Enumeration
 therefore takes an element cap, and the CLI refuses ranks above
@@ -81,13 +84,14 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import islice
+from bisect import bisect_left
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .algebra import Element
 from .errors import InvariantError, ResourceLimitError, ValidationError
-from .rewrite import _SAME, _automaton
+from .rewrite import _WALK, _automaton
 from .words import Word
 
 __all__ = [
@@ -115,32 +119,34 @@ class Semigroup:
     """The monoid generated by some letters of K_rank, closed and indexed.
 
     The generators default to every letter 1..rank.  Element i is the
-    canonical word words[i], and its parent is the element of words[i]
-    without its last letter (0 for the identity itself); index maps each
-    canonical word back to its element; table[i * width + j] is the
-    element words[i] * generators[j], where width = len(generators), so
-    table is the right Cayley table.
-    Elements are numbered in discovery order, which is `sort_key` order:
-    shortest first, then letter by letter.  frontier_rounds counts the
-    rounds of the closure, one per word length and a last one that finds
-    nothing.
+    canonical word words[i].  It is stored as two links, its parent, the
+    element of words[i] without its last letter (0 for the identity
+    itself), and that last letter, and as its gap state in the
+    automaton of `rewrite`.  Elements are numbered in discovery
+    order, which is `sort_key` order: shortest first, then letter by
+    letter.  frontier_rounds counts the rounds of the closure, one per
+    word length and a last one that finds nothing.
 
-    The words and parents are built with the semigroup, the index and
-    the table on their first read (the table also on the first
-    `product`), so a caller that needs only the words, or their
-    `texts()`, pays for neither.  multiplications counts the table
-    entries filled: 0 before that, len(words) * width after.
+    The links are built with the semigroup; `texts()` and `rounds()`
+    read them alone.  words, the letter tuples, is built from the links
+    on its first read; index, from each canonical word to its element,
+    on its first read; and the right Cayley table on the first `product`
+    or read of columns.  The table is one column per generator g:
+    columns[g][i] is the element words[i] * g, and columns[h] is None for
+    a letter h that is not a generator.  A caller that needs only the
+    texts pays for none of them.  multiplications counts the table
+    entries filled: 0 before that, len(words) * len(generators) after.
 
     `product` is the one multiplication kernel: it walks the letters of
-    a right factor through the table, one lookup per letter.  Building
-    the semigroup raises ResourceLimitError if more than `limit`
-    elements appear.
+    a right factor through the columns, one list index per letter.
+    Building the semigroup raises ResourceLimitError if more than
+    `limit` elements appear.
     """
 
     __slots__ = (
-        "rank", "generators", "words", "frontier_rounds", "multiplications",
-        "_width", "_column", "_actions", "_states", "_parents", "_index",
-        "_table",
+        "rank", "generators", "frontier_rounds", "multiplications",
+        "_rows", "_parents", "_lasts", "_states", "_bounds", "_words",
+        "_index", "_columns",
     )
 
     def __init__(
@@ -163,10 +169,9 @@ class Semigroup:
                 raise ValidationError(f"generator {g} out of range [1, {rank}]")
         self.rank = rank
         self.generators = gens
-        self._width = len(gens)
-        self._column = {g: j for j, g in enumerate(gens)}
+        self._words: list[tuple[int, ...]] | None = None
         self._index: dict[tuple[int, ...], int] | None = None
-        self._table: list[int] | None = None
+        self._columns: list[list[int] | None] | None = None
         self.multiplications = 0
         self._close(limit)
 
@@ -174,115 +179,174 @@ class Semigroup:
         """Close {identity} under right multiplication: the words phase.
 
         Elements are processed in index order, and each u * g that is a
-        new element is appended as u + (g,), with u as its parent, so the
-        words come out in `sort_key` order.  The products that are not
-        new are already known: they are at most as long as u, and every
-        such element was found in an earlier round.  They wait for the
-        table phase.
+        new element is appended with u as its parent and g as its last
+        letter, so the elements come out in `sort_key` order.  The
+        products that are not new are already known: they are at most as
+        long as u, and every such element was found in an earlier round.
+        They wait for the table phase.  A state's actions are asked of
+        the automaton the first time an element reaches that state, so
+        the automaton grows only by the states of elements about to be
+        appended, and a small limit is refused before much of it is
+        built.
         """
         automaton = _automaton(self.generators)
-        automaton.grow()
-        # each state's actions in generator order, as the table lays
-        # them out
-        actions = [[row[g] for g in self.generators] for row in automaton.rows]
-        news = [
-            [(g, action) for g, action in zip(self.generators, row) if action >= 0]
-            for row in actions
-        ]
-        words: list[tuple[int, ...]] = [()]
-        states = [0]
+        rows, act, grown = automaton.rows, automaton.act, automaton.states
+        gens = self.generators
+        # each reached state's new elements, as (last letter, state) in
+        # generator order; None for a state no element has reached yet
+        news: list[list[tuple[int, int]] | None] = [None] * len(grown)
         parents = [0]
-        # both lists grow as the loop runs, and zip reads the new items
-        for ui, (u, state) in enumerate(zip(words, states)):
-            for g, child in news[state]:
-                if len(words) >= limit:
+        lasts = [0]
+        states = [0]
+        add_parent, add_last, add_state = parents.append, lasts.append, states.append
+        # states grows as the loop runs, and enumerate reads the new items
+        for ui, s in enumerate(states):
+            new = news[s]
+            if new is None:
+                row = rows[s]
+                actions = [act(s, g) if row[g] is None else row[g] for g in gens]
+                new = news[s] = [
+                    (g, action) for g, action in zip(gens, actions) if action >= 0
+                ]
+                news += [None] * (len(grown) - len(news))
+            for g, child in new:
+                if len(parents) >= limit:
                     raise ResourceLimitError(
                         f"enumeration at rank {self.rank} exceeded "
                         f"the element cap of {limit}"
                     )
-                words.append(u + (g,))
-                states.append(child)
-                parents.append(ui)
-        self.words = words
-        self.frontier_rounds = len(words[-1]) + 1
-        self._actions = actions
-        self._states = states
+                add_parent(ui)
+                add_last(g)
+                add_state(child)
+        # parents never decrease past the identity, and the elements of
+        # one length are those whose parents have the length before, so
+        # each round's end is where the parents reach its start
+        bounds = [0, 1]
+        while bounds[-1] < len(parents):
+            bounds.append(bisect_left(parents, bounds[-1], bounds[-1]))
+        self.frontier_rounds = len(bounds) - 1
+        self._rows = rows
         self._parents = parents
+        self._lasts = lasts
+        self._states = states
+        self._bounds = bounds
 
-    def _fill(self) -> list[int]:
+    def rounds(self) -> list[tuple[int, int]]:
+        """The elements of each word length, as (start, end) index ranges.
+
+        Entry L holds the elements whose words have L letters, the ones
+        the closure's round L found, read from the links alone.
+
+        >>> Semigroup(2).rounds()
+        [(0, 1), (1, 3), (3, 5)]
+        """
+        return list(zip(self._bounds, self._bounds[1:]))
+
+    def _fill(self) -> list[list[int] | None]:
         """Fill the right Cayley table from the row actions: the table phase.
 
-        A walk, for u * g with the old g deleted, is the element
-        u[:p] * gap * g, where p is the last g in u; u[:p] is reached
-        from u by len(u) - p parent links.  Every element the walk visits
-        is a product of at most len(u) - 1 letters, so its word is
-        shorter than u; rows are filled in index order, which is length
-        order, so every row the walk reads is already complete.
+        Every column starts as u * g = u; the words phase's new elements
+        are then set from their links.  A walk, for u * g with the old g
+        deleted, has every letter of the gap after that g larger than g,
+        the last letter h of u included.  With u = v * h, and because
+        g h g = h g is a left deletion:
+
+        - if v ends in g, u = x g h and u * g = (x * h) * g, x the parent
+          of v;
+        - otherwise v * g is a walk too, and u * g = ((v * g) * h) * g.
+
+        So a walk reads three entries.  Columns are filled from the
+        largest generator down, so column h > g is complete; v, x * h and
+        v * g are shorter than u, and (v * g) * h is shorter than u, or
+        as long as u and later in `sort_key` order.  So column g takes
+        its walks one length at a time, shortest first, and within a
+        length from the last element back.
         """
-        words, parents, column, width = (
-            self.words, self._parents, self._column, self._width
+        parents, lasts, states, rows = (
+            self._parents, self._lasts, self._states, self._rows
         )
-        table: list[int] = []
-        new = 1  # the words phase appended the new elements in this order
-        actions = self._actions
-        for ui, (u, state) in enumerate(zip(words, self._states)):
-            for g, action in zip(self.generators, actions[state]):
-                if action >= 0:
-                    table.append(new)
-                    new += 1
-                elif action == _SAME:
-                    table.append(ui)
-                else:
-                    i = ui
-                    for h in reversed(u):
-                        i = parents[i]
-                        if h == g:
-                            break
-                    for h in u[len(words[i]) + 1:] + (g,):
-                        i = table[i * width + column[h]]
-                    table.append(i)
-        self._table = table
-        self.multiplications = len(table)
-        return table
+        n = len(parents)
+        unchanged = list(range(n))
+        columns: list[list[int] | None] = [None] * (self.rank + 1)
+        for g in self.generators:
+            columns[g] = unchanged[:]
+        for c in unchanged[1:]:
+            columns[lasts[c]][parents[c]] = c
+        for g in reversed(self.generators):
+            walks = [row[g] == _WALK for row in rows]
+            walkers = list(compress(unchanged, map(walks.__getitem__, states)))
+            column = columns[g]
+            for start, end in self.rounds():
+                for u in reversed(walkers[
+                    bisect_left(walkers, start):bisect_left(walkers, end)
+                ]):
+                    v = parents[u]
+                    column[u] = column[columns[lasts[u]][
+                        parents[v] if lasts[v] == g else column[v]
+                    ]]
+        self._columns = columns
+        self.multiplications = n * len(self.generators)
+        return columns
 
     @property
-    def table(self) -> list[int]:
-        """The right Cayley table, filled on first use."""
-        return self._fill() if self._table is None else self._table
+    def columns(self) -> list[list[int] | None]:
+        """The right Cayley table, one column per letter, filled on first use."""
+        return self._fill() if self._columns is None else self._columns
+
+    @property
+    def words(self) -> list[tuple[int, ...]]:
+        """Each element's canonical word, built from the links on first use."""
+        if self._words is None:
+            parents, lasts = self._parents, self._lasts
+            singles = [(g,) for g in range(self.rank + 1)]
+            words: list[tuple[int, ...]] = [()]
+            for start, end in self.rounds()[1:]:
+                words += [
+                    words[p] + singles[g]
+                    for p, g in zip(parents[start:end], lasts[start:end])
+                ]
+            self._words = words
+        return self._words
 
     @property
     def index(self) -> dict[tuple[int, ...], int]:
         """Each canonical word's element, built on first use."""
         if self._index is None:
-            self._index = dict(zip(self.words, range(len(self.words))))
+            self._index = dict(zip(self.words, range(len(self))))
         return self._index
 
     def texts(self) -> list[str]:
         """Each word's letters joined by spaces, as `str(Word)` writes them.
 
         Each text is its parent's text and one more letter, so no word
-        is joined from scratch.
+        is joined from scratch, and no letter tuple is built.
 
         >>> Semigroup(2).texts()
         ['', '1', '2', '1 2', '2 1']
         """
-        # the identity, then its children (g,), one per generator: the
-        # only texts without a space
-        texts = [""] + [str(g) for g in self.generators]
+        parents, lasts = self._parents, self._lasts
         spaced = [f" {g}" for g in range(self.rank + 1)]
-        pairs = zip(self._parents, self.words)
-        for parent, u in islice(pairs, len(texts), None):
-            texts.append(texts[parent] + spaced[u[-1]])
+        texts = [""]
+        for length, (start, end) in enumerate(self.rounds()[1:], 1):
+            if length == 1:  # the only texts without a space
+                texts += map(str, lasts[start:end])
+            else:
+                texts += [
+                    texts[p] + spaced[g]
+                    for p, g in zip(parents[start:end], lasts[start:end])
+                ]
         return texts
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._parents)
 
     def product(self, i: int, letters: Iterable[int]) -> int:
         """The index of words[i] * letters; every letter must be a generator."""
-        table, width, column = self.table, self._width, self._column
+        columns = self._columns
+        if columns is None:
+            columns = self._fill()
         for g in letters:
-            i = table[i * width + column[g]]
+            i = columns[g][i]
         return i
 
     def zero_thresholds(self) -> list[int]:
@@ -296,10 +360,10 @@ class Semigroup:
         >>> Semigroup(2).zero_thresholds()
         [2, 2, 1, 1, 0]
         """
-        tails = [self.generators[:m][::-1] for m in range(self._width + 1)]
+        tails = [self.generators[:m][::-1] for m in range(len(self.generators) + 1)]
         zero = self.product(0, tails[-1])
         thresholds = []
-        for i in range(len(self.words)):
+        for i in range(len(self)):
             for m, tail in enumerate(tails):
                 if self.product(i, tail) == zero:
                     thresholds.append(m)
@@ -316,7 +380,7 @@ class Semigroup:
 
     def elements(self) -> frozenset[Element]:
         """Every element as an `Element`; a set, so no traversal order shows."""
-        return frozenset(map(self.element, range(len(self.words))))
+        return frozenset(map(self.element, range(len(self))))
 
 
 def letter_bounds(rank: int) -> dict[int, int]:
@@ -417,7 +481,10 @@ def write_cache(cache_dir: str | Path, rank: int, texts: Sequence[str]) -> Path:
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="ascii") as handle:
-            handle.write("\n".join([header, *texts]) + "\n")
+            handle.write(f"{header}\n")
+            if texts:
+                handle.write("\n".join(texts))
+                handle.write("\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

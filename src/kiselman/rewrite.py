@@ -26,7 +26,8 @@ Mazorchuk, "On Kiselman's semigroup", 2009), and the gap after that
 copy decides it.  `_GapAutomaton` writes that rule once, as one
 transition on gap states, grown lazily and shared by the process: the
 fold reads it one lookup per append, and `enumeration.Semigroup`
-closes through the same automaton, fully grown for its generators.
+closes through the same automaton, asking for every action of each
+state its elements reach.
 `algebra.multiply` folds; `canonical_form`, `canonical_letters` and
 `reduction_trace` keep the rewriter, which the tests hold the fold and
 the automaton to, as they hold the fold to `all_normal_forms`.  Neither
@@ -206,30 +207,21 @@ class _GapAutomaton:
                     action = self.ids[child] = len(self.states)
                     self.states.append(child)
                     self.rows.append([None] * len(child))
-                    if len(self.states) > _MEMO_LIMIT and (
-                        _AUTOMATA.get(self.generators) is self
-                    ):
+                    if len(self.states) > _MEMO_LIMIT:
                         # whoever holds this one finishes with it; the
                         # next fold starts a new memo
-                        del _AUTOMATA[self.generators]
+                        for key, held in list(_AUTOMATA.items()):
+                            if held is self:
+                                del _AUTOMATA[key]
             else:
                 action = _WALK if state == _LARGER else _SAME
             self.rows[s][g] = action
             return action
 
-    def grow(self) -> None:
-        """Compute every action of every state reachable by the generators."""
-        rows = self.rows
-        s = 0
-        while s < len(rows):  # act appends the new states' rows
-            row = rows[s]
-            for g in self.generators:
-                if row[g] is None:
-                    self.act(s, g)
-            s += 1
 
-
-_AUTOMATA: dict[tuple[int, ...], _GapAutomaton] = {}
+# Each automaton is filed under its generator tuple; one over every
+# letter 1..rank is also filed under the rank, the handle `_fold` reads.
+_AUTOMATA: dict[tuple[int, ...] | int, _GapAutomaton] = {}
 # Growth is rare, so one lock serves every automaton.
 _GROWING = Lock()
 
@@ -262,7 +254,12 @@ def _fold(
     >>> _fold((1, 3), (2, 1), 3)
     (3, 2, 1)
     """
-    automaton = _automaton(tuple(range(1, rank + 1)))
+    automaton = _AUTOMATA.get(rank)
+    if automaton is None:
+        automaton = _automaton(tuple(range(1, rank + 1)))
+        with _GROWING:  # not a memo that `act` has just dropped
+            if _AUTOMATA.get(automaton.generators) is automaton:
+                _AUTOMATA[rank] = automaton
     rows, act = automaton.rows, automaton.act
     word = list(prefix)
     s = 0

@@ -180,12 +180,12 @@ def test_stats_without_a_cache_dir_formats_no_words(capsys, monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_enum_builds_neither_the_index_nor_the_table(capsys, monkeypatch, tmp_path, fmt):
-    # enum reads only the words and their texts
+    # enum reads only the texts and the lengths, never a letter tuple
     def refuse(self):
-        raise AssertionError("enum looked a word up or multiplied")
+        raise AssertionError("enum built a word, looked one up or multiplied")
 
     expected = run(capsys, "enum", "--n", "4", "--format", fmt)
-    for name in ("index", "table"):
+    for name in ("words", "index", "columns"):
         monkeypatch.setattr(Semigroup, name, property(refuse))
     monkeypatch.setattr(Semigroup, "_fill", refuse)
     got = run(capsys, "enum", "--n", "4", "--format", fmt, "--cache-dir", str(tmp_path))
@@ -554,6 +554,18 @@ def test_start_up_imports_neither_dataclasses_nor_inspect(args):
     added = _imported_modules(*args) - _imported_modules("-c", "pass")
     assert "kiselman.cli" in added
     assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_importing_the_cli_leaves_json_unimported():
+    # only the commands that print JSON import it, about 3 ms a child;
+    # -S keeps the site hooks from importing it first
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, kiselman.cli; print('json' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert child.stdout == "False\n"
 
 
 def test_rank_must_be_positive(capsys):

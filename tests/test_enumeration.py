@@ -28,6 +28,7 @@ from kiselman.enumeration import (
     Semigroup,
     write_cache,
 )
+from kiselman import rewrite
 from kiselman.errors import ResourceLimitError, ValidationError
 from kiselman.rewrite import _SAME, _WALK, _automaton, canonical_letters
 from kiselman.words import (
@@ -176,18 +177,21 @@ def test_table_is_filled_on_first_product():
     s = Semigroup(3)
     s.words, s.index, len(s), s.element(5), s.elements()
     assert s.multiplications == 0
+    assert s._columns is None
     assert s.product(s.index[(2,)], (1,)) == s.index[(2, 1)]
     assert s.multiplications == 18 * 3
     assert s.product(0, (3, 2, 1)) == s.index[(3, 2, 1)]
     assert s.multiplications == 18 * 3
-    assert len(s.table) == 18 * 3
+    assert s.columns is s.columns
+    assert s.columns[0] is None
+    assert [len(column) for column in s.columns[1:]] == [18] * 3
 
 
 def test_enumeration_result_is_reproducible():
     first = Semigroup(3)
     second = Semigroup(3)
     assert first.words == second.words
-    assert first.table == second.table
+    assert first.columns == second.columns
     assert first.elements() == second.elements()
 
 
@@ -246,14 +250,20 @@ def _check_table_against_rewriter(rank, generators):
     # relies on, and no table is filled for them
     assert s.words == sorted(s.words, key=sort_key)
     assert s.multiplications == 0
-    words, table = s.words, s.table
-    width = len(generators)
+    words, columns = s.words, s.columns
     assert len(set(words)) == len(words)
     assert s.index == {w: i for i, w in enumerate(words)}
-    assert len(table) == s.multiplications == len(words) * width
-    for ui, u in enumerate(words):
-        for j, g in enumerate(generators):
-            assert words[table[ui * width + j]] == canonical_letters(u + (g,)), (u, g)
+    # one column per generator, indexed by the letter, None elsewhere
+    assert [g for g, column in enumerate(columns) if column is not None] == list(
+        generators
+    )
+    assert len(columns) == rank + 1
+    assert s.multiplications == len(words) * len(generators)
+    for g in generators:
+        column = columns[g]
+        assert len(column) == len(words)
+        for ui, u in enumerate(words):
+            assert words[column[ui]] == canonical_letters(u + (g,)), (u, g)
     return words, s.frontier_rounds, s.multiplications
 
 
@@ -275,7 +285,10 @@ def test_generated_submonoid_every_generator_subset(rank):
 
 
 def test_element_cap_matches_rewriter_closure():
-    with pytest.raises(ResourceLimitError, match="cap of 17"):
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^enumeration at rank 3 exceeded the element cap of 17$",
+    ):
         Semigroup(3, limit=17)
     assert len(Semigroup(3, limit=18)) == 18
     for rank in (1, 2, 3, 4):
@@ -292,6 +305,18 @@ def test_element_cap_matches_rewriter_closure():
             assert outcomes[0] == outcomes[1], (rank, limit)
             expected = "raised" if limit < KNOWN_CARDINALITIES[rank] else "done"
             assert outcomes[0] == expected, (rank, limit)
+
+
+def test_small_cap_is_refused_before_the_automaton_grows(monkeypatch):
+    # the words phase asks the automaton only for the states it reaches:
+    # the identity's, whose nine new elements already pass the cap
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^enumeration at rank 9 exceeded the element cap of 1$",
+    ):
+        Semigroup(9, limit=1)
+    assert len(rewrite._AUTOMATA[tuple(range(1, 10))].states) <= 10
 
 
 @pytest.mark.n6
@@ -413,9 +438,17 @@ def test_cache_write_writes_the_header_and_the_given_lines(tmp_path):
 
 def _check_texts(rank, generators=None):
     s = Semigroup(rank, generators)
-    assert s.texts() == [str(Word(w, rank)) for w in s.words]
-    # built from the parent links alone: no lookup, no product
-    assert (s._index, s._table) == (None, None)
+    texts, rounds = s.texts(), s.rounds()
+    # built from the links alone: no letter tuple, no lookup, no product
+    assert (s._words, s._index, s._columns) == (None, None, None)
+    assert texts == [str(Word(w, rank)) for w in s.words]
+    # one round per length, shortest first, covering every element once
+    assert len(rounds) == s.frontier_rounds
+    assert [start for start, _ in rounds] == [0] + [end for _, end in rounds[:-1]]
+    assert rounds[-1][1] == len(s)
+    for length, (start, end) in enumerate(rounds):
+        assert start < end
+        assert {len(w) for w in s.words[start:end]} == {length}
 
 
 @pytest.mark.parametrize(
@@ -430,6 +463,16 @@ def test_texts_are_the_words_as_str_writes_them(rank, generators):
 @pytest.mark.n6
 def test_texts_are_the_words_as_str_writes_them_rank_6():
     _check_texts(6)
+
+
+@pytest.mark.parametrize(
+    "rank", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.n6)]
+)
+def test_words_from_the_links_are_the_direct_search_in_order(rank):
+    s = Semigroup(rank)
+    assert s._words is None
+    assert s.words == sorted(enumeration._canonical_words(rank), key=sort_key)
+    assert s.words is s.words
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
@@ -493,7 +536,12 @@ AUTOMATON_STATES = {1: 2, 2: 5, 3: 15, 4: 49, 5: 164, 6: 549, 7: 1825}
 )
 def test_shared_automaton_state_counts(rank):
     automaton = _automaton(tuple(range(1, rank + 1)))
-    automaton.grow()
+    # every action of every state reachable by the letters
+    s = 0
+    while s < len(automaton.states):
+        for g in automaton.generators:
+            automaton.act(s, g)
+        s += 1
     assert len(automaton.states) == AUTOMATON_STATES[rank]
 
 
@@ -502,7 +550,7 @@ def test_automaton_actions_match_the_rewriter(rank):
     # every canonical word's state is its gap states by definition, and
     # each letter's action there is what the rewriter does to the word
     # with that letter appended
-    Semigroup(rank)  # the closure grows the shared automaton in full
+    Semigroup(rank)  # the closure asks for every action of every state
     automaton = _automaton(tuple(range(1, rank + 1)))
     states, rows = automaton.states, automaton.rows
     seen = set()

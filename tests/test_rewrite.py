@@ -412,6 +412,14 @@ def test_memo_stays_within_its_bound_after_the_rank_20_ruler(monkeypatch):
     assert len(memo.states) <= rewrite._MEMO_LIMIT
 
 
+def test_fold_reaches_its_memo_by_the_rank(monkeypatch):
+    # the memo over 1..rank is also filed under the rank, so a fold
+    # builds no generator tuple to find it
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    assert _fold((1, 3), (2, 1), 3) == (3, 2, 1)
+    assert rewrite._AUTOMATA[3] is rewrite._AUTOMATA[(1, 2, 3)]
+
+
 def test_memo_past_its_bound_is_dropped_and_the_fold_still_right(monkeypatch):
     w = _ruler_word()
     expected = _fold(w, w[::-1], 20)

@@ -1,11 +1,14 @@
 """The indexed semigroup, and exhaustive construction by two routes.
 
-`Semigroup` is the package's one indexed representation of an enumerated
-monoid.  It closes {identity} under right multiplication by its
-generators and stores each element, in discovery order, as a parent link
-and a last letter, with its gap state; the right Cayley graph is kept one
-generator at a time, as one column per letter (Froidure & Pin,
-"Algorithms for computing finite semigroups", 1997).  Its one kernel,
+`Semigroup(n)` is the package's one indexed representation of K_n.  It
+closes {identity} under right multiplication by the letters 1..n and
+stores each element, in discovery order, as a parent link and a last
+letter, with its gap state; the right Cayley graph is kept one letter at
+a time, as one column per letter 1..n, column 0 being None (Froidure &
+Pin, "Algorithms for computing finite semigroups", 1997).  It takes no
+subset of the letters: any k letters generate a copy of K_k, since
+canonicity compares letters only by order, so such a submonoid is
+`Semigroup(k)` with its letters relabelled.  Its one kernel,
 `product(i, letters)`, walks the letters of a right factor through the
 columns from element i, so a product costs one list index per letter
 and never rewrites.
@@ -21,7 +24,7 @@ product u * g by the append-letter rule: appending g to a canonical word
 can create only one deletion, between the new g and the last g already
 in u, so the letters after that last g say whether the new g stays,
 drops, or deletes the old g.  Neither scans u for them.  Each element
-carries one gap state per generator, one of five: no copy of the
+carries one gap state per letter, one of five: no copy of the
 letter, an empty gap after its last copy, a gap of smaller letters only,
 of larger letters only, or of both.  The states of u + (g,) follow from
 those of u by one transition, `rewrite._GapAutomaton.act`, the one place
@@ -38,14 +41,14 @@ neither the words, the index nor the table; `stats` counts on its
 indices and products, its zero-threshold histogram from
 `zero_thresholds()`; the verify suites and
 `equations.solve_right_zero` take their products from its table; the
-constructive solver reads the words and `zero_thresholds()` of the
-submonoid avoiding letter 1, a `Semigroup` over the letters 2..n, and
-never builds K_n; and the tests hold `elements()` and `product` to
-`algebra.multiply`, and `zero_thresholds()` and the automaton's actions
-to the rewriter.  One-shot arithmetic builds no table:
-`algebra.multiply`, which `mul` calls, folds the right factor onto the
-left one's canonical word (`rewrite._fold`) through the same automaton,
-growing only the states it visits, and `canon` calls the rewriter.
+constructive solver reads the words and `zero_thresholds()` of K_{n-1},
+shifts each word up one letter, and never builds K_n; and the tests
+hold `elements()` and `product` to `algebra.multiply`, and
+`zero_thresholds()` and the automaton's actions to the rewriter.
+One-shot arithmetic builds no table: `algebra.multiply`, which `mul`
+calls, folds the right factor onto the left one's canonical word
+(`rewrite._fold`) through the same automaton, growing only the states
+it visits, and `canon` calls the rewriter.
 
 The deletion rewriter stays as the oracle.  The direct route backtracks
 over canonical words, growing a word one letter at a time; every prefix
@@ -116,26 +119,25 @@ KNOWN_CARDINALITIES: dict[int, int] = {1: 2, 2: 5, 3: 18, 4: 115, 5: 1710, 6: 83
 
 
 class Semigroup:
-    """The monoid generated by some letters of K_rank, closed and indexed.
+    """K_rank, closed under the letters 1..rank and indexed.
 
-    The generators default to every letter 1..rank.  Element i is the
-    canonical word words[i].  It is stored as two links, its parent, the
-    element of words[i] without its last letter (0 for the identity
-    itself), and that last letter, and as its gap state in the
-    automaton of `rewrite`.  Elements are numbered in discovery
-    order, which is `sort_key` order: shortest first, then letter by
-    letter.  frontier_rounds counts the rounds of the closure, one per
-    word length and a last one that finds nothing.
+    Element i is the canonical word words[i].  It is stored as two
+    links, its parent, the element of words[i] without its last letter
+    (0 for the identity itself), and that last letter, and as its gap
+    state in the automaton of `rewrite`.  Elements are numbered in
+    discovery order, which is `sort_key` order: shortest first, then
+    letter by letter.  frontier_rounds counts the rounds of the closure,
+    one per word length and a last one that finds nothing.
 
     The links are built with the semigroup; `texts()` and `rounds()`
     read them alone.  words, the letter tuples, is built from the links
     on its first read; index, from each canonical word to its element,
     on its first read; and the right Cayley table on the first `product`
-    or read of columns.  The table is one column per generator g:
-    columns[g][i] is the element words[i] * g, and columns[h] is None for
-    a letter h that is not a generator.  A caller that needs only the
-    texts pays for none of them.  multiplications counts the table
-    entries filled: 0 before that, len(words) * len(generators) after.
+    or read of columns.  The table is one column per letter g in
+    1..rank: columns[g][i] is the element words[i] * g, and columns[0]
+    is None.  A caller that needs only the texts pays for none of them.
+    multiplications counts the table entries filled: 0 before that,
+    len(words) * rank after.
 
     `product` is the one multiplication kernel: it walks the letters of
     a right factor through the columns, one list index per letter.
@@ -144,31 +146,17 @@ class Semigroup:
     """
 
     __slots__ = (
-        "rank", "generators", "frontier_rounds", "multiplications",
+        "rank", "frontier_rounds", "multiplications",
         "_rows", "_parents", "_lasts", "_states", "_bounds", "_words",
         "_index", "_columns",
     )
 
-    def __init__(
-        self,
-        rank: int,
-        generators: Iterable[int] | None = None,
-        limit: int = DEFAULT_ELEMENT_LIMIT,
-    ) -> None:
+    def __init__(self, rank: int, *, limit: int = DEFAULT_ELEMENT_LIMIT) -> None:
         if rank < 1:
             raise ValidationError(f"rank must be >= 1, got {rank}")
         if limit < 1:
             raise ValidationError(f"element limit must be >= 1, got {limit}")
-        gens = (
-            tuple(range(1, rank + 1))
-            if generators is None
-            else tuple(sorted(set(generators)))
-        )
-        for g in gens:
-            if not 1 <= g <= rank:
-                raise ValidationError(f"generator {g} out of range [1, {rank}]")
         self.rank = rank
-        self.generators = gens
         self._words: list[tuple[int, ...]] | None = None
         self._index: dict[tuple[int, ...], int] | None = None
         self._columns: list[list[int] | None] | None = None
@@ -189,11 +177,11 @@ class Semigroup:
         appended, and a small limit is refused before much of it is
         built.
         """
-        automaton = _automaton(self.generators)
+        automaton = _automaton(self.rank)
         rows, act, grown = automaton.rows, automaton.act, automaton.states
-        gens = self.generators
+        letters = range(1, self.rank + 1)
         # each reached state's new elements, as (last letter, state) in
-        # generator order; None for a state no element has reached yet
+        # letter order; None for a state no element has reached yet
         news: list[list[tuple[int, int]] | None] = [None] * len(grown)
         parents = [0]
         lasts = [0]
@@ -204,9 +192,9 @@ class Semigroup:
             new = news[s]
             if new is None:
                 row = rows[s]
-                actions = [act(s, g) if row[g] is None else row[g] for g in gens]
+                actions = [act(s, g) if row[g] is None else row[g] for g in letters]
                 new = news[s] = [
-                    (g, action) for g, action in zip(gens, actions) if action >= 0
+                    (g, action) for g, action in zip(letters, actions) if action >= 0
                 ]
                 news += [None] * (len(grown) - len(news))
             for g, child in new:
@@ -256,7 +244,7 @@ class Semigroup:
         - otherwise v * g is a walk too, and u * g = ((v * g) * h) * g.
 
         So a walk reads three entries.  Columns are filled from the
-        largest generator down, so column h > g is complete; v, x * h and
+        largest letter down, so column h > g is complete; v, x * h and
         v * g are shorter than u, and (v * g) * h is shorter than u, or
         as long as u and later in `sort_key` order.  So column g takes
         its walks one length at a time, shortest first, and within a
@@ -267,12 +255,11 @@ class Semigroup:
         )
         n = len(parents)
         unchanged = list(range(n))
-        columns: list[list[int] | None] = [None] * (self.rank + 1)
-        for g in self.generators:
-            columns[g] = unchanged[:]
+        columns: list[list[int] | None] = [None]
+        columns += [unchanged[:] for _ in range(self.rank)]
         for c in unchanged[1:]:
             columns[lasts[c]][parents[c]] = c
-        for g in reversed(self.generators):
+        for g in range(self.rank, 0, -1):
             walks = [row[g] == _WALK for row in rows]
             walkers = list(compress(unchanged, map(walks.__getitem__, states)))
             column = columns[g]
@@ -285,7 +272,7 @@ class Semigroup:
                         parents[v] if lasts[v] == g else column[v]
                     ]]
         self._columns = columns
-        self.multiplications = n * len(self.generators)
+        self.multiplications = n * self.rank
         return columns
 
     @property
@@ -341,7 +328,7 @@ class Semigroup:
         return len(self._parents)
 
     def product(self, i: int, letters: Iterable[int]) -> int:
-        """The index of words[i] * letters; every letter must be a generator."""
+        """The index of words[i] * letters, each letter in 1..rank."""
         columns = self._columns
         if columns is None:
             columns = self._fill()
@@ -352,15 +339,14 @@ class Semigroup:
     def zero_thresholds(self) -> list[int]:
         """Each element's zero threshold, read from the table.
 
-        Entry i is the least m such that words[i] * (g_m, ..., g_1) is
-        the zero, the decreasing word over the generators g_1 < ... < g_k;
-        m = k always works, since the zero absorbs.  Over every letter
-        1..rank this is `algebra.zero_threshold` of element i.
+        Entry i is the least m such that words[i] * (m, ..., 1) is the
+        zero; m = rank always works, since the zero absorbs.  This is
+        `algebra.zero_threshold` of element i.
 
         >>> Semigroup(2).zero_thresholds()
         [2, 2, 1, 1, 0]
         """
-        tails = [self.generators[:m][::-1] for m in range(len(self.generators) + 1)]
+        tails = [tuple(range(m, 0, -1)) for m in range(self.rank + 1)]
         zero = self.product(0, tails[-1])
         thresholds = []
         for i in range(len(self)):

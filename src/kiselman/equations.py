@@ -8,25 +8,27 @@ the decreasing idempotent over 2..n plus one solution per member x of
 the submonoid avoiding letter 1, namely x * a_1 * e_{2..m} with m the
 zero threshold of x; the canonical word of that solution is literally
 the concatenation of the three parts, no rewriting needed, which is what
-makes the constructive build cheap.  The solution set is closed under
-multiplication and its products follow a three-case rule: special *
-special = special, anything * special is unchanged, and a right factor
-containing letter 1 collapses the product to the zero.  The rule is
-written once, in the solution_structure verification suite, which checks
-it on the indices of the table against every product it samples.
+makes the constructive build cheap.  That submonoid is K_{n-1} with
+every letter shifted up by one, since canonicity compares letters only
+by order: this is the paper's bijection, and its count 1 + |K_{n-1}|.
+The solution set is closed under multiplication and its products follow
+a three-case rule: special * special = special, anything * special is
+unchanged, and a right factor containing letter 1 collapses the product
+to the zero.  The rule is written once, in the solution_structure
+verification suite, which checks it on the indices of the table against
+every product it samples.
 
 The solver here exists to keep the construction honest: it scans the
-whole of K_n, a `Semigroup` over every letter, takes every product from
-its right Cayley table and never assumes any of the structure above.
-The construction reads only the table of the submonoid over the letters
-2..n, for the thresholds, and `multiply`, which folds letters without
-any table, for one membership product per solution, so the two routes
-share no product of K_n.  The remaining facts are checked by the
-verification suites alone: the zero_cancellation suite holds that
-x * y reaches the zero with y over the letters 2..n only when x is the
-zero, and the solution_structure suite that the solutions of
-a_n * y = zero are the antiautomorphism's image of the solutions of
-x * a_1 = zero.
+whole of K_n, as a `Semigroup`, takes every product from its right
+Cayley table and never assumes any of the structure above.  The
+construction reads only the table of K_{n-1}, for the thresholds, and
+`multiply`, which folds letters without any table, for one membership
+product per solution, so the two routes share no product of K_n.  The
+remaining facts are checked by the verification suites alone: the
+zero_cancellation suite holds that x * y reaches the zero with y over
+the letters 2..n only when x is the zero, and the solution_structure
+suite that the solutions of a_n * y = zero are the antiautomorphism's
+image of the solutions of x * a_1 = zero.
 """
 
 from __future__ import annotations
@@ -89,11 +91,6 @@ def solve_right_zero(
         semigroup = Semigroup(y.rank, limit=limit)
     if semigroup.rank != y.rank:
         raise ValidationError(f"rank mismatch: {semigroup.rank} vs {y.rank}")
-    if len(semigroup.generators) != y.rank:
-        raise ValidationError(
-            f"the semigroup is generated by {list(semigroup.generators)}, "
-            f"not by every letter 1..{y.rank}"
-        )
     zero_index = semigroup.index[zero(y.rank).word.letters]
     solutions = frozenset(
         semigroup.element(i)
@@ -114,21 +111,22 @@ def solve_right_zero(
     return ZeroSolutionSet(y.rank, y, solutions, decomposition)
 
 
-def construct_right_zero_solutions(
-    rank: int, limit: int = DEFAULT_ELEMENT_LIMIT
-) -> ZeroSolutionSet:
+def construct_right_zero_solutions(rank: int) -> ZeroSolutionSet:
     """Build the solutions of x * a_1 = zero without enumerating K_n.
 
-    Walks only the submonoid avoiding letter 1, a `Semigroup` over the
-    letters 2..rank whose size is that of the semigroup one rank down,
-    and emits one solution per member x: x * a_1 * e_{2..m}, with m the
-    zero threshold of x in K_rank.  The decreasing idempotent over
-    2..rank completes the set.
+    The members x of the submonoid avoiding letter 1 are the words of
+    K_{rank-1}, each letter shifted up by one: a word over 2..rank is
+    canonical exactly when its shift down is, since canonicity compares
+    letters only by order.  Rank 1 reads K_0 = {e}.  One solution is
+    emitted per member: x * a_1 * e_{2..m}, with m the zero threshold of
+    x in K_rank.  The decreasing idempotent over 2..rank completes the
+    set.
 
-    m is read from the submonoid's own table, as t + 1 with t the
-    threshold `Semigroup.zero_thresholds` gives x there.  Appending a_1
-    to a word without letter 1 just appends it, so x * e_{1..m} is the
-    zero exactly when x * e_{2..m} is the submonoid's zero, rank..2.
+    m is t + 1, with t the threshold `Semigroup.zero_thresholds` gives
+    the unshifted word in K_{rank-1}.  Appending a_1 to a word without
+    letter 1 just appends it, so x * e_{1..m} is the zero exactly when
+    x * e_{2..m} is rank..2, the shift of K_{rank-1}'s zero, that is
+    when the unshifted word times e_{1..m-1} is that zero.
     The canonical word of the solution is the concatenation
     x, 1, m, m-1, ..., 2 itself, which the `Element` constructor checks.
     Membership, by one `multiply` per solution, and distinctness are
@@ -137,22 +135,27 @@ def construct_right_zero_solutions(
     """
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
-    submonoid = Semigroup(rank, range(2, rank + 1), limit)
+    if rank == 1:
+        below, thresholds = [()], [0]
+    else:
+        lower = Semigroup(rank - 1)
+        below, thresholds = lower.words, lower.zero_thresholds()
     a1 = generator(1, rank)
     target = zero(rank)
     special = idempotent(range(2, rank + 1), rank)
     if multiply(special, a1) != target:
         raise InvariantError("the special solution must reach the zero")
     containing_one: set[Element] = set()
-    for x, t in zip(submonoid.words, submonoid.zero_thresholds()):
+    for w, t in zip(below, thresholds):
+        x = tuple(g + 1 for g in w)
         solution = Element(Word(x + (1,) + tuple(range(t + 1, 1, -1)), rank))
         if multiply(solution, a1) != target:
             raise InvariantError(f"constructed non-solution '{solution}'")
         containing_one.add(solution)
-    if len(containing_one) != len(submonoid):
+    if len(containing_one) != len(below):
         raise InvariantError(
             "solution construction must be injective over the submonoid: "
-            f"{len(submonoid)} members gave {len(containing_one)} solutions"
+            f"{len(below)} members gave {len(containing_one)} solutions"
         )
     solutions = frozenset(containing_one) | {special}
     return ZeroSolutionSet(

@@ -24,10 +24,10 @@ Appending a letter to a canonical word can create only one deletion,
 between the new letter and its last earlier copy (Kudryavtseva &
 Mazorchuk, "On Kiselman's semigroup", 2009), and the gap after that
 copy decides it.  `_GapAutomaton` writes that rule once, as one
-transition on gap states, grown lazily and shared by the process: the
-fold reads it one lookup per append, and `enumeration.Semigroup`
-closes through the same automaton, asking for every action of each
-state its elements reach.
+transition on gap states, grown lazily; the process keeps one automaton
+per rank, over the letters 1..rank.  The fold reads it one lookup per
+append, and `enumeration.Semigroup` closes through the same automaton,
+asking for every action of each state its elements reach.
 `algebra.multiply` folds; `canonical_form`, `canonical_letters` and
 `reduction_trace` keep the rewriter, which the tests hold the fold and
 the automaton to, as they hold the fold to `all_normal_forms`.  Neither
@@ -140,12 +140,12 @@ _EMPTY, _SMALLER, _LARGER, _BOTH, _ABSENT = 0, 1, 2, 3, 4
 # action is the id of its gap states.
 _SAME, _WALK = -1, -2
 
-# The most states one generator tuple's memo keeps: the reachable count
-# over the full alphabet at rank 10, about 23 MB at some 360 bytes a
-# state.  Every automaton up to rank 10 therefore grows once and stays,
-# while a higher rank, whose states multiply about threefold per rank
-# (664,305 at rank 12), drops its memo once past the bound and starts a
-# new one, instead of holding the process's memory for good.
+# The most states one rank's memo keeps: the reachable count at rank 10,
+# about 23 MB at some 360 bytes a state.  Every automaton up to rank 10
+# therefore grows once and stays, while a higher rank, whose states
+# multiply about threefold per rank (664,305 at rank 12), drops its memo
+# once past the bound and starts a new one, instead of holding the
+# process's memory for good.
 _MEMO_LIMIT = 63_973
 
 
@@ -155,7 +155,7 @@ class _GapAutomaton:
     A canonical word's gap states hold, for every letter, one of five
     states: no copy of it, an empty gap after its last copy, a gap of
     smaller letters only, of larger letters only, or of both.  They are
-    indexed by letter, and a letter outside the generators stays absent.
+    indexed by letter, 1..rank, with entry 0 always absent.
     Appending g to a canonical word u can pair only with the last g in u
     (Kudryavtseva & Mazorchuk, "On Kiselman's semigroup", 2009), so g's
     state decides the product u * g:
@@ -177,11 +177,11 @@ class _GapAutomaton:
     rank 6.
     """
 
-    __slots__ = ("generators", "states", "ids", "rows")
+    __slots__ = ("rank", "states", "ids", "rows")
 
-    def __init__(self, generators: tuple[int, ...]) -> None:
-        start = (_ABSENT,) * (max(generators, default=0) + 1)
-        self.generators = generators
+    def __init__(self, rank: int) -> None:
+        start = (_ABSENT,) * (rank + 1)
+        self.rank = rank
         self.states = [start]
         self.ids = {start: 0}
         self.rows: list[list[int | None]] = [[None] * len(start)]
@@ -210,27 +210,25 @@ class _GapAutomaton:
                     if len(self.states) > _MEMO_LIMIT:
                         # whoever holds this one finishes with it; the
                         # next fold starts a new memo
-                        for key, held in list(_AUTOMATA.items()):
-                            if held is self:
-                                del _AUTOMATA[key]
+                        if _AUTOMATA.get(self.rank) is self:
+                            del _AUTOMATA[self.rank]
             else:
                 action = _WALK if state == _LARGER else _SAME
             self.rows[s][g] = action
             return action
 
 
-# Each automaton is filed under its generator tuple; one over every
-# letter 1..rank is also filed under the rank, the handle `_fold` reads.
-_AUTOMATA: dict[tuple[int, ...] | int, _GapAutomaton] = {}
+# One automaton per rank, filed under the rank.
+_AUTOMATA: dict[int, _GapAutomaton] = {}
 # Growth is rare, so one lock serves every automaton.
 _GROWING = Lock()
 
 
-def _automaton(generators: tuple[int, ...]) -> _GapAutomaton:
-    """The process's one gap automaton for these generators, in sorted order."""
-    automaton = _AUTOMATA.get(generators)
+def _automaton(rank: int) -> _GapAutomaton:
+    """The process's one gap automaton over the letters 1..rank."""
+    automaton = _AUTOMATA.get(rank)
     if automaton is None:
-        automaton = _AUTOMATA[generators] = _GapAutomaton(generators)
+        automaton = _AUTOMATA[rank] = _GapAutomaton(rank)
     return automaton
 
 
@@ -254,12 +252,7 @@ def _fold(
     >>> _fold((1, 3), (2, 1), 3)
     (3, 2, 1)
     """
-    automaton = _AUTOMATA.get(rank)
-    if automaton is None:
-        automaton = _automaton(tuple(range(1, rank + 1)))
-        with _GROWING:  # not a memo that `act` has just dropped
-            if _AUTOMATA.get(automaton.generators) is automaton:
-                _AUTOMATA[rank] = automaton
+    automaton = _AUTOMATA.get(rank) or _automaton(rank)
     rows, act = automaton.rows, automaton.act
     word = list(prefix)
     s = 0

@@ -399,8 +399,8 @@ def test_canonicality_check_is_not_the_automaton():
     assert names.isdisjoint({"_fold", "_automaton", "_GapAutomaton", "rewrite"})
 
 
-# The fold's automaton is one memo per generator tuple, shared by the
-# whole process and grown only by the states a fold visits.
+# The fold's automaton is one memo per rank, shared by the whole
+# process and grown only by the states a fold visits.
 
 
 def test_memo_stays_within_its_bound_after_the_rank_20_ruler(monkeypatch):
@@ -408,16 +408,18 @@ def test_memo_stays_within_its_bound_after_the_rank_20_ruler(monkeypatch):
     w = _ruler_word()
     folded = _fold(w, w[::-1], 20)
     assert len(folded) == 20
-    memo = rewrite._AUTOMATA[tuple(range(1, 21))]
+    memo = rewrite._AUTOMATA[20]
     assert len(memo.states) <= rewrite._MEMO_LIMIT
 
 
 def test_fold_reaches_its_memo_by_the_rank(monkeypatch):
-    # the memo over 1..rank is also filed under the rank, so a fold
-    # builds no generator tuple to find it
+    # one memo per rank, filed under the rank alone: the fold and the
+    # closure of K_3 share it
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
     assert _fold((1, 3), (2, 1), 3) == (3, 2, 1)
-    assert rewrite._AUTOMATA[3] is rewrite._AUTOMATA[(1, 2, 3)]
+    memo = rewrite._AUTOMATA[3]
+    assert Semigroup(3)._rows is memo.rows
+    assert rewrite._AUTOMATA == {3: memo}
 
 
 def test_memo_past_its_bound_is_dropped_and_the_fold_still_right(monkeypatch):
@@ -426,9 +428,9 @@ def test_memo_past_its_bound_is_dropped_and_the_fold_still_right(monkeypatch):
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
     monkeypatch.setattr(rewrite, "_MEMO_LIMIT", 1000)
     assert _fold(w, w[::-1], 20) == expected
-    assert tuple(range(1, 21)) not in rewrite._AUTOMATA
+    assert 20 not in rewrite._AUTOMATA
     assert _fold((20, 1), (20,), 20) == (20, 1)
-    assert len(rewrite._AUTOMATA[tuple(range(1, 21))].states) == 3
+    assert len(rewrite._AUTOMATA[20].states) == 3
 
 
 def _held_words(prefix, letters):
@@ -469,7 +471,7 @@ def test_fresh_memo_holds_only_the_states_one_multiply_visits(monkeypatch):
         x, y = rng.choice(universe), rng.choice(universe)
         monkeypatch.setattr(rewrite, "_AUTOMATA", {})
         multiply(Element(Word(x, 6)), Element(Word(y, 6)))
-        states = rewrite._AUTOMATA[tuple(range(1, 7))].states
+        states = rewrite._AUTOMATA[6].states
         held, walks = _held_words(x, y)
         assert set(states) == {gap_states(u, 6) for u in held}
         assert len(states) == len(set(states)) < 549
@@ -509,6 +511,6 @@ def test_threads_growing_one_memo_agree_with_the_rewriter(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    memo = rewrite._AUTOMATA[tuple(range(1, 9))]
+    memo = rewrite._AUTOMATA[8]
     assert len(set(memo.states)) == len(memo.states)
     assert all(memo.ids[state] == i for i, state in enumerate(memo.states))

@@ -17,12 +17,7 @@ from itertools import chain
 from typing import Callable
 
 from .algebra import display, from_word, multiply, sort_key
-from .enumeration import (
-    DEFAULT_ELEMENT_LIMIT,
-    MAX_DEFAULT_RANK,
-    Semigroup,
-    write_cache,
-)
+from .enumeration import DEFAULT_ELEMENT_LIMIT, Semigroup, write_cache
 from .equations import solve_right_zero
 from .errors import (
     DomainError,
@@ -40,8 +35,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
-_DEFAULT_SUITE_SAMPLES = 1000
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -55,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     enumerating.add_argument("--limit", dest="element_limit", type=int,
                              default=DEFAULT_ELEMENT_LIMIT,
                              help="enumeration element cap")
-    enumerating.add_argument("--allow-large", action="store_true",
-                             help=f"permit ranks above {MAX_DEFAULT_RANK}")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks")
@@ -118,21 +109,14 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _check_rank_policy(args: argparse.Namespace) -> None:
-    if args.rank > MAX_DEFAULT_RANK and not args.allow_large:
-        raise ResourceLimitError(
-            f"rank {args.rank} exceeds the default cap of "
-            f"{MAX_DEFAULT_RANK}; pass --allow-large to proceed"
-        )
-
-
 def _cmd_canon(args: argparse.Namespace) -> int:
     w = parse_word(args.word, args.rank)
+    trace = reduction_trace(w) if args.trace else None
+    canonical = canonical_form(w) if trace is None else trace.final
+    steps = () if trace is None else trace.steps
     if args.format == "json":
-        payload: dict = {"rank": args.rank, "input": str(w)}
-        if args.trace:
-            trace = reduction_trace(w)
-            payload["canonical"] = str(trace.final)
+        payload: dict = {"rank": args.rank, "input": str(w), "canonical": str(canonical)}
+        if trace is not None:
             payload["trace"] = [
                 {
                     "kind": red.kind.value,
@@ -141,19 +125,13 @@ def _cmd_canon(args: argparse.Namespace) -> int:
                     "remove": red.removed_position,
                     "result": str(word),
                 }
-                for red, word in trace.steps
+                for red, word in steps
             ]
-        else:
-            payload["canonical"] = str(canonical_form(w))
         _print_json(payload)
-        return EXIT_OK
-    if args.trace:
-        trace = reduction_trace(w)
-        for red, word in trace.steps:
-            print(f"{red.describe()} -> {word}")
-        print(f"canonical: {trace.final}")
     else:
-        print(str(canonical_form(w)))
+        for red, word in steps:
+            print(f"{red.describe()} -> {word}")
+        print(canonical if trace is None else f"canonical: {canonical}")
     return EXIT_OK
 
 
@@ -174,7 +152,6 @@ def _cmd_mul(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
-    _check_rank_policy(args)
     # only the texts, already in sort_key order, and the rounds, the
     # elements of each length: enum never multiplies or looks a word up,
     # so neither the table nor the index is built, nor any letter tuple
@@ -209,7 +186,6 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    _check_rank_policy(args)
     y = from_word(parse_word(args.y_text, args.rank))
     solved = solve_right_zero(y, limit=args.element_limit)
     ordered = solved.sorted_solutions()
@@ -260,28 +236,9 @@ def _print_verify_report(args: argparse.Namespace, report: dict) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        _check_rank_policy(args)
-    except ResourceLimitError as exc:
-        report = {
-            "rank": args.rank,
-            "seed": args.seed,
-            "samples": _DEFAULT_SUITE_SAMPLES,
-            "aborted": True,
-            "all_passed": False,
-            "error": str(exc),
-            "suites": [],
-        }
-        _print_verify_report(args, report)
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     names = None if args.suite == "all" else [args.suite]
     report = run_suites(
-        args.rank,
-        seed=args.seed,
-        samples=_DEFAULT_SUITE_SAMPLES,
-        limit=args.element_limit,
-        names=names,
+        args.rank, seed=args.seed, limit=args.element_limit, names=names,
     )
     _print_verify_report(args, report)
     if report["aborted"]:
@@ -291,7 +248,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    _check_rank_policy(args)
     semigroup = Semigroup(args.rank, limit=args.element_limit)
     words = semigroup.words
     ordered = sorted(Counter(semigroup.zero_thresholds()).items())

@@ -67,8 +67,10 @@ every table entry, and `product` on sampled words, to the deletion
 rewriter, and replay the rewriter-driven closure as a reference.
 
 Cardinalities grow double-exponentially with the rank.  Enumeration
-therefore takes an element cap, and the CLI refuses ranks above
-MAX_DEFAULT_RANK unless explicitly forced.
+therefore takes an element cap, |K_6| by default.  K_{n-1} sits inside
+K_n as the words avoiding letter n, so KNOWN_CARDINALITIES bounds every
+rank from below, and a cap under that bound is refused before anything
+is built.
 
 Cache files (one per rank) use a one-line header followed by one
 canonical word per line, shortest first::
@@ -85,7 +87,6 @@ checks them.  Writes replace the file in one step.
 
 from __future__ import annotations
 
-import math
 import os
 from bisect import bisect_left
 from itertools import compress
@@ -104,18 +105,23 @@ __all__ = [
     "cache_path",
     "write_cache",
     "DEFAULT_ELEMENT_LIMIT",
-    "MAX_DEFAULT_RANK",
     "KNOWN_CARDINALITIES",
 ]
 
-DEFAULT_ELEMENT_LIMIT = 10_000_000
-MAX_DEFAULT_RANK = 6
+# |K_6|, so ranks 1-6 fit; a literal, so a rank added below cannot raise it
+DEFAULT_ELEMENT_LIMIT = 83_973
 CACHE_MAGIC = "kiselman-cache v1"
 
 # Ranks 1 and 2 are small enough to list by hand; the larger values are
 # cross-validated by this module's two independent enumerators agreeing
 # element for element (see the cardinality verification suite).
 KNOWN_CARDINALITIES: dict[int, int] = {1: 2, 2: 5, 3: 18, 4: 115, 5: 1710, 6: 83973}
+
+
+def _over_cap(rank: int, limit: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"enumeration at rank {rank} exceeded the element cap of {limit}"
+    )
 
 
 class Semigroup:
@@ -142,7 +148,9 @@ class Semigroup:
     `product` is the one multiplication kernel: it walks the letters of
     a right factor through the columns, one list index per letter.
     Building the semigroup raises ResourceLimitError if more than
-    `limit` elements appear.
+    `limit` elements appear.  A `limit` below the rank's entry in
+    KNOWN_CARDINALITIES, or for a rank past the table one not above the
+    table's largest entry, is refused before the automaton is touched.
     """
 
     __slots__ = (
@@ -156,6 +164,10 @@ class Semigroup:
             raise ValidationError(f"rank must be >= 1, got {rank}")
         if limit < 1:
             raise ValidationError(f"element limit must be >= 1, got {limit}")
+        # past the table, K_rank holds the largest entry's K_m as its words
+        # over 1..m, and the letter rank besides
+        if limit < KNOWN_CARDINALITIES.get(rank, max(KNOWN_CARDINALITIES.values()) + 1):
+            raise _over_cap(rank, limit)
         self.rank = rank
         self._words: list[tuple[int, ...]] | None = None
         self._index: dict[tuple[int, ...], int] | None = None
@@ -199,10 +211,7 @@ class Semigroup:
                 news += [None] * (len(grown) - len(news))
             for g, child in new:
                 if len(parents) >= limit:
-                    raise ResourceLimitError(
-                        f"enumeration at rank {self.rank} exceeded "
-                        f"the element cap of {limit}"
-                    )
+                    raise _over_cap(self.rank, limit)
                 add_parent(ui)
                 add_last(g)
                 add_state(child)
@@ -374,26 +383,17 @@ def letter_bounds(rank: int) -> dict[int, int]:
 
     Letter i occurs at most 2^(i-1) times counted from the bottom of the
     alphabet and at most 2^(rank-i) times counted from the top; both
-    extreme letters occur at most once.
+    extreme letters occur at most once.  The bottom bound is the smaller
+    exactly when i <= (rank + 1) / 2, so the minimum of the two is the
+    bottom bound over the lower half of the alphabet and the top one
+    over the upper half.
 
     >>> letter_bounds(4)
     {1: 1, 2: 2, 3: 2, 4: 1}
     """
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
-    lower_half = math.ceil(rank / 2)
-    upper_half = math.ceil((rank + 1) / 2)
-    bounds: dict[int, int] = {}
-    for i in range(1, rank + 1):
-        bound: int | None = None
-        if i <= lower_half:
-            bound = 2 ** (i - 1)
-        if i >= upper_half:
-            top = 2 ** (rank - i)
-            bound = top if bound is None else min(bound, top)
-        assert bound is not None  # every letter falls in at least one half
-        bounds[i] = bound
-    return bounds
+    return {i: min(2 ** (i - 1), 2 ** (rank - i)) for i in range(1, rank + 1)}
 
 
 def enumerate_canonical_words(rank: int) -> set[Word]:

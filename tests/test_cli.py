@@ -261,12 +261,11 @@ def test_bad_cache_is_replaced_without_changing_output(capsys, tmp_path, case, c
 
 
 def test_forged_large_rank_cache_is_not_printed(capsys, tmp_path):
-    # rank 7 has no known count to check a file against; the element cap
-    # trips while building the semigroup, whatever the file says
+    # rank 7 has no known count to check a file against; a cap of 1000,
+    # below |K_6|, is refused before any building, whatever the file says
     (tmp_path / "k7.cache").write_text("kiselman-cache v1 n=7 count=3\n\n1\n2\n")
     code, out, err = run(
-        capsys, "enum", "--n", "7", "--allow-large", "--limit", "1000",
-        "--cache-dir", str(tmp_path),
+        capsys, "enum", "--n", "7", "--limit", "1000", "--cache-dir", str(tmp_path),
     )
     assert (code, out) == (3, "")
     assert "element cap of 1000" in err
@@ -390,7 +389,7 @@ def test_enum_large_rank_refused(capsys):
     code, out, err = run(capsys, "enum", "--n", "7")
     assert code == 3
     assert out == ""
-    assert "--allow-large" in err
+    assert err == "resource limit: enumeration at rank 7 exceeded the element cap of 83973\n"
 
 
 def test_limit_trips_resource_exit(capsys):
@@ -466,10 +465,10 @@ def test_csv_rejected_for_non_tabular_commands(capsys):
 COMMAND_OPTIONS = {
     "canon": {"--n", "--format", "--trace"},
     "mul": {"--n", "--format"},
-    "enum": {"--n", "--format", "--limit", "--allow-large", "--cache-dir"},
-    "solve": {"--n", "--format", "--y", "--limit", "--allow-large", "--seed"},
-    "verify": {"--n", "--format", "--suite", "--limit", "--allow-large", "--seed"},
-    "stats": {"--n", "--format", "--limit", "--allow-large", "--seed"},
+    "enum": {"--n", "--format", "--limit", "--cache-dir"},
+    "solve": {"--n", "--format", "--y", "--limit", "--seed"},
+    "verify": {"--n", "--format", "--suite", "--limit", "--seed"},
+    "stats": {"--n", "--format", "--limit", "--seed"},
 }
 # a call each command accepts
 VALID_CALLS = {
@@ -604,7 +603,7 @@ def test_output_is_byte_deterministic(capsys):
 
 
 def test_suite_failure_maps_to_exit_4(capsys, monkeypatch):
-    def fake_run_suites(rank, seed, samples, limit, names):
+    def fake_run_suites(rank, seed, limit, names, samples=1000):
         return {
             "rank": rank,
             "seed": seed,

@@ -103,6 +103,8 @@ def test_letter_bounds_shape():
     assert letter_bounds(3) == {1: 1, 2: 2, 3: 1}
     assert letter_bounds(4) == {1: 1, 2: 2, 3: 2, 4: 1}
     assert letter_bounds(5) == {1: 1, 2: 2, 3: 4, 4: 2, 5: 1}
+    assert letter_bounds(6) == {1: 1, 2: 2, 3: 4, 4: 4, 5: 2, 6: 1}
+    assert letter_bounds(7) == {1: 1, 2: 2, 3: 4, 4: 8, 5: 4, 6: 2, 7: 1}
 
 
 def _assert_words_respect_letter_bounds(semigroup):
@@ -305,15 +307,35 @@ def test_element_cap_matches_rewriter_closure():
 
 
 def test_small_cap_is_refused_before_the_automaton_grows(monkeypatch):
-    # the words phase asks the automaton only for the states it reaches:
-    # the identity's, whose nine new elements already pass the cap
+    # K_9 holds K_6, so a cap of 1 is refused before the automaton is asked
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
     with pytest.raises(
         ResourceLimitError,
         match=r"^enumeration at rank 9 exceeded the element cap of 1$",
     ):
         Semigroup(9, limit=1)
-    assert len(rewrite._AUTOMATA[9].states) <= 10
+    assert 9 not in rewrite._AUTOMATA
+
+
+@pytest.mark.parametrize("rank", [7, 300])
+def test_default_cap_refuses_ranks_past_the_table_unbuilt(monkeypatch, rank):
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    with pytest.raises(
+        ResourceLimitError,
+        match=rf"^enumeration at rank {rank} exceeded the element cap of 83973$",
+    ):
+        Semigroup(rank)
+    assert rewrite._AUTOMATA == {}
+
+
+def test_cap_above_the_table_still_trips_in_the_loop(monkeypatch):
+    # 100,000 passes the check before building, and K_7 outgrows it
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^enumeration at rank 7 exceeded the element cap of 100000$",
+    ):
+        Semigroup(7, limit=100_000)
 
 
 @pytest.mark.n6

@@ -44,7 +44,6 @@ from .words import (
     idempotent_word,
     is_canonical,
     letter_subsets,
-    mirror,
     parse_word,
 )
 

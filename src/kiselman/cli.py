@@ -187,7 +187,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     y = from_word(parse_word(args.y_text, args.rank))
-    solved = solve_right_zero(y, limit=args.element_limit)
+    solved = solve_right_zero(y, Semigroup(args.rank, limit=args.element_limit))
     ordered = solved.sorted_solutions()
     decomposition = None
     if solved.decomposition is not None:

@@ -39,11 +39,11 @@ Users: the CLI's `enum` lists the `texts()`, each its parent's plus
 one letter, by `rounds()`, the elements of each word length, and builds
 neither the words, the index nor the table; `stats` counts on its
 indices and products, its zero-threshold histogram from
-`zero_thresholds()`; the verify suites and
-`equations.solve_right_zero` take their products from its table; the
+`zero_thresholds()`; the verify suites, and `equations.solve_right_zero`
+on the one its caller builds, take their products from its table; the
 constructive solver reads the words and `zero_thresholds()` of K_{n-1},
 shifts each word up one letter, and never builds K_n; and the tests
-hold `elements()` and `product` to `algebra.multiply`, and
+hold `element` and `product` to `algebra.multiply`, and
 `zero_thresholds()` and the automaton's actions to the rewriter.
 One-shot arithmetic builds no table: `algebra.multiply`, which `mul`
 calls, folds the right factor onto the left one's canonical word
@@ -132,8 +132,7 @@ class Semigroup:
     (0 for the identity itself), and that last letter, and as its gap
     state in the automaton of `rewrite`.  Elements are numbered in
     discovery order, which is `sort_key` order: shortest first, then
-    letter by letter.  frontier_rounds counts the rounds of the closure,
-    one per word length and a last one that finds nothing.
+    letter by letter.
 
     The links are built with the semigroup; `texts()` and `rounds()`
     read them alone.  words, the letter tuples, is built from the links
@@ -154,7 +153,7 @@ class Semigroup:
     """
 
     __slots__ = (
-        "rank", "frontier_rounds", "multiplications",
+        "rank", "multiplications",
         "_rows", "_parents", "_lasts", "_states", "_bounds", "_words",
         "_index", "_columns",
     )
@@ -221,7 +220,6 @@ class Semigroup:
         bounds = [0, 1]
         while bounds[-1] < len(parents):
             bounds.append(bisect_left(parents, bounds[-1], bounds[-1]))
-        self.frontier_rounds = len(bounds) - 1
         self._rows = rows
         self._parents = parents
         self._lasts = lasts
@@ -372,10 +370,6 @@ class Semigroup:
     def element(self, i: int) -> Element:
         """Element i as an `Element`."""
         return Element(Word(self.words[i], self.rank))
-
-    def elements(self) -> frozenset[Element]:
-        """Every element as an `Element`; a set, so no traversal order shows."""
-        return frozenset(map(self.element, range(len(self))))
 
 
 def letter_bounds(rank: int) -> dict[int, int]:

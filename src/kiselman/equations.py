@@ -19,13 +19,14 @@ verification suite, which checks it on the indices of the table against
 every product it samples.
 
 The solver here exists to keep the construction honest: it scans the
-whole of K_n, as a `Semigroup`, takes every product from its right
-Cayley table and never assumes any of the structure above.  The
-construction reads only the table of K_{n-1}, for the thresholds, and
-`multiply`, which folds letters without any table, for one membership
-product per solution, so the two routes share no product of K_n.  The
-remaining facts are checked by the verification suites alone: the
-zero_cancellation suite holds that x * y reaches the zero with y over
+whole of K_n, a `Semigroup` its caller builds, takes every product from
+its right Cayley table and never assumes any of the structure above.
+The construction reads only the table of K_{n-1}, for the thresholds,
+and `multiply`, which folds letters without any table, for one
+membership product per solution, so the two routes share no product of
+K_n.  The remaining facts are checked by the verification suites alone:
+the zero_cancellation suite proves, from the table's edges and by
+induction on the length of y, that x * y reaches the zero with y over
 the letters 2..n only when x is the zero, and the solution_structure
 suite that the solutions of a_n * y = zero are the antiautomorphism's
 image of the solutions of x * a_1 = zero.
@@ -44,7 +45,7 @@ from .algebra import (
     sort_key,
     zero,
 )
-from .enumeration import DEFAULT_ELEMENT_LIMIT, Semigroup
+from .enumeration import Semigroup
 from .errors import InvariantError, ValidationError
 from .words import Word
 
@@ -75,20 +76,14 @@ class ZeroSolutionSet(NamedTuple):
         return sorted(self.solutions, key=sort_key)
 
 
-def solve_right_zero(
-    y: Element,
-    semigroup: Semigroup | None = None,
-    limit: int = DEFAULT_ELEMENT_LIMIT,
-) -> ZeroSolutionSet:
+def solve_right_zero(y: Element, semigroup: Semigroup) -> ZeroSolutionSet:
     """Brute-force the left factors: every x with x * y = zero.
 
-    Scans `semigroup`, the whole of K_n at y's rank, built here unless
-    supplied, and takes each product x * y from its table.  When y is
-    the first generator the result additionally carries the
+    Scans `semigroup`, the whole of K_n at y's rank, which the caller
+    builds, and takes each product x * y from its table.  When y is the
+    first generator the result additionally carries the
     special/containing-one decomposition.
     """
-    if semigroup is None:
-        semigroup = Semigroup(y.rank, limit=limit)
     if semigroup.rank != y.rank:
         raise ValidationError(f"rank mismatch: {semigroup.rank} vs {y.rank}")
     zero_index = semigroup.index[zero(y.rank).word.letters]

@@ -15,8 +15,8 @@ follows every maximal deletion sequence and reports every endpoint,
 which makes it the independent oracle the tests use to confirm that
 the endpoint really is unique.  The oracle finds each word's deletions
 in one left-to-right pass of its own; the redex scan `_redexes` serves
-only `canonical_letters` and `reduction_trace`, whose pair order fixes
-the traces.
+only `_deletions`, the one deletion loop behind `canonical_letters` and
+`reduction_trace`, whose pair order fixes the traces.
 
 Products start from two canonical words, and `_fold` uses that: it
 appends a right factor's letters one at a time to a canonical prefix.
@@ -100,8 +100,9 @@ def _redexes(letters: tuple[int, ...]) -> Iterator[tuple[ReductionKind, int, int
     value, so it defeats both deletion conditions.  Pairs are scanned by
     the position of their left copy, right deletion checked first, and
     that order is what makes `canonical_form` and `reduction_trace`
-    deterministic.  Only those two read it: `all_normal_forms` has its
-    own scan, so the oracle shares no code with what it checks.
+    deterministic.  Only their one loop, `_deletions`, reads it:
+    `all_normal_forms` has its own scan, so the oracle shares no code
+    with what it checks.
     """
     for p, i in enumerate(letters):
         q = None
@@ -118,19 +119,34 @@ def _redexes(letters: tuple[int, ...]) -> Iterator[tuple[ReductionKind, int, int
             yield ReductionKind.LEFT_DELETION, i, q, p
 
 
+def _deletions(
+    letters: tuple[int, ...],
+) -> Iterator[tuple[tuple[ReductionKind, int, int, int], tuple[int, ...]]]:
+    """Yield each step of the deterministic deletion chain from letters.
+
+    A step is the first redex `_redexes` finds and the letters left once
+    its removed copy is gone; the last step's letters are the canonical
+    form.  `canonical_letters` and `reduction_trace` both run this one
+    loop, so a trace ends where `canonical_form` does.
+    """
+    while True:
+        redex = next(_redexes(letters), None)
+        if redex is None:
+            return
+        removed = redex[3]
+        letters = letters[:removed] + letters[removed + 1:]
+        yield redex, letters
+
+
 def canonical_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     """Tuple-level canonical form.
 
     Its callers are `canonical_form`, the tests and the benchmark; no
     enumerator calls it.
     """
-    current = letters
-    while True:
-        redex = next(_redexes(current), None)
-        if redex is None:
-            return current
-        removed = redex[3]
-        current = current[:removed] + current[removed + 1:]
+    for _, letters in _deletions(letters):
+        pass
+    return letters
 
 
 # What follows the last copy of a letter g in a canonical word u: its
@@ -309,17 +325,10 @@ def reduction_trace(w: Word) -> ReductionTrace:
     The chain has exactly len(w) - len(canonical_form(w)) steps and its
     last word is the canonical form.
     """
-    steps: list[tuple[Reduction, Word]] = []
-    current = w
-    while True:
-        redex = next(_redexes(current.letters), None)
-        if redex is None:
-            return ReductionTrace(w, tuple(steps))
-        kind, letter, kept, removed = redex
-        current = Word(
-            current.letters[:removed] + current.letters[removed + 1:], current.rank
-        )
-        steps.append((Reduction(kind, letter, kept, removed), current))
+    return ReductionTrace(w, tuple(
+        (Reduction(*redex), Word(letters, w.rank))
+        for redex, letters in _deletions(w.letters)
+    ))
 
 
 def all_normal_forms(w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> set[Word]:

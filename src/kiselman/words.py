@@ -3,8 +3,8 @@
 Kiselman's semigroup K_n is the monoid with generators a_1, ..., a_n and
 relations a_i^2 = a_i and a_i a_j a_i = a_j a_i a_j = a_i a_j for j < i.
 This module supplies the raw substrate: finite words over the letters
-1..n, the canonicality test, the mirror map, and the strictly decreasing
-idempotent words.
+1..n, the canonicality test, and the strictly decreasing idempotent
+words.
 
 A word is *canonical* when every factor that starts and ends with the
 same letter i encloses both a letter larger than i and a letter smaller
@@ -29,7 +29,6 @@ __all__ = [
     "Word",
     "parse_word",
     "is_canonical",
-    "mirror",
     "idempotent_word",
     "letter_subsets",
 ]
@@ -140,19 +139,6 @@ def is_canonical(w: Word) -> bool:
                 return False
         last[i] = pos
     return True
-
-
-def mirror(w: Word) -> Word:
-    """Replace every letter i by rank - i + 1, keeping the order.
-
-    An involution, and a word is canonical exactly when its mirror is.
-
-    >>> str(mirror(parse_word("1 3", 3)))
-    '3 1'
-    >>> str(mirror(parse_word("2", 3)))
-    '2'
-    """
-    return Word(tuple(w.rank - i + 1 for i in w.letters), w.rank)
 
 
 def idempotent_word(members: Iterable[int], rank: int) -> Word:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
+from kiselman.algebra import Element
 from kiselman.enumeration import Semigroup
 from kiselman.errors import ValidationError
 from kiselman.words import Word
@@ -18,6 +19,11 @@ def is_quasi_subword(v: Word, w: Word) -> bool:
         raise ValidationError(f"rank mismatch: {v.rank} vs {w.rank}")
     it = iter(w.letters)
     return all(letter in it for letter in v.letters)
+
+
+def elements(semigroup: Semigroup) -> frozenset[Element]:
+    """Every element of a semigroup as an `Element`; a set, so no order shows."""
+    return frozenset(map(semigroup.element, range(len(semigroup))))
 
 
 def gap_states(letters: tuple[int, ...], rank: int) -> tuple[int, ...]:

@@ -36,7 +36,8 @@ CLAIMS = {
         ("confluence",), (1, 2, 3, 4), 15.0, seed=2024, samples=2500
     ),
     "idempotent count": Claim(("idempotents",), (1, 2, 3, 4), 30.0),
-    # exhaustive pairs up to rank 4, 1,000 sampled triples per rank
+    # every edge x * a_k (k >= 2) and product a_k * y (k <= n - 1), which
+    # by induction covers factors of every length; nothing is sampled
     "zero cancellation": Claim(("zero_cancellation",), (2, 3, 4), 300.0),
     "right-zero equation structure": Claim(
         ("solution_structure", "prefix_bijection"), (2, 3, 4), 60.0

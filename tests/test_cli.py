@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import elements
 from kiselman import cli
 from kiselman.algebra import multiply, zero_threshold
 from kiselman.cli import main
@@ -433,15 +434,15 @@ def test_stats_csv(capsys):
 def test_stats_matches_folded_products(capsys, rank):
     # the table-driven counts against algebra.zero_threshold and multiply,
     # which fold and read no table
-    elements = Semigroup(rank).elements()
-    histogram = Counter(zero_threshold(x) for x in elements)
+    members = elements(Semigroup(rank))
+    histogram = Counter(zero_threshold(x) for x in members)
     code, out, _ = run(capsys, "stats", "--n", str(rank), "--format", "json")
     assert code == 0
     assert json.loads(out) == {
         "rank": rank,
-        "cardinality": len(elements),
-        "containing_letter_one": sum(1 for x in elements if 1 in x.word.letters),
-        "idempotents": sum(1 for x in elements if multiply(x, x) == x),
+        "cardinality": len(members),
+        "containing_letter_one": sum(1 for x in members if 1 in x.word.letters),
+        "idempotents": sum(1 for x in members if multiply(x, x) == x),
         "zero_threshold_histogram": {
             str(k): v for k, v in sorted(histogram.items())
         },

@@ -25,7 +25,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .rewrite import canonical_form, reduction_trace
+from .rewrite import _reduction_steps, canonical_form, reduction_trace
 from .verify import SUITE_NAMES, run_suites
 from .words import parse_word
 
@@ -111,10 +111,9 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_canon(args: argparse.Namespace) -> int:
     w = parse_word(args.word, args.rank)
-    trace = reduction_trace(w) if args.trace else None
-    canonical = canonical_form(w) if trace is None else trace.final
-    steps = () if trace is None else trace.steps
     if args.format == "json":
+        trace = reduction_trace(w) if args.trace else None
+        canonical = canonical_form(w) if trace is None else trace.final
         payload: dict = {"rank": args.rank, "input": str(w), "canonical": str(canonical)}
         if trace is not None:
             payload["trace"] = [
@@ -125,13 +124,18 @@ def _cmd_canon(args: argparse.Namespace) -> int:
                     "remove": red.removed_position,
                     "result": str(word),
                 }
-                for red, word in steps
+                for red, word in trace.steps
             ]
         _print_json(payload)
+    elif args.trace:
+        # each step prints as the deletion loop yields it: the whole
+        # chain grows with the square of the word's length
+        canonical = w
+        for red, canonical in _reduction_steps(w):
+            print(f"{red.describe()} -> {canonical}")
+        print(f"canonical: {canonical}")
     else:
-        for red, word in steps:
-            print(f"{red.describe()} -> {word}")
-        print(canonical if trace is None else f"canonical: {canonical}")
+        print(canonical_form(w))
     return EXIT_OK
 
 

@@ -16,7 +16,11 @@ which makes it the independent oracle the tests use to confirm that
 the endpoint really is unique.  The oracle finds each word's deletions
 in one left-to-right pass of its own; the redex scan `_redexes` serves
 only `_deletions`, the one deletion loop behind `canonical_letters` and
-`reduction_trace`, whose pair order fixes the traces.
+`reduction_trace`, whose pair order fixes the traces.  The scan finds
+each pair with C-level tuple operations, the next copy of a letter by
+`index` and the gap's side by `max` or `min`, in the same order as a
+letter-by-letter scan, so the traces do not depend on it.  The loop
+restarts the scan from position 0 after every deletion.
 
 Products start from two canonical words, and `_fold` uses that: it
 appends a right factor's letters one at a time to a canonical prefix.
@@ -97,25 +101,30 @@ def _redexes(letters: tuple[int, ...]) -> Iterator[tuple[ReductionKind, int, int
 
     Only consecutive occurrences of a letter can form a redex: a copy of
     the letter inside the gap is neither smaller nor larger than its own
-    value, so it defeats both deletion conditions.  Pairs are scanned by
-    the position of their left copy, right deletion checked first, and
-    that order is what makes `canonical_form` and `reduction_trace`
-    deterministic.  Only their one loop, `_deletions`, reads it:
-    `all_normal_forms` has its own scan, so the oracle shares no code
-    with what it checks.
+    value, so it defeats both deletion conditions.  So each position p
+    pairs only with the next copy of its letter, found by the tuple's
+    own `index` from p + 1, and the gap between them is decided by its
+    `max` (all smaller) or its `min` (all larger); an empty gap admits
+    both kinds.  Pairs are scanned by the position of their left copy,
+    right deletion first, and that order is what makes `canonical_form`
+    and `reduction_trace` deterministic.  Only their one loop,
+    `_deletions`, reads it: `all_normal_forms` has its own scan, so the
+    oracle shares no code with what it checks.
     """
+    index = letters.index
     for p, i in enumerate(letters):
-        q = None
-        for r in range(p + 1, len(letters)):
-            if letters[r] == i:
-                q = r
-                break
-        if q is None:
+        try:
+            q = index(i, p + 1)
+        except ValueError:  # p holds the last copy of i
+            continue
+        if q == p + 1:
+            yield ReductionKind.RIGHT_DELETION, i, p, q
+            yield ReductionKind.LEFT_DELETION, i, q, p
             continue
         gap = letters[p + 1:q]
-        if all(g < i for g in gap):
+        if max(gap) < i:
             yield ReductionKind.RIGHT_DELETION, i, p, q
-        if all(g > i for g in gap):
+        elif min(gap) > i:
             yield ReductionKind.LEFT_DELETION, i, q, p
 
 
@@ -319,16 +328,24 @@ def canonical_form(w: Word) -> Word:
     return Word(canonical_letters(w.letters), w.rank)
 
 
+def _reduction_steps(w: Word) -> Iterator[tuple[Reduction, Word]]:
+    """Yield each step of w's deletion chain as `reduction_trace` records it.
+
+    `canon --trace` prints the steps in text mode as they come, so the
+    chain, whose words total about len(w)**2 / 2 letters, is never held
+    whole.
+    """
+    for redex, letters in _deletions(w.letters):
+        yield Reduction(*redex), Word(letters, w.rank)
+
+
 def reduction_trace(w: Word) -> ReductionTrace:
     """The deterministic deletion chain from w down to its canonical form.
 
     The chain has exactly len(w) - len(canonical_form(w)) steps and its
     last word is the canonical form.
     """
-    return ReductionTrace(w, tuple(
-        (Reduction(*redex), Word(letters, w.rank))
-        for redex, letters in _deletions(w.letters)
-    ))
+    return ReductionTrace(w, tuple(_reduction_steps(w)))
 
 
 def all_normal_forms(w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> set[Word]:

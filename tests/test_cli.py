@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -20,6 +21,8 @@ from kiselman.algebra import multiply, zero_threshold
 from kiselman.cli import main
 from kiselman.enumeration import Semigroup
 from kiselman.errors import InvariantError
+from kiselman.rewrite import reduction_trace
+from kiselman.words import parse_word
 
 
 def run(capsys, *argv):
@@ -42,6 +45,20 @@ def test_canon_trace(capsys):
     code, out, err = run(capsys, "canon", "--n", "2", "--trace", "1 2 1")
     assert code == 0
     assert out == "LeftDeletion letter=1 keep=2 remove=0 -> 2 1\ncanonical: 2 1\n"
+
+
+def test_canon_trace_streams_the_recorded_chain(capsys, monkeypatch):
+    rng = random.Random(22)
+    text = " ".join(str(rng.randint(1, 6)) for _ in range(200))
+    trace = reduction_trace(parse_word(text, 6))
+    expected = "".join(f"{red.describe()} -> {word}\n" for red, word in trace.steps)
+    expected += f"canonical: {trace.final}\n"
+    # text mode prints each step as it comes and never records the chain
+    monkeypatch.setattr(cli, "reduction_trace", None)
+    code, out, err = run(capsys, "canon", "--n", "6", "--trace", text)
+    assert (code, err) == (0, "")
+    assert len(trace.steps) > 150
+    assert out == expected
 
 
 def test_canon_trace_json(capsys):

@@ -226,6 +226,69 @@ def test_one_step_reductions_are_sound(w):
             assert all(g > letter for g in gap)
 
 
+def _redexes_by_definition(letters):
+    """Every deletion of letters, in the order the rewriter scans them.
+
+    A plain scan written from the definition: pairs go by the position of
+    their left copy, each copy pairs with the next copy of its letter, and
+    a gap of smaller letters gives a right deletion before a gap of larger
+    letters gives a left one, so an empty gap gives both.
+    """
+    found = []
+    for p, i in enumerate(letters):
+        q = None
+        for r in range(p + 1, len(letters)):
+            if letters[r] == i:
+                q = r
+                break
+        if q is None:
+            continue
+        gap = letters[p + 1:q]
+        if all(g < i for g in gap):
+            found.append((RIGHT, i, p, q))
+        if all(g > i for g in gap):
+            found.append((LEFT, i, q, p))
+    return found
+
+
+def _chain_by_definition(letters):
+    """The deletion chain that always takes the reference scan's first pair."""
+    chain = []
+    while True:
+        found = _redexes_by_definition(letters)
+        if not found:
+            return chain
+        removed = found[0][3]
+        letters = letters[:removed] + letters[removed + 1:]
+        chain.append((found[0], letters))
+
+
+# law: the redex scan yields the reference's deletions in the reference's
+# order, which is what keeps traces byte-identical
+@pytest.mark.parametrize("rank, max_len, count", [(3, 7, 3280), (5, 5, 3906)])
+def test_redex_scan_matches_the_reference_exhaustively(rank, max_len, count):
+    scanned = 0
+    for length in range(max_len + 1):
+        for letters in itertools.product(range(1, rank + 1), repeat=length):
+            assert list(_redexes(letters)) == _redexes_by_definition(letters), letters
+            scanned += 1
+    assert scanned == count
+
+
+@given(words(max_rank=7, max_len=40))
+@settings(max_examples=300)
+def test_redex_scan_matches_the_reference(w):
+    assert list(_redexes(w.letters)) == _redexes_by_definition(w.letters)
+
+
+def test_long_trace_follows_the_reference_chain():
+    rng = random.Random(300)
+    w = Word(tuple(rng.randint(1, 6) for _ in range(300)), 6)
+    chain = _chain_by_definition(w.letters)
+    assert len(chain) > 250
+    assert [(tuple(red), word.letters) for red, word in reduction_trace(w).steps] == chain
+
+
 # law: every maximal deletion sequence ends at the same word
 @given(words())
 @settings(max_examples=200)

@@ -546,6 +546,24 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert err == b""
 
 
+def test_mul_at_a_high_rank_stays_small():
+    # the fold relabels the product onto the 151 letters it uses: over
+    # 1..100000 it would grow 151 states of 100,001 entries, about 250 MB
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    right = " ".join(map(str, range(2, 152)))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys; from kiselman.cli import main; "
+         "code = main(sys.argv[1:]); "
+         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+         "sys.exit(code)",
+         "mul", "--n", "100000", "1", right],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (child.returncode, child.stdout) == (0, f"1 {right}\n")
+    assert int(child.stderr) < 100 * 1024  # kilobytes
+
+
 def _imported_modules(*args):
     """The modules a child interpreter imports, from its -X importtime log."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}

@@ -18,6 +18,7 @@ from kiselman.errors import ResourceLimitError, ValidationError
 from kiselman.rewrite import (
     Reduction,
     ReductionKind,
+    _deletions,
     _fold,
     _redexes,
     all_normal_forms,
@@ -40,26 +41,31 @@ from kiselman.words import (
 RIGHT, LEFT = ReductionKind.RIGHT_DELETION, ReductionKind.LEFT_DELETION
 
 
+def _scan(letters):
+    """Every deletion the redex scan finds, given the word's own counts."""
+    return list(_redexes(letters, Counter(letters)))
+
+
 def test_one_step_on_adjacent_equal_letters_has_both_kinds():
-    assert list(_redexes((1, 1))) == [(RIGHT, 1, 0, 1), (LEFT, 1, 1, 0)]
+    assert _scan((1, 1)) == [(RIGHT, 1, 0, 1), (LEFT, 1, 1, 0)]
 
 
 def test_one_step_right_deletion_only():
-    assert list(_redexes((2, 1, 2))) == [(RIGHT, 2, 0, 2)]
+    assert _scan((2, 1, 2)) == [(RIGHT, 2, 0, 2)]
 
 
 def test_one_step_left_deletion_only():
-    assert list(_redexes((1, 2, 1))) == [(LEFT, 1, 2, 0)]
+    assert _scan((1, 2, 1)) == [(LEFT, 1, 2, 0)]
 
 
 def test_one_step_empty_on_canonical_word():
-    assert list(_redexes((3, 2, 1))) == []
-    assert list(_redexes(())) == []
+    assert _scan((3, 2, 1)) == []
+    assert _scan(()) == []
 
 
 def test_one_step_ignores_separated_occurrence_pairs():
     # the middle copy of the letter blocks both deletion conditions
-    for _, _, kept, removed in _redexes((2, 1, 2, 1, 2)):
+    for _, _, kept, removed in _scan((2, 1, 2, 1, 2)):
         assert removed - kept in (-2, 2)
 
 
@@ -213,7 +219,7 @@ def test_trace_shape(w):
 # law: a single deletion's gap is one-sided in value
 @given(words())
 def test_one_step_reductions_are_sound(w):
-    for kind, letter, kept, removed in _redexes(w.letters):
+    for kind, letter, kept, removed in _scan(w.letters):
         assert w.letters[kept] == w.letters[removed] == letter
         lo, hi = sorted((kept, removed))
         gap = w.letters[lo + 1:hi]
@@ -264,13 +270,15 @@ def _chain_by_definition(letters):
 
 
 # law: the redex scan yields the reference's deletions in the reference's
-# order, which is what keeps traces byte-identical
+# order, which is what keeps traces byte-identical, and the deletion loop,
+# which keeps the counts the scan reads, follows the reference chain
 @pytest.mark.parametrize("rank, max_len, count", [(3, 7, 3280), (5, 5, 3906)])
 def test_redex_scan_matches_the_reference_exhaustively(rank, max_len, count):
     scanned = 0
     for length in range(max_len + 1):
         for letters in itertools.product(range(1, rank + 1), repeat=length):
-            assert list(_redexes(letters)) == _redexes_by_definition(letters), letters
+            assert _scan(letters) == _redexes_by_definition(letters), letters
+            assert list(_deletions(letters)) == _chain_by_definition(letters), letters
             scanned += 1
     assert scanned == count
 
@@ -278,7 +286,29 @@ def test_redex_scan_matches_the_reference_exhaustively(rank, max_len, count):
 @given(words(max_rank=7, max_len=40))
 @settings(max_examples=300)
 def test_redex_scan_matches_the_reference(w):
-    assert list(_redexes(w.letters)) == _redexes_by_definition(w.letters)
+    assert _scan(w.letters) == _redexes_by_definition(w.letters)
+
+
+@st.composite
+def skewed_letters(draw):
+    """Up to 60 letters drawn from a pool in which some letters are rare.
+
+    A letter listed once in a pool of up to a dozen entries can run down
+    to its last copy partway through the deletion chain, while the
+    others still have pairs to delete.
+    """
+    rank = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.integers(1, rank), min_size=1, max_size=12))
+    length = draw(st.integers(0, 60))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length)))
+
+
+# law: the deletion loop, which keeps the counts the scan reads across
+# its deletions, takes the reference scan's first pair at every step
+@given(skewed_letters())
+@settings(max_examples=300)
+def test_deletion_chain_matches_the_reference(letters):
+    assert list(_deletions(letters)) == _chain_by_definition(letters)
 
 
 def test_long_trace_follows_the_reference_chain():
@@ -424,6 +454,33 @@ def test_fold_is_the_one_normal_form(case):
     rank, prefix, letters = case
     forms = all_normal_forms(Word(prefix + letters, rank))
     assert forms == {Word(_fold(prefix, letters, rank), rank)}
+
+
+@st.composite
+def sparse_fold_inputs(draw):
+    """A canonical prefix and letters over a few letters of a rank up to 10**5."""
+    rank = draw(st.integers(1, 10**5))
+    pool = draw(st.lists(st.integers(1, rank), min_size=1, max_size=8))
+    prefix = canonical_letters(tuple(draw(st.lists(st.sampled_from(pool), max_size=30))))
+    return rank, prefix, tuple(draw(st.lists(st.sampled_from(pool), max_size=30)))
+
+
+@given(sparse_fold_inputs())
+@settings(deadline=None)
+def test_fold_of_sparse_letters_matches_the_rewriter(case):
+    rank, prefix, letters = case
+    assert _fold(prefix, letters, rank) == canonical_letters(prefix + letters)
+
+
+def test_sparse_product_folds_at_the_rank_of_its_letters(monkeypatch):
+    # a state holds rank + 1 entries, so at rank 10**5 the fold relabels
+    # the 151 letters it is given onto 1..151 and files that rank only
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    letters = tuple(range(2, 152))
+    assert _fold((1,), letters, 10**5) == (1, *letters)
+    assert list(rewrite._AUTOMATA) == [151]
+    assert _fold((50_000, 7), (50_000,), 10**5) == (50_000, 7)
+    assert sorted(rewrite._AUTOMATA) == [2, 151]
 
 
 def _ruler(lo, hi):

@@ -6,7 +6,8 @@ output is length-lexicographic on canonical words.  Multiplication
 folds the right factor's letters onto the left factor's canonical word
 with `rewrite._fold`, which never rescans that word: each append is one
 lookup in the append-letter transition on gap states that
-`enumeration.Semigroup` closes through too.  The empty word is
+`enumeration.Semigroup` closes through too.  `from_word` folds an
+arbitrary word onto the empty one the same way.  The empty word is
 the unit; the strictly decreasing word n, n-1, ..., 1 is the zero,
 absorbing on both sides.
 
@@ -41,7 +42,7 @@ import functools
 from typing import Iterable
 
 from .errors import DomainError, InvariantError, ValidationError
-from .rewrite import _fold, canonical_form
+from .rewrite import _fold
 from .words import Word, idempotent_word, is_canonical
 
 __all__ = [
@@ -111,11 +112,14 @@ class Element:
 def from_word(w: Word) -> Element:
     """The element represented by an arbitrary word.
 
+    w's letters fold onto the empty word, as a product's right factor
+    does, so a long word parses in linear time.
+
     >>> from .words import parse_word
     >>> str(from_word(parse_word("3 2 1 1", 3)))
     '3 2 1'
     """
-    return Element(canonical_form(w))
+    return Element(Word(_fold((), w.letters, w.rank), w.rank))
 
 
 def identity(rank: int) -> Element:

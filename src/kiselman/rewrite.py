@@ -14,16 +14,16 @@ reproducible byte for byte, while `all_normal_forms` deliberately
 follows every maximal deletion sequence and reports every endpoint,
 which makes it the independent oracle the tests use to confirm that
 the endpoint really is unique.  The oracle finds each word's deletions
-in one left-to-right pass of its own; the redex scan `_redexes` serves
-only `_deletions`, the one deletion loop behind `canonical_letters` and
-`reduction_trace`, whose pair order fixes the traces.  The scan finds
-each pair with C-level tuple operations, the next copy of a letter by
-`index` and the gap's side by `max` or `min`, in the same order as a
+in one left-to-right pass of its own.  `_deletions` is the one deletion
+loop behind `canonical_letters` and `reduction_trace`: it scans the
+current word from position 0 for its first pair, deletes, and scans
+again, so its pair order fixes the traces.  The scan finds each pair
+with C-level tuple operations, the next copy of a letter by `index` and
+the gap's side by `max` or `min`, in the same order as a
 letter-by-letter scan, so the traces do not depend on it.  The loop
 keeps a count of each letter of the current word, one less after every
-deletion, and the scan counts down a copy of it, so a position that
-holds the last copy of its letter is passed over without a search.
-The loop restarts the scan from position 0 after every deletion.
+deletion, and each scan counts down a copy as it passes, so a position
+that holds the last copy of its letter is passed over without a search.
 
 Products start from two canonical words, and `_fold` uses that: it
 appends a right factor's letters one at a time to a canonical prefix.
@@ -35,18 +35,18 @@ transition on gap states, grown lazily; the process keeps one automaton
 per rank, over the letters 1..rank.  The fold reads it one lookup per
 append, and `enumeration.Semigroup` closes through the same automaton,
 asking for every action of each state its elements reach.
-`algebra.multiply` folds; `canonical_form`, `canonical_letters` and
-`reduction_trace` keep the rewriter, which the tests hold the fold and
-the automaton to, as they hold the fold to `all_normal_forms`.  Neither
+`algebra.multiply` and `algebra.from_word` fold; `canonical_form`,
+`canonical_letters` and `reduction_trace` keep the rewriter, which the
+tests hold the fold and the automaton to, as they hold the fold to
+`all_normal_forms`.  Neither
 oracle, nor `words.is_canonical`, reads the automaton.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from threading import Lock
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ResourceLimitError, ValidationError
 from .words import Word
@@ -100,75 +100,63 @@ class ReductionTrace(NamedTuple):
         return self.steps[-1][1] if self.steps else self.source
 
 
-def _redexes(
-    letters: tuple[int, ...], counts: Mapping[int, int]
-) -> Iterator[tuple[ReductionKind, int, int, int]]:
-    """Yield (kind, letter, kept, removed) for every applicable deletion.
-
-    counts maps each letter of letters to its number of copies.  Only
-    consecutive occurrences of a letter can form a redex: a copy of the
-    letter inside the gap is neither smaller nor larger than its own
-    value, so it defeats both deletion conditions.  So each position p
-    pairs only with the next copy of its letter, found by the tuple's
-    own `index` from p + 1, and the gap between them is decided by its
-    `max` (all smaller) or its `min` (all larger); an empty gap admits
-    both kinds.  The scan counts down a copy of counts as it passes each
-    position, and a position whose letter has no copy left after it
-    holds the last copy, which pairs with nothing: it is skipped without
-    a search.  Skipping only drops positions that yield nothing, so the
-    pairs are still scanned by the position of their left copy, right
-    deletion first, and that order is what makes `canonical_form` and
-    `reduction_trace` deterministic.  Only their one loop, `_deletions`,
-    reads it: `all_normal_forms` has its own scan, so the oracle shares
-    no code with what it checks.
-    """
-    later = dict(counts)
-    index = letters.index
-    for p, i in enumerate(letters):
-        later[i] -= 1
-        if not later[i]:  # p holds the last copy of i
-            continue
-        q = index(i, p + 1)
-        if q == p + 1:
-            yield ReductionKind.RIGHT_DELETION, i, p, q
-            yield ReductionKind.LEFT_DELETION, i, q, p
-            continue
-        gap = letters[p + 1:q]
-        if max(gap) < i:
-            yield ReductionKind.RIGHT_DELETION, i, p, q
-        elif min(gap) > i:
-            yield ReductionKind.LEFT_DELETION, i, q, p
-
-
 def _deletions(
     letters: tuple[int, ...],
 ) -> Iterator[tuple[tuple[ReductionKind, int, int, int], tuple[int, ...]]]:
     """Yield each step of the deterministic deletion chain from letters.
 
-    A step is the first redex `_redexes` finds and the letters left once
-    its removed copy is gone; the last step's letters are the canonical
-    form.  The loop counts the copies of each letter once and takes one
-    off the deleted letter after each step, so every scan starts from
-    the counts of the word it scans, and still from position 0.
-    `canonical_letters` and `reduction_trace` both run this one loop, so
-    a trace ends where `canonical_form` does.
+    A step is (kind, letter, kept, removed), the first deletion a
+    left-to-right scan of the current word meets, and the letters left
+    once its removed copy is gone; the last step's letters are the
+    canonical form.  Only consecutive copies of a letter can pair: a
+    copy of the letter inside the gap is neither smaller nor larger than
+    its own value, so it defeats both deletion conditions.  So each
+    position p pairs only with the next copy of its letter, found by the
+    tuple's own `index` from p + 1, and the gap between them is decided
+    by its `max` (all smaller) or its `min` (all larger); an empty gap
+    admits both kinds, and the right deletion comes first.
+    The loop counts the copies of each letter once and takes one off the
+    deleted letter after each step.  Each scan counts down a copy as it
+    passes a position, so a position that holds the last copy of its
+    letter, which pairs with nothing, is passed over without a search.
+    Every scan restarts from position 0, and that order is what makes
+    `canonical_letters` and `reduction_trace`, which both run this one
+    loop, deterministic: a trace ends where `canonical_form` does.
+    `all_normal_forms` has its own scan, so the oracle shares no code
+    with what it checks.
     """
-    counts = Counter(letters)
+    # a plain loop: building a Counter costs about 1 µs more on a short word
+    counts: dict[int, int] = {}
+    for i in letters:
+        counts[i] = counts.get(i, 0) + 1
     while True:
-        redex = next(_redexes(letters, counts), None)
-        if redex is None:
+        later = dict(counts)
+        index = letters.index
+        for p, i in enumerate(letters):
+            later[i] -= 1
+            if not later[i]:  # p holds the last copy of i
+                continue
+            q = index(i, p + 1)
+            gap = letters[p + 1:q]
+            if not gap or max(gap) < i:
+                step, removed = (ReductionKind.RIGHT_DELETION, i, p, q), q
+                break
+            if min(gap) > i:
+                step, removed = (ReductionKind.LEFT_DELETION, i, q, p), p
+                break
+        else:
             return
-        counts[redex[1]] -= 1
-        removed = redex[3]
+        counts[i] -= 1
         letters = letters[:removed] + letters[removed + 1:]
-        yield redex, letters
+        yield step, letters
 
 
 def canonical_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     """Tuple-level canonical form.
 
-    Its callers are `canonical_form`, the tests and the benchmark; no
-    enumerator calls it.
+    The last word of the `_deletions` chain.  Its callers are
+    `canonical_form`, the tests and the benchmark; `from_word`,
+    `multiply` and the enumerators fold instead.
     """
     for _, letters in _deletions(letters):
         pass
@@ -190,11 +178,12 @@ _SAME, _WALK = -1, -2
 # process's memory for good.
 _MEMO_LIMIT = 63_973
 
-# Above this rank, a fold given fewer letters than the rank relabels
-# them onto 1..k, the k letters it uses: a state holds rank + 1 entries,
-# and a fold can grow one state per letter.  The relabelling adds 3-7 µs
-# to a warm fold of a short product and saves a cold one time only from
-# about rank 20 up, so the lower ranks fold as they are.
+# Above this rank, a fold whose product uses fewer distinct letters than
+# the rank relabels them onto 1..k, the k letters it uses: a state holds
+# rank + 1 entries, and a fold can grow one state per letter, however
+# long the word.  The relabelling adds 3-7 µs to a warm fold of a short
+# product and saves a cold one time only from about rank 20 up, so the
+# lower ranks fold as they are.
 _RELABEL_ABOVE = 20
 
 
@@ -294,10 +283,11 @@ def _fold(
     appends the gap and then g again.  Letters still to append wait on
     an explicit stack, so a long word cannot exhaust the interpreter's
     recursion limit.  The automaton grows only by the states this fold
-    visits.  Above rank `_RELABEL_ABOVE`, a product of fewer letters than
-    the rank folds over 1..k instead, its k letters mapped there in
-    order, and maps back: canonicity compares letters only by order, and
-    the automaton over 1..k holds states of k + 1 entries, not rank + 1.
+    visits.  Above rank `_RELABEL_ABOVE`, a product of fewer distinct
+    letters than the rank folds over 1..k instead, its k letters mapped
+    there in order, and maps back: canonicity compares letters only by
+    order, and the automaton over 1..k holds states of k + 1 entries,
+    not rank + 1.
 
     >>> _fold((2, 1), (2,), 2)
     (2, 1)
@@ -305,12 +295,14 @@ def _fold(
     (3, 2, 1)
     """
     used = None
-    if rank > _RELABEL_ABOVE and rank > len(prefix) + len(letters):
-        used = sorted({*prefix, *letters})
-        down = {g: k for k, g in enumerate(used, 1)}
-        prefix = [down[g] for g in prefix]
-        letters = [down[g] for g in letters]
-        rank = len(used)
+    if rank > _RELABEL_ABOVE:
+        distinct = sorted({*prefix, *letters})
+        if len(distinct) < rank:
+            used = distinct
+            down = {g: k for k, g in enumerate(used, 1)}
+            prefix = [down[g] for g in prefix]
+            letters = [down[g] for g in letters]
+            rank = len(used)
     automaton = _AUTOMATA.get(rank) or _automaton(rank)
     rows, act = automaton.rows, automaton.act
     word = list(prefix)
@@ -389,7 +381,7 @@ def all_normal_forms(w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> set[Wor
 
     Each word's deletions come from one left-to-right pass that keeps
     the last position of every letter: only consecutive copies can pair
-    (see `_redexes`), and the gap between a pair is sliced once.  An
+    (see `_deletions`), and the gap between a pair is sliced once.  An
     empty or all-smaller gap drops the right copy, and an all-larger gap
     the left one; on an empty gap both kinds give the same word.
     Visited words are deduplicated, so the search walks a DAG rather

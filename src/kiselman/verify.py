@@ -18,9 +18,8 @@ with what a public function returns.  Every suite about products, the
 prefix facts and the three-case rule of the solutions included, takes
 them from the table, on indices.  The deletion rewriter serves only the
 confluence suite, where it is the point: there `canonical_form`, through
-the redex scan `_redexes`, meets the oracle `all_normal_forms`, which
-finds deletions by a one-pass scan of its own; `_redexes` serves only
-the one deletion loop behind `canonical_letters` and `reduction_trace`.
+the deletion loop `rewrite._deletions`, meets the oracle
+`all_normal_forms`, which finds deletions by a one-pass scan of its own.
 The construction checks each solution it builds with one `multiply` by
 a_1, which folds and reads no table.  A suite returns its report entry;
 one that does not apply at the requested rank reports itself as skipped

@@ -16,12 +16,12 @@ from pathlib import Path
 import pytest
 
 from conftest import elements
-from kiselman import cli
-from kiselman.algebra import multiply, zero_threshold
+from kiselman import cli, rewrite
+from kiselman.algebra import from_word, multiply, zero_threshold
 from kiselman.cli import main
 from kiselman.enumeration import Semigroup
 from kiselman.errors import InvariantError
-from kiselman.rewrite import reduction_trace
+from kiselman.rewrite import canonical_form, reduction_trace
 from kiselman.words import parse_word
 
 
@@ -562,6 +562,53 @@ def test_mul_at_a_high_rank_stays_small():
     )
     assert (child.returncode, child.stdout) == (0, f"1 {right}\n")
     assert int(child.stderr) < 100 * 1024  # kilobytes
+
+
+def test_only_canon_reaches_the_deletion_loop(capsys, monkeypatch):
+    # factors parse by the fold, so mul, solve, stats and enum run with
+    # the deletion loop broken, and only canon hits it
+    class Reached(Exception):
+        pass
+
+    def refuse(letters):
+        raise Reached
+
+    w, u = parse_word("1 2 1 3 2", 3), parse_word("1 1", 3)
+    expected = canonical_form(w), canonical_form(parse_word("1 2 1 3 2 1 1", 3))
+    monkeypatch.setattr(rewrite, "_deletions", refuse)
+    x = from_word(w)
+    assert (x.word, multiply(x, from_word(u)).word) == expected
+    for argv in (
+        ("mul", "--n", "3", "1 2 1", "3 2"),
+        ("solve", "--n", "3", "--y", "1"),
+        ("stats", "--n", "3"),
+        ("enum", "--n", "3"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    for argv in (("canon", "--n", "3", "1 2 1"), ("canon", "--n", "3", "--trace", "1 2 1")):
+        with pytest.raises(Reached):
+            main(list(argv))
+
+
+def test_mul_of_a_long_factor_stays_fast(k5):
+    # 50,000 letters parse by the fold in linear time; the rewriter would
+    # rescan the factor after each of its deletions.  The argument stays
+    # under Linux's 128 KB cap on one argument
+    rng = random.Random(50_000)
+    left = tuple(rng.randint(1, 5) for _ in range(50_000))
+    left_text = " ".join(map(str, left))
+    assert len(left_text) < 128 * 1024
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-m", "kiselman", "mul", "--n", "5", left_text, "3 1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    product = k5.words[k5.product(0, left + (3, 1))]
+    assert (child.returncode, child.stdout) == (0, " ".join(map(str, product)) + "\n")
+    assert elapsed < 5
 
 
 def _imported_modules(*args):

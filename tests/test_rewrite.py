@@ -20,7 +20,6 @@ from kiselman.rewrite import (
     ReductionKind,
     _deletions,
     _fold,
-    _redexes,
     all_normal_forms,
     canonical_form,
     canonical_letters,
@@ -33,40 +32,80 @@ from kiselman.words import (
 )
 
 
-# The one-step deletion relation is the private redex scan behind
-# canonical_letters and reduction_trace; it yields (kind, letter, kept
-# position, removed position) for every deletion.  all_normal_forms has
-# its own one-pass scan, held below to a search written from the
-# definition.
+# The one-step deletion relation is scanned inside the private deletion
+# loop behind canonical_letters and reduction_trace; each step it yields
+# is (kind, letter, kept position, removed position) and the word left.
+# all_normal_forms has its own one-pass scan, held below to a search
+# written from the definition.
 RIGHT, LEFT = ReductionKind.RIGHT_DELETION, ReductionKind.LEFT_DELETION
 
 
-def _scan(letters):
-    """Every deletion the redex scan finds, given the word's own counts."""
-    return list(_redexes(letters, Counter(letters)))
+def _redexes_by_definition(letters):
+    """Every deletion of letters, in the order the rewriter scans them.
+
+    A plain scan written from the definition: pairs go by the position of
+    their left copy, each copy pairs with the next copy of its letter, and
+    a gap of smaller letters gives a right deletion before a gap of larger
+    letters gives a left one, so an empty gap gives both.
+    """
+    found = []
+    for p, i in enumerate(letters):
+        q = None
+        for r in range(p + 1, len(letters)):
+            if letters[r] == i:
+                q = r
+                break
+        if q is None:
+            continue
+        gap = letters[p + 1:q]
+        if all(g < i for g in gap):
+            found.append((RIGHT, i, p, q))
+        if all(g > i for g in gap):
+            found.append((LEFT, i, q, p))
+    return found
+
+
+def _chain_by_definition(letters):
+    """The deletion chain that always takes the reference scan's first pair."""
+    chain = []
+    while True:
+        found = _redexes_by_definition(letters)
+        if not found:
+            return chain
+        removed = found[0][3]
+        letters = letters[:removed] + letters[removed + 1:]
+        chain.append((found[0], letters))
+
+
+def _first_step(letters):
+    """The first deletion the loop takes on letters; None on a canonical word."""
+    step = next(_deletions(letters), None)
+    return step and step[0]
 
 
 def test_one_step_on_adjacent_equal_letters_has_both_kinds():
-    assert _scan((1, 1)) == [(RIGHT, 1, 0, 1), (LEFT, 1, 1, 0)]
+    # both kinds apply, and the loop takes the right deletion first
+    assert _redexes_by_definition((1, 1)) == [(RIGHT, 1, 0, 1), (LEFT, 1, 1, 0)]
+    assert list(_deletions((1, 1))) == [((RIGHT, 1, 0, 1), (1,))]
 
 
 def test_one_step_right_deletion_only():
-    assert _scan((2, 1, 2)) == [(RIGHT, 2, 0, 2)]
+    assert list(_deletions((2, 1, 2))) == [((RIGHT, 2, 0, 2), (2, 1))]
 
 
 def test_one_step_left_deletion_only():
-    assert _scan((1, 2, 1)) == [(LEFT, 1, 2, 0)]
+    assert list(_deletions((1, 2, 1))) == [((LEFT, 1, 2, 0), (2, 1))]
 
 
 def test_one_step_empty_on_canonical_word():
-    assert _scan((3, 2, 1)) == []
-    assert _scan(()) == []
+    assert _first_step((3, 2, 1)) is None
+    assert _first_step(()) is None
 
 
 def test_one_step_ignores_separated_occurrence_pairs():
-    # the middle copy of the letter blocks both deletion conditions
-    for _, _, kept, removed in _scan((2, 1, 2, 1, 2)):
-        assert removed - kept in (-2, 2)
+    # the middle copy of the letter blocks both deletion conditions, so
+    # the first copy pairs with the middle one, not the last
+    assert _first_step((2, 1, 2, 1, 2)) == (RIGHT, 2, 0, 2)
 
 
 def test_canonical_form_examples():
@@ -216,13 +255,14 @@ def test_trace_shape(w):
         previous = after
 
 
-# law: a single deletion's gap is one-sided in value
+# law: every deletion's gap is one-sided in value
 @given(words())
 def test_one_step_reductions_are_sound(w):
-    for kind, letter, kept, removed in _scan(w.letters):
-        assert w.letters[kept] == w.letters[removed] == letter
+    before = w.letters
+    for (kind, letter, kept, removed), after in _deletions(before):
+        assert before[kept] == before[removed] == letter
         lo, hi = sorted((kept, removed))
-        gap = w.letters[lo + 1:hi]
+        gap = before[lo + 1:hi]
         assert letter not in gap
         if kind == RIGHT:
             assert kept < removed
@@ -230,54 +270,20 @@ def test_one_step_reductions_are_sound(w):
         else:
             assert removed < kept
             assert all(g > letter for g in gap)
+        assert after == before[:removed] + before[removed + 1:]
+        before = after
 
 
-def _redexes_by_definition(letters):
-    """Every deletion of letters, in the order the rewriter scans them.
-
-    A plain scan written from the definition: pairs go by the position of
-    their left copy, each copy pairs with the next copy of its letter, and
-    a gap of smaller letters gives a right deletion before a gap of larger
-    letters gives a left one, so an empty gap gives both.
-    """
-    found = []
-    for p, i in enumerate(letters):
-        q = None
-        for r in range(p + 1, len(letters)):
-            if letters[r] == i:
-                q = r
-                break
-        if q is None:
-            continue
-        gap = letters[p + 1:q]
-        if all(g < i for g in gap):
-            found.append((RIGHT, i, p, q))
-        if all(g > i for g in gap):
-            found.append((LEFT, i, q, p))
-    return found
-
-
-def _chain_by_definition(letters):
-    """The deletion chain that always takes the reference scan's first pair."""
-    chain = []
-    while True:
-        found = _redexes_by_definition(letters)
-        if not found:
-            return chain
-        removed = found[0][3]
-        letters = letters[:removed] + letters[removed + 1:]
-        chain.append((found[0], letters))
-
-
-# law: the redex scan yields the reference's deletions in the reference's
-# order, which is what keeps traces byte-identical, and the deletion loop,
-# which keeps the counts the scan reads, follows the reference chain
+# law: the deletion loop's scan takes the reference's first deletion, and
+# the loop, which keeps the counts the scan reads, follows the reference
+# chain step for step, which is what keeps traces byte-identical
 @pytest.mark.parametrize("rank, max_len, count", [(3, 7, 3280), (5, 5, 3906)])
 def test_redex_scan_matches_the_reference_exhaustively(rank, max_len, count):
     scanned = 0
     for length in range(max_len + 1):
         for letters in itertools.product(range(1, rank + 1), repeat=length):
-            assert _scan(letters) == _redexes_by_definition(letters), letters
+            first = next(iter(_redexes_by_definition(letters)), None)
+            assert _first_step(letters) == first, letters
             assert list(_deletions(letters)) == _chain_by_definition(letters), letters
             scanned += 1
     assert scanned == count
@@ -286,7 +292,9 @@ def test_redex_scan_matches_the_reference_exhaustively(rank, max_len, count):
 @given(words(max_rank=7, max_len=40))
 @settings(max_examples=300)
 def test_redex_scan_matches_the_reference(w):
-    assert _scan(w.letters) == _redexes_by_definition(w.letters)
+    first = next(iter(_redexes_by_definition(w.letters)), None)
+    assert _first_step(w.letters) == first
+    assert list(_deletions(w.letters)) == _chain_by_definition(w.letters)
 
 
 @st.composite
@@ -474,13 +482,21 @@ def test_fold_of_sparse_letters_matches_the_rewriter(case):
 
 def test_sparse_product_folds_at_the_rank_of_its_letters(monkeypatch):
     # a state holds rank + 1 entries, so at rank 10**5 the fold relabels
-    # the 151 letters it is given onto 1..151 and files that rank only
+    # the 151 letters it is given onto 1..151 and files that rank only.
+    # 3,001 letters over 1..40 at rank 3000 are longer than the rank, yet
+    # fold over their 40 distinct letters, not in states of 3,001 entries
+    rng = random.Random(3000)
+    long = tuple(rng.randint(1, 40) for _ in range(3001))
+    assert set(long) == set(range(1, 41))
+    expected = _fold((), long, 40)
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
     letters = tuple(range(2, 152))
     assert _fold((1,), letters, 10**5) == (1, *letters)
     assert list(rewrite._AUTOMATA) == [151]
     assert _fold((50_000, 7), (50_000,), 10**5) == (50_000, 7)
     assert sorted(rewrite._AUTOMATA) == [2, 151]
+    assert _fold((), long, 3000) == expected
+    assert sorted(rewrite._AUTOMATA) == [2, 40, 151]
 
 
 def _ruler(lo, hi):

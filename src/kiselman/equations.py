@@ -15,8 +15,9 @@ The solution set is closed under multiplication and its products follow
 a three-case rule: special * special = special, anything * special is
 unchanged, and a right factor containing letter 1 collapses the product
 to the zero.  The rule is written once, in the solution_structure
-verification suite, which checks it on the indices of the table against
-every product it samples.
+verification suite, which proves it for every pair of solutions from
+two checks on the table's edges: x * special = x, and x * a_k is a
+solution for k >= 2, for every solution x.
 
 The solver here exists to keep the construction honest: it scans the
 whole of K_n, a `Semigroup` its caller builds, takes every product from

@@ -3,34 +3,36 @@
 Each suite re-derives one structural fact at the requested rank and
 reports pass/fail with counterexamples; nothing is trusted from earlier
 runs.  A claim of the paper is checked here and nowhere else in the
-package: zero cancellation in its suite, on every edge of the right
-Cayley table and on a_k * y for every element y, which by induction
-covers factors of every length, and the parity of |K_n| in its suite,
-from the canonical words and the cardinalities of the two ranks below.
-Suites share one context, built once per run around one closure, the
-indexed `Semigroup` of K_n.  The rest is built on first use, by the
-suites that read it: the direct search of K_n, the submonoid avoiding
-letter 1 (the closure's words without that letter), and the constructed
-solutions of x * a_1 = zero, which read K_{n-1} shifted up one letter.
-The direct search comes as letter tuples and the suites compare those; a
-`Word` or an `Element` is built only for a report line or to compare
-with what a public function returns.  Every suite about products, the
-prefix facts and the three-case rule of the solutions included, takes
-them from the table, on indices.  The deletion rewriter serves only the
-confluence suite, where it is the point: there `canonical_form`, through
-the deletion loop `rewrite._deletions`, meets the oracle
-`all_normal_forms`, which finds deletions by a one-pass scan of its own.
-The construction checks each solution it builds with one `multiply` by
-a_1, which folds and reads no table.  A suite returns its report entry;
-one that does not apply at the requested rank reports itself as skipped
-with a reason, and the report always lists every selected suite.
+package.  Identities of products are checked on every edge x * a_k of
+the right Cayley table; as x * (y a_k) = (x * y) * a_k, induction on |y|
+extends each to right factors of every length, so none is sampled:
+
+- content(x * a_k) = content(x) | {k} gives content(x * y);
+- tau(x * a_k) = a_{n+1-k} * tau(x), tau the antiautomorphism, gives
+  tau(x * y) = tau(y) * tau(x);
+- zero cancellation and its dual, in that suite;
+- for the solutions S of x * a_1 = zero: x * special = x, and x * a_k
+  is in S for k >= 2, for every x in S.  The latter holds as
+  a_1 a_k a_1 = a_k a_1, so x a_k a_1 = x a_1 a_k a_1 = zero.  Any
+  other member of S is u 1 v with u over 2..n; x * u is in S, so the
+  product is the zero.  That covers all |S|^2 products, and closure.
+
+Suites share one context, built once per run around the indexed
+`Semigroup` of K_n; the suites that read the rest build it on first use:
+the left products a_k * y, along the parent links; the direct search of
+K_n, as letter tuples; the submonoid avoiding letter 1; and the solutions
+of x * a_1 = zero, constructed from K_{n-1} shifted up one letter and
+each checked by one `multiply`, a fold.  The deletion rewriter serves
+only the confluence suite, where `canonical_form` meets the oracle
+`all_normal_forms`; it and the two prefix suites alone draw from the
+seed.  A suite that does not apply at the rank reports itself skipped
+with a reason; the report lists every selected suite.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Sequence
 from functools import cached_property
 
 from .algebra import (
@@ -60,10 +62,6 @@ from .words import Word, letter_subsets
 
 __all__ = ["SUITE_NAMES", "run_suites"]
 
-# Above these sizes the exhaustive scans switch to seeded sampling.
-_EXHAUSTIVE_PAIR_RANK = 3
-_EXHAUSTIVE_SOLUTION_PAIRS = 200
-
 
 class _Context:
     def __init__(self, rank: int, seed: int, samples: int, limit: int) -> None:
@@ -71,6 +69,29 @@ class _Context:
         self.samples = samples
         self.rng = random.Random(seed)
         self.semigroup = Semigroup(rank, limit=limit)
+
+    def along_links(self, op, by_letter: list, roots: list) -> list[list]:
+        """For each root, a value per element: the root for the identity,
+        and op(by_letter[g], v's value) for v g.  A round's parents are
+        all in the round before it."""
+        s = self.semigroup
+        labels = list(map(by_letter.__getitem__, s._lasts))
+        rows = []
+        for root in roots:
+            row = [root]
+            for start, end in s.rounds()[1:]:
+                row += map(
+                    op, labels[start:end], map(row.__getitem__, s._parents[start:end])
+                )
+            rows.append(row)
+        return rows
+
+    @cached_property
+    def left(self) -> list[list[int] | None]:
+        """left[k][y] is a_k * y for k in 1..n, as (a_k * v) * g for y = v g."""
+        columns = self.semigroup.columns
+        generators = [columns[k][0] for k in range(1, self.rank + 1)]
+        return [None] + self.along_links(list.__getitem__, columns, generators)
 
     @cached_property
     def words(self) -> list[tuple[int, ...]]:
@@ -192,78 +213,68 @@ def _suite_idempotents(ctx: _Context) -> dict:
     )
 
 
-def _pairs(pool: Sequence, rng: random.Random, count: int | None):
-    """Ordered pairs from pool: every one when count is None, else count
-    seeded draws, each drawing its left member first."""
-    if count is None:
-        return itertools.product(pool, repeat=2)
-    return ((rng.choice(pool), rng.choice(pool)) for _ in range(count))
-
-
 def _suite_content(ctx: _Context) -> dict:
+    # content(x * a_k) = content(x) | {k}, contents as bitmasks of letters
     failures: list[str] = []
     s = ctx.semigroup
-    exhaustive = ctx.rank <= _EXHAUSTIVE_PAIR_RANK
-    checked = 0
-    for x, y in _pairs(range(len(s)), ctx.rng, None if exhaustive else ctx.samples):
-        checked += 1
-        if set(s.words[s.product(x, s.words[y])]) != set(s.words[x] + s.words[y]):
-            failures.append(
-                "content(x*y) != content(x) | content(y) at "
-                f"x='{s.element(x)}' y='{s.element(y)}'"
+    bits = [1 << g for g in range(ctx.rank + 1)]
+    (masks,) = ctx.along_links(int.__or__, bits, [0])
+    for k in range(1, ctx.rank + 1):
+        column, bit = s.columns[k], bits[k]
+        if list(map(masks.__getitem__, column)) != list(map(bit.__or__, masks)):
+            failures.extend(
+                f"content(x*a_{k}) != content(x) | {{{k}}} at x='{s.element(x)}'"
+                for x, xk in enumerate(column)
+                if masks[xk] != masks[x] | bit
             )
-    contents = {frozenset(w) for w in s.words}
-    if len(contents) != 2 ** ctx.rank:
-        failures.append(
-            f"{len(contents)} distinct contents, expected {2 ** ctx.rank}"
-        )
-    return _result(
-        "content",
-        checked + 1,
-        failures,
-        {"pairs": checked, "exhaustive": exhaustive},
-    )
+    contents = len(set(masks))
+    if contents != 2 ** ctx.rank:
+        failures.append(f"{contents} distinct contents, expected {2 ** ctx.rank}")
+    edges = len(s) * ctx.rank
+    return _result("content", edges + 1, failures, {"edges": edges})
 
 
 def _suite_antiautomorphism(ctx: _Context) -> dict:
     failures: list[str] = []
     tau = antiautomorphism
-    checks = 0
     if tau(zero(ctx.rank)) != zero(ctx.rank):
         failures.append("the antiautomorphism moved the zero")
-    checks += 1
     for i in range(1, ctx.rank + 1):
-        checks += 1
         if tau(generator(i, ctx.rank)) != generator(ctx.rank - i + 1, ctx.rank):
             failures.append(f"generator {i} not sent to {ctx.rank - i + 1}")
+    checks = 1 + ctx.rank
     s = ctx.semigroup
-    words = s.words
-    exhaustive = ctx.rank <= _EXHAUSTIVE_PAIR_RANK
-    detail = {"exhaustive": exhaustive}
     # tau on indices, from the letter tuples by the map tau itself applies
-    flipped = [_reverse_flip(w, ctx.rank) for w in words]
-    image = [s.index.get(w) for w in flipped]
+    flipped = [_reverse_flip(w, ctx.rank) for w in s.words]
+    image = list(map(s.index.get, flipped))
     pool = range(len(s))
-    missing = [i for i in pool if image[i] is None]
-    if missing:
+    if None in image:
         failures.extend(
-            f"image '{' '.join(map(str, flipped[i]))}' of '{s.element(i)}' "
-            "is not canonical"
-            for i in missing
+            f"image '{_text(flipped[i])}' of '{s.element(i)}' is not canonical"
+            for i in pool
+            if image[i] is None
         )
-        return _result("antiautomorphism", checks, failures, detail)
-    for i in pool:
-        checks += 1
-        if image[image[i]] != i:
-            failures.append(f"not an involution at '{s.element(i)}'")
-    for i, j in _pairs(pool, ctx.rng, None if exhaustive else ctx.samples):
-        checks += 1
-        # tau(x * y) against tau(y) * tau(x), both products from the table
-        if image[s.product(i, words[j])] != s.product(image[j], words[image[i]]):
-            failures.append(
-                f"product not reversed at x='{s.element(i)}' y='{s.element(j)}'"
+        return _result("antiautomorphism", checks, failures, {"edges": 0})
+    if list(map(image.__getitem__, image)) != list(pool):
+        failures.extend(
+            f"not an involution at '{s.element(i)}'"
+            for i in pool
+            if image[image[i]] != i
+        )
+    # tau(x * a_k) against a_{n+1-k} * tau(x), a whole column at a time
+    for k in range(1, ctx.rank + 1):
+        column, mirror = s.columns[k], ctx.left[ctx.rank + 1 - k]
+        images = list(map(image.__getitem__, column))
+        if images != list(map(mirror.__getitem__, image)):
+            failures.extend(
+                f"product not reversed at x='{s.element(x)}' * a_{k}"
+                for x in pool
+                if image[column[x]] != mirror[image[x]]
             )
-    return _result("antiautomorphism", checks, failures, detail)
+    edges = len(s) * ctx.rank
+    return _result(
+        "antiautomorphism", checks + len(s) + edges, failures, {"edges": edges}
+    )
 
 
 def _suite_word_bounds(ctx: _Context) -> dict:
@@ -334,7 +345,7 @@ def _suite_prefix_recovery(ctx: _Context) -> dict:
     failures: list[str] = []
     s = ctx.semigroup
     alphabet = tuple(range(2, ctx.rank + 1))
-    if ctx.rank <= _EXHAUSTIVE_PAIR_RANK:
+    if ctx.rank <= 3:  # every suffix of up to three letters
         suffixes = [
             p for length in range(0, 4)
             for p in itertools.product(alphabet, repeat=length)
@@ -392,14 +403,8 @@ def _suite_zero_cancellation(ctx: _Context) -> dict:
         for x, xk in enumerate(columns[k]):
             if xk == zero_index and x != zero_index:
                 failures.append(f"x='{element(x)}' * a_{k} is the zero, but x is not")
-    # a_k * y walks the letters of y from a_k; the walks share prefixes,
-    # so a_k * (v g) is read as (a_k * v) * g, v found through the index
-    links = [(s.index[w[:-1]], w[-1]) for w in s.words[1:]]
     for k in range(1, rank):
-        left = [columns[k][0]]
-        for v, g in links:
-            left.append(columns[g][left[v]])
-        for y, ky in enumerate(left):
+        for y, ky in enumerate(ctx.left[k]):
             if ky == zero_index and y != zero_index:
                 failures.append(f"a_{k} * y='{element(y)}' is the zero, but y is not")
     edges = len(s) * (rank - 1)
@@ -413,63 +418,57 @@ def _suite_zero_cancellation(ctx: _Context) -> dict:
 
 def _suite_solution_structure(ctx: _Context) -> dict:
     failures: list[str] = []
-    checks = 0
     constructed = ctx.solutions
     s = ctx.semigroup
+    # raises unless the special solution is the only one avoiding letter 1
     brute = solve_right_zero(generator(1, ctx.rank), s)
-    checks += 1
     if constructed.solutions != brute.solutions:
         failures.append("constructive and brute-force solution sets differ")
     # the antiautomorphism swaps the sides: a_n * y = zero mirrors x * a_1 = zero
-    checks += 1
     zero_index = s.index[zero(ctx.rank).word.letters]
-    top = s.index[(ctx.rank,)]
     left_solved = {
-        s.element(j) for j, w in enumerate(s.words) if s.product(top, w) == zero_index
+        s.element(y) for y, ny in enumerate(ctx.left[ctx.rank]) if ny == zero_index
     }
     if left_solved != {antiautomorphism(x) for x in brute.solutions}:
         failures.append(
             f"the solutions of a_{ctx.rank} * y = zero are not the "
             "antiautomorphism's image of the solutions of x * a_1 = zero"
         )
-    checks += 1
     if len(constructed.solutions) != 1 + len(ctx.submonoid):
         failures.append(
             f"|solutions| = {len(constructed.solutions)}, "
             f"expected 1 + {len(ctx.submonoid)}"
         )
     if ctx.rank >= 2:
-        checks += 1
         one_down = len(_canonical_words(ctx.rank - 1))
         if len(ctx.submonoid) != one_down:
             failures.append(
                 f"submonoid avoiding letter 1 has {len(ctx.submonoid)} members, "
                 f"rank {ctx.rank - 1} has {one_down} elements"
             )
-    # the three-case rule, on indices: special * special = special,
-    # anything * special is unchanged, and a right factor containing
-    # letter 1 collapses the product to the zero
+    # the three-case rule: special * special = special, anything * special
+    # is unchanged, and a right factor containing letter 1 collapses the
+    # product to the zero, by these two edge checks (the module docstring)
     members = sorted(s.index[x.word.letters] for x in constructed.solutions)
     member_set = set(members)
-    special = s.index[constructed.decomposition.special.word.letters]
-    exhaustive = len(members) <= _EXHAUSTIVE_SOLUTION_PAIRS
-    for x, y in _pairs(members, ctx.rng, None if exhaustive else ctx.samples):
-        checks += 1
-        rule = x if y == special else zero_index
-        actual = s.product(x, s.words[y])
-        if rule != actual:
+    special = constructed.decomposition.special.word.letters
+    uppers = s.columns[2:]
+    for x in members:
+        actual = s.product(x, special)
+        if actual != x:
             failures.append(
-                f"case rule gave '{s.element(rule)}' but the product is "
+                f"case rule gave '{s.element(x)}' but the product is "
                 f"'{s.element(actual)}'"
             )
-            continue
-        if rule not in member_set:
-            failures.append(
-                f"product '{s.element(rule)}' of solutions escaped the solution set"
-            )
+        failures.extend(
+            f"product '{s.element(column[x])}' of '{s.element(x)}' * a_{k} "
+            "escaped the solution set"
+            for k, column in enumerate(uppers, 2) if column[x] not in member_set
+        )
+    # four checks of the sets (three at rank 1), then |S| * n of the rule
     return _result(
         "solution_structure",
-        checks,
+        (4 if ctx.rank >= 2 else 3) + len(members) * ctx.rank,
         failures,
         {"solutions": len(constructed.solutions), "submonoid": len(ctx.submonoid)},
     )

@@ -39,13 +39,18 @@ CLAIMS = {
     # every edge x * a_k (k >= 2) and product a_k * y (k <= n - 1), which
     # by induction covers factors of every length; nothing is sampled
     "zero cancellation": Claim(("zero_cancellation",), (2, 3, 4), 300.0),
+    # x * special = x and S * a_k inside S (k >= 2) for every solution
+    # x, which cover every product of two solutions
     "right-zero equation structure": Claim(
-        ("solution_structure", "prefix_bijection"), (2, 3, 4), 60.0
+        ("solution_structure", "prefix_bijection"), (2, 3, 4, 5), 60.0
     ),
     "letter occurrence bounds": Claim(("word_bounds",), (1, 2, 3, 4), 30.0),
     "letter occurrence bounds, rank 5": Claim(("word_bounds",), (5,), 60.0),
-    # exhaustive pairs up to rank 3
-    "structural maps": Claim(("antiautomorphism", "content"), (1, 2, 3, 4), 10.0),
+    # every edge x * a_k, which by induction covers factors of every
+    # length; nothing is sampled
+    "structural maps": Claim(
+        ("antiautomorphism", "content"), (1, 2, 3, 4, 5), 10.0
+    ),
     "enumerator agreement": Claim(("cardinality",), (1, 2, 3, 4), 60.0),
 }
 

@@ -42,29 +42,48 @@ def test_failed_construction_fails_only_the_suites_that_use_it(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("rank", "edges"),
-    [(3, 18 * 2), (5, 1710 * 4)],
+    ("rank", "expected"),
+    [
+        (3, {
+            "zero_cancellation": (72, {"right_edges": 36, "left_edges": 36}),
+            "content": (55, {"edges": 54}),
+            "antiautomorphism": (76, {"edges": 54}),
+            "solution_structure": (22, {"solutions": 6, "submonoid": 5}),
+        }),
+        (5, {
+            "zero_cancellation": (13680, {"right_edges": 6840, "left_edges": 6840}),
+            "content": (8551, {"edges": 8550}),
+            "antiautomorphism": (10266, {"edges": 8550}),
+            "solution_structure": (584, {"solutions": 116, "submonoid": 115}),
+        }),
+    ],
     ids=["rank3-exhaustive", "rank5-samples-ignored"],
 )
 def test_zero_cancellation_checks_every_element_against_every_upper_generator(
-    rank, edges
+    rank, expected
 ):
-    # one right edge x * a_k per element x and letter k >= 2, and one
-    # left product a_k * y per element y and letter k <= rank - 1; the
-    # suite draws nothing, so the seed and the sample count do not show
-    expected = {
-        "name": "zero_cancellation",
-        "status": "pass",
-        "checks": 2 * edges,
-        "failures": [],
-        "detail": {"right_edges": edges, "left_edges": edges},
-    }
+    # the product suites check every edge of the table, so the seed and
+    # the sample count do not show.  zero_cancellation: one right edge
+    # x * a_k per element x and letter k >= 2, one left product a_k * y
+    # per element y and letter k <= rank - 1.  content and
+    # antiautomorphism: every edge x * a_k, after one count of the
+    # contents, or the zero, the generators and the involution.
+    # solution_structure: its four counts, then x * special and x * a_k,
+    # k >= 2, for every solution x.
+    names = list(expected)
     for seed in (0, 1):
         for samples in (10, 1000):
-            report = run_suites(
-                rank, seed=seed, samples=samples, names=["zero_cancellation"]
-            )
-            assert report["suites"] == [expected]
+            report = run_suites(rank, seed=seed, samples=samples, names=names)
+            assert report["suites"] == [
+                {
+                    "name": name,
+                    "status": "pass",
+                    "checks": checks,
+                    "failures": [],
+                    "detail": detail,
+                }
+                for name, (checks, detail) in expected.items()
+            ]
 
 
 def test_zero_cancellation_needs_letters_above_1():
@@ -174,20 +193,22 @@ def test_antiautomorphism_suite_reports_a_non_canonical_image(monkeypatch):
 
 
 # (name, status, checks, detail) of every suite, for three fixed runs; a
-# change that moves a count or a detail must change it here too.
+# change that moves a count or a detail must change it here too.  The
+# suites of one run share one seeded generator, so the prefix suites'
+# deleted counts move whenever an earlier suite's draws do.
 PINNED_REPORTS = {
     (4, 1000): [
         ("cardinality", "pass", 3, {"closure": 115, "direct": 115, "golden": 115}),
         ("confluence", "pass", 1000, {"max_length": 12}),
         ("idempotents", "pass", 116, {"count": 16, "expected": 16}),
-        ("content", "pass", 1001, {"pairs": 1000, "exhaustive": False}),
-        ("antiautomorphism", "pass", 1120, {"exhaustive": False}),
+        ("content", "pass", 461, {"edges": 460}),
+        ("antiautomorphism", "pass", 580, {"edges": 460}),
         ("word_bounds", "pass", 460, {"words": 115}),
-        ("prefix_stability", "pass", 990, {"stems": 18, "deleted": 799}),
-        ("prefix_recovery", "pass", 1000, {"deleted": 806}),
+        ("prefix_stability", "pass", 990, {"stems": 18, "deleted": 786}),
+        ("prefix_recovery", "pass", 1000, {"deleted": 789}),
         ("zero_cancellation", "pass", 690,
          {"right_edges": 345, "left_edges": 345}),
-        ("solution_structure", "pass", 365, {"solutions": 19, "submonoid": 18}),
+        ("solution_structure", "pass", 80, {"solutions": 19, "submonoid": 18}),
         ("prefix_bijection", "pass", 19, {"solutions_with_one": 18}),
         ("parity", "pass", 5,
          {"cardinality": 115, "parity": "odd", "one_first": 42, "top_first": 42}),
@@ -196,14 +217,14 @@ PINNED_REPORTS = {
         ("cardinality", "pass", 3, {"closure": 1710, "direct": 1710, "golden": 1710}),
         ("confluence", "pass", 100, {"max_length": 12}),
         ("idempotents", "pass", 1711, {"count": 32, "expected": 32}),
-        ("content", "pass", 101, {"pairs": 100, "exhaustive": False}),
-        ("antiautomorphism", "pass", 1816, {"exhaustive": False}),
+        ("content", "pass", 8551, {"edges": 8550}),
+        ("antiautomorphism", "pass", 10266, {"edges": 8550}),
         ("word_bounds", "pass", 8550, {"words": 1710}),
-        ("prefix_stability", "pass", 115, {"stems": 115, "deleted": 93}),
-        ("prefix_recovery", "pass", 100, {"deleted": 84}),
+        ("prefix_stability", "pass", 115, {"stems": 115, "deleted": 98}),
+        ("prefix_recovery", "pass", 100, {"deleted": 81}),
         ("zero_cancellation", "pass", 13680,
          {"right_edges": 6840, "left_edges": 6840}),
-        ("solution_structure", "pass", 13460, {"solutions": 116, "submonoid": 115}),
+        ("solution_structure", "pass", 584, {"solutions": 116, "submonoid": 115}),
         ("prefix_bijection", "pass", 116, {"solutions_with_one": 115}),
         ("parity", "pass", 5,
          {"cardinality": 1710, "parity": "even", "one_first": 749, "top_first": 749}),
@@ -213,14 +234,14 @@ PINNED_REPORTS = {
          {"closure": 83973, "direct": 83973, "golden": 83973}),
         ("confluence", "pass", 1000, {"max_length": 12}),
         ("idempotents", "pass", 83974, {"count": 64, "expected": 64}),
-        ("content", "pass", 1001, {"pairs": 1000, "exhaustive": False}),
-        ("antiautomorphism", "pass", 84980, {"exhaustive": False}),
+        ("content", "pass", 503839, {"edges": 503838}),
+        ("antiautomorphism", "pass", 587818, {"edges": 503838}),
         ("word_bounds", "pass", 503838, {"words": 83973}),
-        ("prefix_stability", "pass", 1710, {"stems": 1710, "deleted": 1364}),
-        ("prefix_recovery", "pass", 1000, {"deleted": 796}),
+        ("prefix_stability", "pass", 1710, {"stems": 1710, "deleted": 1393}),
+        ("prefix_recovery", "pass", 1000, {"deleted": 787}),
         ("zero_cancellation", "pass", 839730,
          {"right_edges": 419865, "left_edges": 419865}),
-        ("solution_structure", "pass", 1004, {"solutions": 1711, "submonoid": 1710}),
+        ("solution_structure", "pass", 10270, {"solutions": 1711, "submonoid": 1710}),
         ("prefix_bijection", "pass", 1711, {"solutions_with_one": 1710}),
         ("parity", "pass", 5,
          {"cardinality": 83973, "parity": "odd", "one_first": 40334, "top_first": 40334}),
@@ -279,3 +300,39 @@ def test_solution_structure_catches_a_wrong_special_solution(monkeypatch):
     (suite,) = report["suites"]
     assert suite["status"] == "fail"
     assert suite["failures"][0].startswith("case rule gave")
+
+
+def test_content_and_antiautomorphism_catch_one_wrong_column_entry(monkeypatch):
+    # 5 3 1 * a_2 is 5 3 1 2; ten sampled pairs would hardly read the
+    # entry, every edge check reads it
+    def corrupt(s, columns, zero_index):
+        columns[2][s.index[(5, 3, 1)]] = s.index[(4, 2)]
+
+    _corrupt_table(monkeypatch, corrupt)
+    report = run_suites(5, samples=10, names=["content", "antiautomorphism"])
+    content, anti = report["suites"]
+    assert content["status"] == "fail"
+    assert content["failures"] == ["content(x*a_2) != content(x) | {2} at x='5 3 1'"]
+    assert anti["status"] == "fail"
+    # the left products read the entry first: tau(4 5 3 * a_1) is
+    # a_5 * tau(4 5 3), a_5 * 3 1 2, whose walk passes 5 3 1 * a_2
+    assert anti["failures"][0] == "product not reversed at x='4 5 3' * a_1"
+
+
+def test_solution_structure_catches_a_solution_leaving_under_an_upper_letter(
+    monkeypatch,
+):
+    # 1 5 4 3 2 solves x * a_1 = zero, and so does its product with a_3,
+    # itself; a_1 does not
+    def corrupt(s, columns, zero_index):
+        if s.rank == 5:  # not the construction's rank-4 table
+            columns[3][s.index[(1, 5, 4, 3, 2)]] = s.index[(1,)]
+
+    _corrupt_table(monkeypatch, corrupt)
+    report = run_suites(5, samples=10, names=["solution_structure"])
+    (suite,) = report["suites"]
+    assert suite["status"] == "fail"
+    assert (
+        "product '1' of '1 5 4 3 2' * a_3 escaped the solution set"
+        in suite["failures"]
+    )

@@ -185,7 +185,7 @@ def _reverse_flip(letters: tuple[int, ...], rank: int) -> tuple[int, ...]:
     >>> _reverse_flip((2, 1, 3), 3)
     (1, 3, 2)
     """
-    return tuple(rank + 1 - i for i in reversed(letters))
+    return tuple([rank + 1 - i for i in reversed(letters)])
 
 
 def antiautomorphism(x: Element) -> Element:

@@ -1,10 +1,10 @@
 """Command line interface.
 
 Commands: canon, mul, enum, solve, verify, stats; each takes only the
-options it reads.  Exit codes: 0 ok, 1 stdout closed by the reader,
-2 usage or validation, 3 resource cap, 4 correctness failure.  Output
-for a given (command, flags, seed) is byte-identical across runs, and
-error paths write to stderr only.
+options it reads, and solve, verify and stats an ignored --seed.  Exit
+codes: 0 ok, 1 stdout closed by the reader, 2 usage or validation, 3
+resource cap, 4 correctness failure.  Output for given arguments is
+byte-identical across runs, and error paths write to stderr only.
 """
 
 from __future__ import annotations
@@ -48,11 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     enumerating.add_argument("--limit", dest="element_limit", type=int,
                              default=DEFAULT_ELEMENT_LIMIT,
                              help="enumeration element cap")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks")
-    # solve and stats read no seed: they take --seed only because the
-    # benchmark's cli workload passes it to them
+    # solve, verify and stats read no seed: they take --seed only because
+    # the benchmark's cli workload passes it to them
     unseeded = argparse.ArgumentParser(add_help=False)
     unseeded.add_argument("--seed", type=int, default=0,
                           help="accepted and ignored")
@@ -92,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="right factor as word text")
 
     verify = command("verify", _cmd_verify, "run the verification suites",
-                     parents=(enumerating, seeded))
+                     parents=(enumerating, unseeded))
     verify.add_argument("--suite", default="all",
                         choices=["all"] + SUITE_NAMES)
 
@@ -236,14 +233,12 @@ def _print_verify_report(args: argparse.Namespace, report: dict) -> None:
         if report["aborted"]
         else f"suites={len(report['suites'])} failures={failed}"
     )
-    print(f"verify rank={report['rank']} seed={report['seed']} {tail}")
+    print(f"verify rank={report['rank']} {tail}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = None if args.suite == "all" else [args.suite]
-    report = run_suites(
-        args.rank, seed=args.seed, limit=args.element_limit, names=names,
-    )
+    report = run_suites(args.rank, limit=args.element_limit, names=names)
     _print_verify_report(args, report)
     if report["aborted"]:
         print(f"resource limit: {report.get('error', '')}", file=sys.stderr)

@@ -98,16 +98,13 @@ def parse_word(text: str, rank: int) -> Word:
     >>> parse_word("", 3).letters
     ()
     """
-    stripped = text.strip()
-    if not stripped:
-        return Word((), rank)
-    try:
-        indices = tuple(int(part) for part in stripped.split())
-    except ValueError:
+    parts = text.split()
+    # int() would also take signs, underscores and non-ASCII digits
+    if not all(part.isascii() and part.isdigit() for part in parts):
         raise ValidationError(
             f"cannot parse word text {text!r}: expected space-separated integers"
-        ) from None
-    return Word(indices, rank)
+        )
+    return Word(map(int, parts), rank)
 
 
 def is_canonical(w: Word) -> bool:

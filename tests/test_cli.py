@@ -81,6 +81,16 @@ def test_canon_parse_error_is_usage_exit(capsys):
     assert err.startswith("error:")
 
 
+def test_canon_rejects_a_sign_and_a_non_ascii_digit(capsys):
+    # int() reads '+1' as 1 and the fullwidth digit as 2
+    code, out, err = run(capsys, "canon", "--n", "3", "+1 \uff12")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: cannot parse word text '+1 \uff12': "
+        "expected space-separated integers\n"
+    )
+
+
 def test_canon_letter_out_of_range(capsys):
     code, out, err = run(capsys, "canon", "--n", "2", "3")
     assert code == 2
@@ -211,19 +221,25 @@ def test_enum_builds_neither_the_index_nor_the_table(capsys, monkeypatch, tmp_pa
     assert (tmp_path / "k4.cache").is_file()
 
 
-@pytest.mark.parametrize("command", ["solve", "stats"])
+@pytest.mark.parametrize("command", ["solve", "stats", "verify"])
 def test_seed_help_says_the_seed_is_ignored(capsys, command):
-    # solve and stats take --seed for callers that pass it, and read no seed
+    # solve, verify and stats take --seed for callers that pass it, and
+    # read no seed
     code, out, _ = run(capsys, command, "--help")
     assert code == 0
     assert "--seed SEED           accepted and ignored" in out
     assert "sampled checks" not in out
 
 
-def test_verify_seed_help_names_the_sampled_checks(capsys):
-    code, out, _ = run(capsys, "verify", "--help")
-    assert code == 0
-    assert "--seed SEED           seed for sampled checks" in out
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_output_does_not_depend_on_the_seed(capsys, fmt):
+    outputs = {
+        run(capsys, "verify", "--n", "4", "--format", fmt, "--seed", seed)
+        for seed in ("1", "2")
+    }
+    ((code, out, err),) = outputs
+    assert (code, err) == (0, "")
+    assert "seed" not in out
 
 
 def test_enum_writes_and_reuses_cache(capsys, tmp_path):
@@ -354,7 +370,7 @@ def test_verify_rank_2_passes(capsys):
     assert code == 0
     assert err == ""
     lines = out.splitlines()
-    assert lines[-1].startswith("verify rank=2 seed=0 suites=")
+    assert lines[-1].startswith("verify rank=2 suites=")
     assert "failures=0" in lines[-1]
     assert sum(1 for line in lines if line.startswith("PASS")) >= 10
 
@@ -686,11 +702,9 @@ def test_output_is_byte_deterministic(capsys):
 
 
 def test_suite_failure_maps_to_exit_4(capsys, monkeypatch):
-    def fake_run_suites(rank, seed, limit, names, samples=1000):
+    def fake_run_suites(rank, limit, names):
         return {
             "rank": rank,
-            "seed": seed,
-            "samples": samples,
             "aborted": False,
             "all_passed": False,
             "suites": [

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import kiselman.algebra as algebra
 import kiselman.enumeration as enumeration
+import kiselman.rewrite as rewrite
 import kiselman.verify as verify
 from kiselman.enumeration import letter_bounds
 from kiselman.errors import InvariantError
 from kiselman.verify import SUITE_NAMES, run_suites
+from kiselman.words import Word
 
 
 def test_solution_set_is_constructed_once_per_run(monkeypatch):
@@ -29,7 +33,7 @@ def test_failed_construction_fails_only_the_suites_that_use_it(monkeypatch):
         raise InvariantError("deliberately broken construction")
 
     monkeypatch.setattr(verify, "construct_right_zero_solutions", broken)
-    report = run_suites(3, samples=100)
+    report = run_suites(3)
     assert report["aborted"] is False
     assert [s["name"] for s in report["suites"]] == SUITE_NAMES
     failed = {s["name"] for s in report["suites"] if s["status"] == "fail"}
@@ -57,33 +61,31 @@ def test_failed_construction_fails_only_the_suites_that_use_it(monkeypatch):
             "solution_structure": (584, {"solutions": 116, "submonoid": 115}),
         }),
     ],
-    ids=["rank3-exhaustive", "rank5-samples-ignored"],
+    ids=["rank3-exhaustive", "rank5-seed-ignored"],
 )
 def test_zero_cancellation_checks_every_element_against_every_upper_generator(
     rank, expected
 ):
-    # the product suites check every edge of the table, so the seed and
-    # the sample count do not show.  zero_cancellation: one right edge
-    # x * a_k per element x and letter k >= 2, one left product a_k * y
-    # per element y and letter k <= rank - 1.  content and
-    # antiautomorphism: every edge x * a_k, after one count of the
-    # contents, or the zero, the generators and the involution.
-    # solution_structure: its four counts, then x * special and x * a_k,
-    # k >= 2, for every solution x.
+    # the product suites check every edge of the table, so the seed does
+    # not show.  zero_cancellation: one right edge x * a_k per element x
+    # and letter k >= 2, one left product a_k * y per element y and
+    # letter k <= rank - 1.  content and antiautomorphism: every edge
+    # x * a_k, after one count of the contents, or the zero, the
+    # generators and the involution.  solution_structure: its four
+    # counts, then x * special and x * a_k, k >= 2, for every solution x.
     names = list(expected)
     for seed in (0, 1):
-        for samples in (10, 1000):
-            report = run_suites(rank, seed=seed, samples=samples, names=names)
-            assert report["suites"] == [
-                {
-                    "name": name,
-                    "status": "pass",
-                    "checks": checks,
-                    "failures": [],
-                    "detail": detail,
-                }
-                for name, (checks, detail) in expected.items()
-            ]
+        report = run_suites(rank, seed=seed, names=names)
+        assert report["suites"] == [
+            {
+                "name": name,
+                "status": "pass",
+                "checks": checks,
+                "failures": [],
+                "detail": detail,
+            }
+            for name, (checks, detail) in expected.items()
+        ]
 
 
 def test_zero_cancellation_needs_letters_above_1():
@@ -192,20 +194,18 @@ def test_antiautomorphism_suite_reports_a_non_canonical_image(monkeypatch):
     assert suite["failures"][0] == "image '1 1' of '1' is not canonical"
 
 
-# (name, status, checks, detail) of every suite, for three fixed runs; a
-# change that moves a count or a detail must change it here too.  The
-# suites of one run share one seeded generator, so the prefix suites'
-# deleted counts move whenever an earlier suite's draws do.
+# (name, status, checks, detail) of every suite, at three ranks; a
+# change that moves a count or a detail must change it here too.
 PINNED_REPORTS = {
-    (4, 1000): [
+    4: [
         ("cardinality", "pass", 3, {"closure": 115, "direct": 115, "golden": 115}),
-        ("confluence", "pass", 1000, {"max_length": 12}),
+        ("confluence", "pass", 167, {"invariance": 52, "words": 115, "distinct": 115}),
         ("idempotents", "pass", 116, {"count": 16, "expected": 16}),
         ("content", "pass", 461, {"edges": 460}),
         ("antiautomorphism", "pass", 580, {"edges": 460}),
         ("word_bounds", "pass", 460, {"words": 115}),
-        ("prefix_stability", "pass", 990, {"stems": 18, "deleted": 786}),
-        ("prefix_recovery", "pass", 1000, {"deleted": 789}),
+        ("prefix_stability", "pass", 318, {"edges": 291, "walks": 27}),
+        ("prefix_recovery", "pass", 345, {"edges": 345}),
         ("zero_cancellation", "pass", 690,
          {"right_edges": 345, "left_edges": 345}),
         ("solution_structure", "pass", 80, {"solutions": 19, "submonoid": 18}),
@@ -213,15 +213,16 @@ PINNED_REPORTS = {
         ("parity", "pass", 5,
          {"cardinality": 115, "parity": "odd", "one_first": 42, "top_first": 42}),
     ],
-    (5, 100): [
+    5: [
         ("cardinality", "pass", 3, {"closure": 1710, "direct": 1710, "golden": 1710}),
-        ("confluence", "pass", 100, {"max_length": 12}),
+        ("confluence", "pass", 1992,
+         {"invariance": 282, "words": 1710, "distinct": 1710}),
         ("idempotents", "pass", 1711, {"count": 32, "expected": 32}),
         ("content", "pass", 8551, {"edges": 8550}),
         ("antiautomorphism", "pass", 10266, {"edges": 8550}),
         ("word_bounds", "pass", 8550, {"words": 1710}),
-        ("prefix_stability", "pass", 115, {"stems": 115, "deleted": 98}),
-        ("prefix_recovery", "pass", 100, {"deleted": 81}),
+        ("prefix_stability", "pass", 7350, {"edges": 6380, "walks": 970}),
+        ("prefix_recovery", "pass", 6840, {"edges": 6840}),
         ("zero_cancellation", "pass", 13680,
          {"right_edges": 6840, "left_edges": 6840}),
         ("solution_structure", "pass", 584, {"solutions": 116, "submonoid": 115}),
@@ -229,16 +230,17 @@ PINNED_REPORTS = {
         ("parity", "pass", 5,
          {"cardinality": 1710, "parity": "even", "one_first": 749, "top_first": 749}),
     ],
-    (6, 1000): [
+    6: [
         ("cardinality", "pass", 3,
          {"closure": 83973, "direct": 83973, "golden": 83973}),
-        ("confluence", "pass", 1000, {"max_length": 12}),
+        ("confluence", "pass", 87675,
+         {"invariance": 3702, "words": 83973, "distinct": 83973}),
         ("idempotents", "pass", 83974, {"count": 64, "expected": 64}),
         ("content", "pass", 503839, {"edges": 503838}),
         ("antiautomorphism", "pass", 587818, {"edges": 503838}),
         ("word_bounds", "pass", 503838, {"words": 83973}),
-        ("prefix_stability", "pass", 1710, {"stems": 1710, "deleted": 1393}),
-        ("prefix_recovery", "pass", 1000, {"deleted": 787}),
+        ("prefix_stability", "pass", 496143, {"edges": 411315, "walks": 84828}),
+        ("prefix_recovery", "pass", 419865, {"edges": 419865}),
         ("zero_cancellation", "pass", 839730,
          {"right_edges": 419865, "left_edges": 419865}),
         ("solution_structure", "pass", 10270, {"solutions": 1711, "submonoid": 1710}),
@@ -250,38 +252,46 @@ PINNED_REPORTS = {
 
 
 @pytest.mark.parametrize(
-    ("rank", "samples"),
+    "rank",
     [
-        pytest.param(4, 1000, id="rank4"),
-        pytest.param(5, 100, id="rank5-samples100"),
-        pytest.param(6, 1000, id="rank6", marks=pytest.mark.n6),
+        pytest.param(4, id="rank4"),
+        pytest.param(5, id="rank5"),
+        pytest.param(6, id="rank6", marks=pytest.mark.n6),
     ],
 )
-def test_report_is_pinned(rank, samples):
-    report = run_suites(rank, samples=samples)
+def test_report_is_pinned(rank):
+    report = run_suites(rank)
     got = [(s["name"], s["status"], s["checks"], s["detail"]) for s in report["suites"]]
-    assert got == PINNED_REPORTS[rank, samples]
-    # a prefix suite whose products delete no letter has checked only
-    # concatenations, on which both prefix facts hold trivially
-    for suite in report["suites"]:
-        if suite["name"] in ("prefix_stability", "prefix_recovery"):
-            assert suite["detail"]["deleted"] > 0
+    assert got == PINNED_REPORTS[rank]
+
+
+@pytest.mark.parametrize(
+    "rank", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.n6)]
+)
+def test_report_does_not_depend_on_the_seed(rank):
+    first, *others = [run_suites(rank, seed=seed) for seed in (0, 1, 2024)]
+    assert first["all_passed"]
+    assert "seed" not in first and "samples" not in first
+    assert others == [first, first]
 
 
 @pytest.mark.parametrize("rank", [3, 4, 5])
-def test_only_confluence_calls_the_rewriter(monkeypatch, rank):
-    # every other suite takes its products from the table; the
-    # construction multiplies through algebra, not through these names
+def test_no_suite_calls_the_rewriter(monkeypatch, rank):
+    # every suite takes its products from the table or the linear
+    # model; the construction multiplies through algebra's fold
     def refuse(*args, **kwargs):
         raise AssertionError("a suite called the rewriter")
 
-    monkeypatch.setattr(verify, "canonical_form", refuse)
-    monkeypatch.setattr(verify, "all_normal_forms", refuse)
-    names = [name for name in SUITE_NAMES if name != "confluence"]
-    report = run_suites(rank, names=names)
+    for name in ("_deletions", "canonical_letters", "all_normal_forms"):
+        monkeypatch.setattr(rewrite, name, refuse)
+    assert not any(
+        getattr(value, "__module__", None) == rewrite.__name__
+        for value in vars(verify).values()
+    )
+    report = run_suites(rank)
     assert report["aborted"] is False
     assert [(s["name"], s["status"]) for s in report["suites"]] == [
-        (name, "pass") for name in names
+        (name, "pass") for name in SUITE_NAMES
     ]
 
 
@@ -309,7 +319,7 @@ def test_content_and_antiautomorphism_catch_one_wrong_column_entry(monkeypatch):
         columns[2][s.index[(5, 3, 1)]] = s.index[(4, 2)]
 
     _corrupt_table(monkeypatch, corrupt)
-    report = run_suites(5, samples=10, names=["content", "antiautomorphism"])
+    report = run_suites(5, names=["content", "antiautomorphism"])
     content, anti = report["suites"]
     assert content["status"] == "fail"
     assert content["failures"] == ["content(x*a_2) != content(x) | {2} at x='5 3 1'"]
@@ -329,10 +339,159 @@ def test_solution_structure_catches_a_solution_leaving_under_an_upper_letter(
             columns[3][s.index[(1, 5, 4, 3, 2)]] = s.index[(1,)]
 
     _corrupt_table(monkeypatch, corrupt)
-    report = run_suites(5, samples=10, names=["solution_structure"])
+    report = run_suites(5, names=["solution_structure"])
     (suite,) = report["suites"]
     assert suite["status"] == "fail"
     assert (
         "product '1' of '1 5 4 3 2' * a_3 escaped the solution set"
         in suite["failures"]
     )
+
+
+def test_unit_weights_fail_the_confluence_certificate(monkeypatch):
+    # with every weight 1 the model still survives each deletion, but
+    # the 115 canonical words of rank 4 have 114 matrices, and the
+    # all-ones row times them 86 vectors
+    def unit_weights(rank):
+        return [()] + [
+            (1,) * (i - 1) + (0,) * (rank - i + 1) for i in range(1, rank + 1)
+        ]
+
+    monkeypatch.setattr(verify, "_letter_rows", unit_weights)
+    report = run_suites(4, names=["confluence"])
+    (suite,) = report["suites"]
+    assert suite["status"] == "fail"
+    assert suite["detail"] == {"invariance": 52, "words": 115, "distinct": 86}
+    assert len(suite["failures"]) == 10
+    assert all(f.endswith("share one vector") for f in suite["failures"])
+
+
+def test_a_model_that_deletions_change_fails_the_confluence_certificate(monkeypatch):
+    # with its diagonal 1, A_2 is no longer idempotent, and deletions of
+    # both kinds move M
+    rows = verify._letter_rows
+
+    def unit_diagonal(rank):
+        return [
+            row[:i - 1] + (1,) + row[i:] if i else row
+            for i, row in enumerate(rows(rank))
+        ]
+
+    monkeypatch.setattr(verify, "_letter_rows", unit_diagonal)
+    report = run_suites(3, names=["confluence"])
+    (suite,) = report["suites"]
+    assert suite["status"] == "fail"
+    for deletion in ("2 2 -> 2", "2 1 2 -> 2 1", "2 3 2 -> 3 2"):
+        assert f"the deletion {deletion} moves M" in suite["failures"]
+
+
+def _plain(letters, rank):
+    # M(letters) by the definition: products of the letters' matrices
+    rows = verify._letter_rows(rank)
+    identity = [[int(r == c) for c in range(rank)] for r in range(rank)]
+    m = identity
+    for g in letters:
+        a = identity[:g - 1] + [list(rows[g])] + identity[g:]
+        m = [
+            [sum(row[k] * a[k][c] for k in range(rank)) for c in range(rank)]
+            for row in m
+        ]
+    return m
+
+
+def _packed(model, letters):
+    # the rows of M(letters) by the model, along the word's prefixes
+    prefixes = [letters[:end] for end in range(len(letters) + 1)]
+    return [model.along(unit, prefixes)[-1] for unit in model.units[1:]]
+
+
+def test_packed_model_is_the_matrix_product():
+    # unpacked, the model's rows are the plain products, along the
+    # direct search and by times alike
+    rank = 4
+    words = enumeration._canonical_words(rank)
+    model = verify._Model(rank, max(map(len, words)))
+    width = model.mask.bit_length()
+
+    def pack(row):
+        return sum(x << c * width for c, x in enumerate(row))
+
+    vectors = model.along(sum(model.units[1:]), words)
+    for letters, vector in zip(words, vectors):
+        plain = _plain(letters, rank)
+        assert _packed(model, letters) == list(map(pack, plain))
+        assert vector == pack(list(map(sum, zip(*plain))))
+        if letters:
+            shorter = _packed(model, letters[:-1])
+            grown = [model.times(v, letters[-1]) for v in shorter]
+            assert grown == list(map(pack, plain))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_linear_model_holds_every_table_edge(rank):
+    # the model shares no code with the table: M(x * a_k) = M(x) A_k on
+    # every edge, and the certificate makes M faithful
+    s = enumeration.Semigroup(rank)
+    model = verify._Model(rank, max(map(len, s.words)) + 1)
+    matrices = [_packed(model, w) for w in s.words]
+    for k in range(1, rank + 1):
+        for x, xk in enumerate(s.columns[k]):
+            grown = [model.times(v, k) for v in matrices[x]]
+            assert matrices[xk] == grown, (s.words[x], k)
+
+
+def test_linear_model_checks_multiply_at_rank_6():
+    rng = random.Random(6)
+    model = verify._Model(6, 24)
+    for _ in range(300):
+        x, y = (
+            tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 12)))
+            for _ in range(2)
+        )
+        product = algebra.multiply(
+            algebra.from_word(Word(x, 6)), algebra.from_word(Word(y, 6))
+        )
+        assert _packed(model, product.word.letters) == _packed(model, x + y), (x, y)
+
+
+def test_one_wrong_walk_entry_fails_both_prefix_suites(monkeypatch):
+    # 3 1 2 4 * a_2 is 3 1 4 2, a walk; 1 4 2 has another stem
+    def corrupt(s, columns, zero_index):
+        if s.rank == 4:
+            columns[2][s.index[(3, 1, 2, 4)]] = s.index[(1, 4, 2)]
+
+    _corrupt_table(monkeypatch, corrupt)
+    report = run_suites(4, names=["prefix_stability", "prefix_recovery"])
+    stability, recovery = report["suites"]
+    assert stability["status"] == recovery["status"] == "fail"
+    assert stability["failures"] == ["'3 1 2 4' * a_2 lost the part up to letter 1"]
+    assert recovery["failures"] == ["'3 1 2 4' * a_2 moved the part up to letter 1"]
+
+
+def test_prefix_stability_catches_a_tail_that_is_not_a_subsequence(monkeypatch):
+    # 3 1 4 3 2 keeps the stem 3 1, but its tail 4 3 2 is not a
+    # subsequence of 2 4 2
+    def corrupt(s, columns, zero_index):
+        if s.rank == 4:
+            columns[2][s.index[(3, 1, 2, 4)]] = s.index[(3, 1, 4, 3, 2)]
+
+    _corrupt_table(monkeypatch, corrupt)
+    report = run_suites(4, names=["prefix_stability", "prefix_recovery"])
+    stability, recovery = report["suites"]
+    assert recovery["status"] == "pass"
+    assert stability["failures"] == [
+        "'3 1 2 4' * a_2 = '3 1 4 3 2': tail '4 3 2' is not a subsequence of '2 4 2'"
+    ]
+
+
+def test_prefix_recovery_catches_a_letter_1_from_nowhere(monkeypatch):
+    # 3 * a_2 is 3 2; 3 1 holds a letter 1 that neither factor has, and
+    # only prefix_recovery reads the edges of words without one
+    def corrupt(s, columns, zero_index):
+        columns[2][s.index[(3,)]] = s.index[(3, 1)]
+
+    _corrupt_table(monkeypatch, corrupt)
+    report = run_suites(3, names=["prefix_stability", "prefix_recovery"])
+    stability, recovery = report["suites"]
+    assert stability["status"] == "pass"
+    assert recovery["failures"] == ["'3' * a_2 moved the part up to letter 1"]

@@ -32,6 +32,15 @@ def test_parse_word_rejects_garbage():
         parse_word("1 x 2", 3)
 
 
+@pytest.mark.parametrize(
+    "text", ["+1", "-1", "1_0", "\uff12", "\u0663", "1.0", "0x1", "1 2 +3"]
+)
+def test_parse_word_takes_only_ascii_decimal_tokens(text):
+    # int() would read a sign, an underscore or a non-ASCII digit
+    with pytest.raises(ValidationError, match="cannot parse word text"):
+        parse_word(text, 12)
+
+
 def test_parse_word_rejects_out_of_range_letters():
     for text, message in [
         ("1 4", "letter index 4 at position 1 out of range"),

@@ -25,7 +25,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .rewrite import _reduction_steps, canonical_form, reduction_trace
+from .rewrite import _reduction_steps
 from .verify import SUITE_NAMES, run_suites
 from .words import parse_word
 
@@ -108,31 +108,30 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_canon(args: argparse.Namespace) -> int:
     w = parse_word(args.word, args.rank)
+    canonical = from_word(w).word
+    steps = []
+    if args.trace:
+        # text mode prints each step as the deletion loop yields it: the
+        # whole chain grows with the square of the word's length
+        final = w
+        for red, final in _reduction_steps(w):
+            if args.format == "json":
+                steps.append({"kind": red.kind.value, "letter": red.letter,
+                              "keep": red.kept_position,
+                              "remove": red.removed_position, "result": str(final)})
+            else:
+                print(f"{red.describe()} -> {final}")
+        if final != canonical:
+            raise InvariantError(
+                f"the deletion chain ends at '{final}', the fold at '{canonical}'"
+            )
     if args.format == "json":
-        trace = reduction_trace(w) if args.trace else None
-        canonical = canonical_form(w) if trace is None else trace.final
         payload: dict = {"rank": args.rank, "input": str(w), "canonical": str(canonical)}
-        if trace is not None:
-            payload["trace"] = [
-                {
-                    "kind": red.kind.value,
-                    "letter": red.letter,
-                    "keep": red.kept_position,
-                    "remove": red.removed_position,
-                    "result": str(word),
-                }
-                for red, word in trace.steps
-            ]
+        if args.trace:
+            payload["trace"] = steps
         _print_json(payload)
-    elif args.trace:
-        # each step prints as the deletion loop yields it: the whole
-        # chain grows with the square of the word's length
-        canonical = w
-        for red, canonical in _reduction_steps(w):
-            print(f"{red.describe()} -> {canonical}")
-        print(f"canonical: {canonical}")
     else:
-        print(canonical_form(w))
+        print(f"canonical: {canonical}" if args.trace else canonical)
     return EXIT_OK
 
 

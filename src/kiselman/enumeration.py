@@ -48,7 +48,7 @@ hold `element` and `product` to `algebra.multiply`, and
 One-shot arithmetic builds no table: `algebra.multiply`, which `mul`
 calls, folds the right factor onto the left one's canonical word
 (`rewrite._fold`) through the same automaton, growing only the states
-it visits, and `canon` calls the rewriter.
+it visits, and `canon` folds its word the same way.
 
 The deletion rewriter stays as the oracle.  The direct route backtracks
 over canonical words, growing a word one letter at a time; every prefix
@@ -89,7 +89,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -348,24 +348,24 @@ class Semigroup:
 
         Entry i is the least m such that words[i] * (m, ..., 1) is the
         zero; m = rank always works, since the zero absorbs.  This is
-        `algebra.zero_threshold` of element i.
+        `algebra.zero_threshold` of element i.  Whether x * (m, ..., 1)
+        is the zero is whether (x * m) * (m - 1, ..., 1) is, so each m's
+        answers are the m - 1 answers read through column m.
 
         >>> Semigroup(2).zero_thresholds()
         [2, 2, 1, 1, 0]
         """
-        tails = [tuple(range(m, 0, -1)) for m in range(self.rank + 1)]
-        zero = self.product(0, tails[-1])
-        thresholds = []
-        for i in range(len(self)):
-            for m, tail in enumerate(tails):
-                if self.product(i, tail) == zero:
-                    thresholds.append(m)
-                    break
-            else:
-                raise InvariantError(
-                    f"'{self.element(i)}' times the zero is not the zero"
-                )
-        return thresholds
+        zero = self.product(0, range(self.rank, 0, -1))
+        reaches = [[i == zero for i in range(len(self))]]
+        for column in self.columns[1:]:
+            reaches.append(list(map(reaches[-1].__getitem__, column)))
+        try:
+            return list(map(tuple.index, zip(*reaches), repeat(True)))
+        except ValueError:
+            i = [True in reach for reach in zip(*reaches)].index(False)
+            raise InvariantError(
+                f"'{self.element(i)}' times the zero is not the zero"
+            ) from None
 
     def element(self, i: int) -> Element:
         """Element i as an `Element`."""

@@ -17,13 +17,8 @@ the endpoint really is unique.  The oracle finds each word's deletions
 in one left-to-right pass of its own.  `_deletions` is the one deletion
 loop behind `canonical_letters` and `reduction_trace`: it scans the
 current word from position 0 for its first pair, deletes, and scans
-again, so its pair order fixes the traces.  The scan finds each pair
-with C-level tuple operations, the next copy of a letter by `index` and
-the gap's side by `max` or `min`, in the same order as a
-letter-by-letter scan, so the traces do not depend on it.  The loop
-keeps a count of each letter of the current word, one less after every
-deletion, and each scan counts down a copy as it passes, so a position
-that holds the last copy of its letter is passed over without a search.
+again, so its pair order fixes the traces; its docstring says how a
+scan finds each pair.
 
 Products start from two canonical words, and `_fold` uses that: it
 appends a right factor's letters one at a time to a canonical prefix.
@@ -32,13 +27,14 @@ between the new letter and its last earlier copy (Kudryavtseva &
 Mazorchuk, "On Kiselman's semigroup", 2009), and the gap after that
 copy decides it.  `_GapAutomaton` writes that rule once, as one
 transition on gap states, grown lazily; the process keeps one automaton
-per rank, over the letters 1..rank.  The fold reads it one lookup per
-append, and `enumeration.Semigroup` closes through the same automaton,
-asking for every action of each state its elements reach.
-`algebra.multiply` and `algebra.from_word` fold; `canonical_form`,
-`canonical_letters` and `reduction_trace` keep the rewriter, which the
-tests hold the fold and the automaton to, as they hold the fold to
-`all_normal_forms`.  Neither
+per rank, over the letters 1..rank.  Up to rank `_DIRECT_ABOVE` the fold
+reads it one lookup per append, and `enumeration.Semigroup` closes
+through the same automaton, asking for every action of each state its
+elements reach; above that rank the fold tests each append directly.
+`algebra.multiply` and `algebra.from_word`, which every word the CLI
+reads goes through, fold; `canonical_form`, `canonical_letters` and
+`reduction_trace` keep the rewriter, which the tests hold the fold and
+the automaton to, as they hold the fold to `all_normal_forms`.  Neither
 oracle, nor `words.is_canonical`, reads the automaton.
 """
 
@@ -178,13 +174,10 @@ _SAME, _WALK = -1, -2
 # process's memory for good.
 _MEMO_LIMIT = 63_973
 
-# Above this rank, a fold whose product uses fewer distinct letters than
-# the rank relabels them onto 1..k, the k letters it uses: a state holds
-# rank + 1 entries, and a fold can grow one state per letter, however
-# long the word.  The relabelling adds 3-7 µs to a warm fold of a short
-# product and saves a cold one time only from about rank 20 up, so the
-# lower ranks fold as they are.
-_RELABEL_ABOVE = 20
+# Above this rank the fold keeps no automaton: a state holds rank + 1
+# entries, and a fold can grow one state per letter, so its memory would
+# grow with the rank times the distinct letters it meets.
+_DIRECT_ABOVE = 20
 
 
 class _GapAutomaton:
@@ -283,26 +276,15 @@ def _fold(
     appends the gap and then g again.  Letters still to append wait on
     an explicit stack, so a long word cannot exhaust the interpreter's
     recursion limit.  The automaton grows only by the states this fold
-    visits.  Above rank `_RELABEL_ABOVE`, a product of fewer distinct
-    letters than the rank folds over 1..k instead, its k letters mapped
-    there in order, and maps back: canonicity compares letters only by
-    order, and the automaton over 1..k holds states of k + 1 entries,
-    not rank + 1.
+    visits.  Above rank `_DIRECT_ABOVE`, `_direct_fold` serves instead.
 
     >>> _fold((2, 1), (2,), 2)
     (2, 1)
     >>> _fold((1, 3), (2, 1), 3)
     (3, 2, 1)
     """
-    used = None
-    if rank > _RELABEL_ABOVE:
-        distinct = sorted({*prefix, *letters})
-        if len(distinct) < rank:
-            used = distinct
-            down = {g: k for k, g in enumerate(used, 1)}
-            prefix = [down[g] for g in prefix]
-            letters = [down[g] for g in letters]
-            rank = len(used)
+    if rank > _DIRECT_ABOVE:
+        return _direct_fold(prefix + letters)
     automaton = _AUTOMATA.get(rank) or _automaton(rank)
     rows, act = automaton.rows, automaton.act
     word = list(prefix)
@@ -331,8 +313,43 @@ def _fold(
             del word[p:]
             del states[p + 1:]
             s = states[p]
-    if used is not None:
-        return tuple([used[g - 1] for g in word])
+    return tuple(word)
+
+
+def _direct_fold(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical form of letters, by the fold with no automaton.
+
+    Each append tests the gap after the last copy of its letter by the
+    gap's `max` and `min`, as `_GapAutomaton.act` does on its states.
+    The fold keeps each letter's last position, and each position the
+    one of its letter's copy before it, -1 for none, by which a walk
+    restores the letters it cuts off.  Memory stays linear in the word.
+
+    >>> _direct_fold((1, 3, 2, 1))
+    (3, 2, 1)
+    """
+    word: list[int] = []
+    before: list[int] = []
+    last: dict[int, int] = {}
+    pending = list(letters)
+    pending.reverse()
+    while pending:
+        g = pending.pop()
+        p = last.get(g, -1)
+        if p >= 0:
+            gap = word[p + 1:]
+            if not gap or max(gap) < g:
+                continue
+            if min(gap) > g:
+                pending.append(g)
+                pending += reversed(gap)
+                for q in range(len(word) - 1, p - 1, -1):
+                    last[word[q]] = before[q]
+                del word[p:], before[p:]
+                continue
+        before.append(p)
+        last[g] = len(word)
+        word.append(g)
     return tuple(word)
 
 
@@ -359,9 +376,9 @@ def canonical_form(w: Word) -> Word:
 def _reduction_steps(w: Word) -> Iterator[tuple[Reduction, Word]]:
     """Yield each step of w's deletion chain as `reduction_trace` records it.
 
-    `canon --trace` prints the steps in text mode as they come, so the
-    chain, whose words total about len(w)**2 / 2 letters, is never held
-    whole.
+    `canon --trace` reads the steps as they come and, in text mode,
+    prints each at once, so the chain, whose words total about
+    len(w)**2 / 2 letters, is never held whole.
     """
     for redex, letters in _deletions(w.letters):
         yield Reduction(*redex), Word(letters, w.rank)

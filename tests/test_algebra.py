@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -30,6 +32,23 @@ def test_from_word_canonicalizes():
     assert from_word(parse_word("3 2 1 1", 3)) == zero(3)
     assert from_word(parse_word("1 2 1", 2)) == zero(2)
     assert from_word(parse_word("", 3)) == identity(3)
+
+
+def test_from_word_of_many_distinct_letters_stays_small():
+    # above rank 20 the fold keeps no automaton, whose states, one per
+    # letter here, would hold 4,001 entries each
+    letters = tuple(range(1, 4001))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        x = from_word(Word(letters, 4000))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.word.letters == letters
+    assert peak < 10 * 2**20
+    assert elapsed < 0.5
 
 
 def test_element_constructor_requires_canonical_word():

@@ -54,7 +54,7 @@ def test_canon_trace_streams_the_recorded_chain(capsys, monkeypatch):
     expected = "".join(f"{red.describe()} -> {word}\n" for red, word in trace.steps)
     expected += f"canonical: {trace.final}\n"
     # text mode prints each step as it comes and never records the chain
-    monkeypatch.setattr(cli, "reduction_trace", None)
+    monkeypatch.setattr(rewrite, "reduction_trace", None)
     code, out, err = run(capsys, "canon", "--n", "6", "--trace", text)
     assert (code, err) == (0, "")
     assert len(trace.steps) > 150
@@ -563,8 +563,8 @@ def test_closed_stdout_exits_1_without_a_traceback():
 
 
 def test_mul_at_a_high_rank_stays_small():
-    # the fold relabels the product onto the 151 letters it uses: over
-    # 1..100000 it would grow 151 states of 100,001 entries, about 250 MB
+    # above rank 20 the fold keeps no automaton: over 1..100000 it would
+    # grow 151 states of 100,001 entries, about 250 MB
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     right = " ".join(map(str, range(2, 152)))
     child = subprocess.run(
@@ -580,9 +580,9 @@ def test_mul_at_a_high_rank_stays_small():
     assert int(child.stderr) < 100 * 1024  # kilobytes
 
 
-def test_only_canon_reaches_the_deletion_loop(capsys, monkeypatch):
-    # factors parse by the fold, so mul, solve, stats and enum run with
-    # the deletion loop broken, and only canon hits it
+def test_only_canon_trace_reaches_the_deletion_loop(capsys, monkeypatch):
+    # every word the CLI reads parses by the fold, so every command runs
+    # with the deletion loop broken, and only canon --trace hits it
     class Reached(Exception):
         pass
 
@@ -594,17 +594,47 @@ def test_only_canon_reaches_the_deletion_loop(capsys, monkeypatch):
     monkeypatch.setattr(rewrite, "_deletions", refuse)
     x = from_word(w)
     assert (x.word, multiply(x, from_word(u)).word) == expected
-    for argv in (
-        ("mul", "--n", "3", "1 2 1", "3 2"),
-        ("solve", "--n", "3", "--y", "1"),
-        ("stats", "--n", "3"),
-        ("enum", "--n", "3"),
+    for argv, out in (
+        (("canon", "--n", "3", "1 2 1 3 2"), f"{expected[0]}\n"),
+        (("canon", "--n", "3", "--format", "json", "1 1"), None),
+        (("mul", "--n", "3", "1 2 1", "3 2"), None),
+        (("solve", "--n", "3", "--y", "1"), None),
+        (("stats", "--n", "3"), None),
+        (("enum", "--n", "3"), None),
     ):
-        code, _, err = run(capsys, *argv)
+        code, printed, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
-    for argv in (("canon", "--n", "3", "1 2 1"), ("canon", "--n", "3", "--trace", "1 2 1")):
+        assert out is None or printed == out
+    for fmt in ("text", "json"):
         with pytest.raises(Reached):
-            main(list(argv))
+            main(["canon", "--n", "3", "--trace", "--format", fmt, "1 2 1"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_canon_trace_that_stops_short_of_the_fold_exits_4(capsys, monkeypatch, fmt):
+    chain = rewrite._deletions
+
+    def one_step_short(letters):
+        yield from list(chain(letters))[:-1]
+
+    monkeypatch.setattr(rewrite, "_deletions", one_step_short)
+    code, out, err = run(capsys, "canon", "--n", "3", "--trace", "--format", fmt,
+                         "1 2 1 3 1")
+    assert code == 4
+    # the step before the last streams in text mode; no canonical form prints
+    first = "LeftDeletion letter=1 keep=2 remove=0 -> 2 1 3 1\n"
+    assert out == ("" if fmt == "json" else first)
+    assert err.startswith("invariant violated: the deletion chain ends at '2 1 3 1'")
+
+
+def test_canon_of_a_long_word_folds_fast(capsys):
+    # 100,002 letters: the deletion loop, which rescans the word after
+    # each deletion, took 13.2 s as a child on 36,000 of them
+    text = " ".join(["1 2 3 4 5 6"] * 16_667)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "canon", "--n", "6", text)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "6 5 4 3 2 1\n", "")
 
 
 def test_mul_of_a_long_factor_stays_fast(k5):
@@ -729,7 +759,7 @@ def test_invariant_error_maps_to_exit_4(capsys, monkeypatch):
     def broken(w):
         raise InvariantError("deliberately broken for the exit-code test")
 
-    monkeypatch.setattr(cli, "canonical_form", broken)
+    monkeypatch.setattr(cli, "from_word", broken)
     code, out, err = run(capsys, "canon", "--n", "2", "1 1")
     assert code == 4
     assert out == ""

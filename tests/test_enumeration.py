@@ -28,7 +28,7 @@ from kiselman.enumeration import (
     write_cache,
 )
 from kiselman import rewrite
-from kiselman.errors import ResourceLimitError, ValidationError
+from kiselman.errors import InvariantError, ResourceLimitError, ValidationError
 from kiselman.rewrite import _SAME, _WALK, _automaton, canonical_letters
 from kiselman.words import (
     Word,
@@ -528,6 +528,14 @@ def test_zero_thresholds_match_the_rewriter(rank):
     assert len(thresholds) == len(s)
     for u, t in zip(s.words, thresholds):
         assert t == _rewriter_threshold(u, rank)
+
+
+def test_zero_thresholds_name_an_element_that_never_reaches_the_zero():
+    s = Semigroup(2)
+    one = s.index[(1,)]
+    s.columns[2][one] = one  # now 1 * (2, 1) and 1 * (1,) are both 1
+    with pytest.raises(InvariantError, match="'1' times the zero is not the zero"):
+        s.zero_thresholds()
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])

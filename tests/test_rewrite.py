@@ -19,6 +19,7 @@ from kiselman.rewrite import (
     Reduction,
     ReductionKind,
     _deletions,
+    _direct_fold,
     _fold,
     all_normal_forms,
     canonical_form,
@@ -444,8 +445,10 @@ def _long_fold_input():
 @example(_long_fold_input())
 @settings(deadline=None, max_examples=100)
 def test_fold_matches_the_rewriter(case):
+    # the fold above rank 20 too, at the ranks the rewriter checks densely
     rank, prefix, letters = case
-    assert _fold(prefix, letters, rank) == canonical_letters(prefix + letters)
+    expected = canonical_letters(prefix + letters)
+    assert _fold(prefix, letters, rank) == _direct_fold(prefix + letters) == expected
 
 
 @st.composite
@@ -480,23 +483,22 @@ def test_fold_of_sparse_letters_matches_the_rewriter(case):
     assert _fold(prefix, letters, rank) == canonical_letters(prefix + letters)
 
 
-def test_sparse_product_folds_at_the_rank_of_its_letters(monkeypatch):
-    # a state holds rank + 1 entries, so at rank 10**5 the fold relabels
-    # the 151 letters it is given onto 1..151 and files that rank only.
-    # 3,001 letters over 1..40 at rank 3000 are longer than the rank, yet
-    # fold over their 40 distinct letters, not in states of 3,001 entries
+def test_fold_above_rank_20_files_no_automaton(monkeypatch):
+    # a state holds rank + 1 entries, so above rank 20 the fold tests
+    # each append directly.  Words over 1..20 fold at ranks 21 and 3000
+    # to what the rank-20 automaton gives, the ruler with its 2,000 walks
+    # included, and only that automaton is filed
     rng = random.Random(3000)
-    long = tuple(rng.randint(1, 40) for _ in range(3001))
-    assert set(long) == set(range(1, 41))
-    expected = _fold((), long, 40)
+    long = tuple(rng.randint(1, 20) for _ in range(3001))
+    w = _ruler_word()
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
     letters = tuple(range(2, 152))
     assert _fold((1,), letters, 10**5) == (1, *letters)
-    assert list(rewrite._AUTOMATA) == [151]
     assert _fold((50_000, 7), (50_000,), 10**5) == (50_000, 7)
-    assert sorted(rewrite._AUTOMATA) == [2, 151]
-    assert _fold((), long, 3000) == expected
-    assert sorted(rewrite._AUTOMATA) == [2, 40, 151]
+    assert rewrite._AUTOMATA == {}
+    assert _fold((), long, 3000) == _fold((), long, 20)
+    assert _fold(w, w[::-1], 21) == _fold(w, w[::-1], 20)
+    assert list(rewrite._AUTOMATA) == [20]
 
 
 def _ruler(lo, hi):

@@ -33,7 +33,6 @@ from .errors import (
 from .rewrite import (
     Reduction,
     ReductionKind,
-    ReductionTrace,
     all_normal_forms,
     canonical_form,
     reduction_trace,

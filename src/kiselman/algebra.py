@@ -4,9 +4,10 @@ An element is identified with its canonical word, so equality and
 hashing are word-level and the deterministic element order used in all
 output is length-lexicographic on canonical words.  Multiplication
 folds the right factor's letters onto the left factor's canonical word
-with `rewrite._fold`, which never rescans that word: up to rank 20 each
+with `rewrite._fold`, which never rescans that word: up to rank 10 each
 append is one lookup in the append-letter transition on gap states that
-`enumeration.Semigroup` closes through too.  `from_word` folds an
+`enumeration.Semigroup` closes through too, and above it each append
+tests its gap directly.  `from_word` folds an
 arbitrary word onto the empty one the same way.  The empty word is
 the unit; the strictly decreasing word n, n-1, ..., 1 is the zero,
 absorbing on both sides.

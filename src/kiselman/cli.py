@@ -25,7 +25,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .rewrite import _reduction_steps
+from .rewrite import reduction_trace
 from .verify import SUITE_NAMES, run_suites
 from .words import parse_word
 
@@ -114,7 +114,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         # text mode prints each step as the deletion loop yields it: the
         # whole chain grows with the square of the word's length
         final = w
-        for red, final in _reduction_steps(w):
+        for red, final in reduction_trace(w):
             if args.format == "json":
                 steps.append({"kind": red.kind.value, "letter": red.letter,
                               "keep": red.kept_position,

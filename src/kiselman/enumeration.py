@@ -48,7 +48,9 @@ hold `element` and `product` to `algebra.multiply`, and
 One-shot arithmetic builds no table: `algebra.multiply`, which `mul`
 calls, folds the right factor onto the left one's canonical word
 (`rewrite._fold`) through the same automaton, growing only the states
-it visits, and `canon` folds its word the same way.
+it visits, and `canon` folds its word the same way.  The process keeps
+one automaton per rank up to rank 10.  Above it the fold keeps none,
+and each `Semigroup` closes through one of its own, which goes with it.
 
 The deletion rewriter stays as the oracle.  The direct route backtracks
 over canonical words, growing a word one letter at a time; every prefix

@@ -26,11 +26,12 @@ Appending a letter to a canonical word can create only one deletion,
 between the new letter and its last earlier copy (Kudryavtseva &
 Mazorchuk, "On Kiselman's semigroup", 2009), and the gap after that
 copy decides it.  `_GapAutomaton` writes that rule once, as one
-transition on gap states, grown lazily; the process keeps one automaton
-per rank, over the letters 1..rank.  Up to rank `_DIRECT_ABOVE` the fold
-reads it one lookup per append, and `enumeration.Semigroup` closes
+transition on gap states, grown lazily.  Up to rank `_DIRECT_ABOVE`, 10,
+the process keeps one automaton per rank, over the letters 1..rank: the
+fold reads it one lookup per append, and `enumeration.Semigroup` closes
 through the same automaton, asking for every action of each state its
-elements reach; above that rank the fold tests each append directly.
+elements reach.  Above that rank the fold tests each append directly,
+and a `Semigroup` closes through an automaton of its own.
 `algebra.multiply` and `algebra.from_word`, which every word the CLI
 reads goes through, fold; `canonical_form`, `canonical_letters` and
 `reduction_trace` keep the rewriter, which the tests hold the fold and
@@ -50,7 +51,6 @@ from .words import Word
 __all__ = [
     "ReductionKind",
     "Reduction",
-    "ReductionTrace",
     "canonical_form",
     "canonical_letters",
     "all_normal_forms",
@@ -83,17 +83,6 @@ class Reduction(NamedTuple):
             f"{self.kind.value} letter={self.letter} "
             f"keep={self.kept_position} remove={self.removed_position}"
         )
-
-
-class ReductionTrace(NamedTuple):
-    """A deletion chain from a source word down to its canonical form."""
-
-    source: Word
-    steps: tuple[tuple[Reduction, Word], ...]
-
-    @property
-    def final(self) -> Word:
-        return self.steps[-1][1] if self.steps else self.source
 
 
 def _deletions(
@@ -166,18 +155,14 @@ _EMPTY, _SMALLER, _LARGER, _BOTH, _ABSENT = 0, 1, 2, 3, 4
 # action is the id of its gap states.
 _SAME, _WALK = -1, -2
 
-# The most states one rank's memo keeps: the reachable count at rank 10,
-# about 23 MB at some 360 bytes a state.  Every automaton up to rank 10
-# therefore grows once and stays, while a higher rank, whose states
-# multiply about threefold per rank (664,305 at rank 12), drops its memo
-# once past the bound and starts a new one, instead of holding the
-# process's memory for good.
-_MEMO_LIMIT = 63_973
-
-# Above this rank the fold keeps no automaton: a state holds rank + 1
-# entries, and a fold can grow one state per letter, so its memory would
-# grow with the rank times the distinct letters it meets.
-_DIRECT_ABOVE = 20
+# Above this rank the fold keeps no automaton.  Up to it, each rank's
+# automaton grows once and stays: 63,973 states at rank 10, and 92,285
+# over ranks 1..10, about 33 MB at some 360 bytes a state.  A state
+# holds rank + 1 entries and their number grows about threefold per
+# rank (664,305 at rank 12), so above rank 10 the fold tests each
+# append directly and `enumeration.Semigroup` closes through an
+# automaton of its own, which the process drops with it.
+_DIRECT_ABOVE = 10
 
 
 class _GapAutomaton:
@@ -238,28 +223,29 @@ class _GapAutomaton:
                     action = self.ids[child] = len(self.states)
                     self.states.append(child)
                     self.rows.append([None] * len(child))
-                    if len(self.states) > _MEMO_LIMIT:
-                        # whoever holds this one finishes with it; the
-                        # next fold starts a new memo
-                        if _AUTOMATA.get(self.rank) is self:
-                            del _AUTOMATA[self.rank]
             else:
                 action = _WALK if state == _LARGER else _SAME
             self.rows[s][g] = action
             return action
 
 
-# One automaton per rank, filed under the rank.
+# One automaton per rank up to _DIRECT_ABOVE, filed under the rank.
 _AUTOMATA: dict[int, _GapAutomaton] = {}
 # Growth is rare, so one lock serves every automaton.
 _GROWING = Lock()
 
 
 def _automaton(rank: int) -> _GapAutomaton:
-    """The process's one gap automaton over the letters 1..rank."""
+    """The gap automaton over the letters 1..rank.
+
+    Up to rank `_DIRECT_ABOVE` it is the process's one, filed; above
+    that rank it is a new one, filed nowhere.
+    """
     automaton = _AUTOMATA.get(rank)
     if automaton is None:
-        automaton = _AUTOMATA[rank] = _GapAutomaton(rank)
+        automaton = _GapAutomaton(rank)
+        if rank <= _DIRECT_ABOVE:
+            _AUTOMATA[rank] = automaton
     return automaton
 
 
@@ -373,24 +359,22 @@ def canonical_form(w: Word) -> Word:
     return Word(canonical_letters(w.letters), w.rank)
 
 
-def _reduction_steps(w: Word) -> Iterator[tuple[Reduction, Word]]:
-    """Yield each step of w's deletion chain as `reduction_trace` records it.
+def reduction_trace(w: Word) -> Iterator[tuple[Reduction, Word]]:
+    """The deterministic deletion chain from w down to its canonical form.
 
-    `canon --trace` reads the steps as they come and, in text mode,
-    prints each at once, so the chain, whose words total about
-    len(w)**2 / 2 letters, is never held whole.
+    Yields each step as the deletion, with its positions in the word
+    before it, and the word after it.  The chain has exactly
+    len(w) - len(canonical_form(w)) steps and its last word is the
+    canonical form.  Its words total about len(w)**2 / 2 letters, so
+    `canon --trace` prints each step in text mode as it comes.
+
+    >>> from .words import parse_word
+    >>> steps = reduction_trace(parse_word("1 2 1", 2))
+    >>> [(red.describe(), str(word)) for red, word in steps]
+    [('LeftDeletion letter=1 keep=2 remove=0', '2 1')]
     """
     for redex, letters in _deletions(w.letters):
         yield Reduction(*redex), Word(letters, w.rank)
-
-
-def reduction_trace(w: Word) -> ReductionTrace:
-    """The deterministic deletion chain from w down to its canonical form.
-
-    The chain has exactly len(w) - len(canonical_form(w)) steps and its
-    last word is the canonical form.
-    """
-    return ReductionTrace(w, tuple(_reduction_steps(w)))
 
 
 def all_normal_forms(w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> set[Word]:

@@ -35,7 +35,7 @@ def test_from_word_canonicalizes():
 
 
 def test_from_word_of_many_distinct_letters_stays_small():
-    # above rank 20 the fold keeps no automaton, whose states, one per
+    # above rank 10 the fold keeps no automaton, whose states, one per
     # letter here, would hold 4,001 entries each
     letters = tuple(range(1, 4001))
     tracemalloc.start()

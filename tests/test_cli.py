@@ -50,15 +50,23 @@ def test_canon_trace(capsys):
 def test_canon_trace_streams_the_recorded_chain(capsys, monkeypatch):
     rng = random.Random(22)
     text = " ".join(str(rng.randint(1, 6)) for _ in range(200))
-    trace = reduction_trace(parse_word(text, 6))
-    expected = "".join(f"{red.describe()} -> {word}\n" for red, word in trace.steps)
-    expected += f"canonical: {trace.final}\n"
-    # text mode prints each step as it comes and never records the chain
-    monkeypatch.setattr(rewrite, "reduction_trace", None)
+    steps = list(reduction_trace(parse_word(text, 6)))
+    lines = [f"{red.describe()} -> {word}\n" for red, word in steps]
+    # text mode prints each step as it comes: before the chain hands out
+    # a step, every step before it is on stdout, and nothing more
+    printed = []
+
+    def watched(w):
+        for step in reduction_trace(w):
+            printed.append(capsys.readouterr().out)
+            yield step
+
+    monkeypatch.setattr(cli, "reduction_trace", watched)
     code, out, err = run(capsys, "canon", "--n", "6", "--trace", text)
     assert (code, err) == (0, "")
-    assert len(trace.steps) > 150
-    assert out == expected
+    assert len(steps) > 150
+    assert printed == [""] + lines[:-1]
+    assert out == f"{lines[-1]}canonical: {steps[-1][1]}\n"
 
 
 def test_canon_trace_json(capsys):
@@ -563,7 +571,7 @@ def test_closed_stdout_exits_1_without_a_traceback():
 
 
 def test_mul_at_a_high_rank_stays_small():
-    # above rank 20 the fold keeps no automaton: over 1..100000 it would
+    # above rank 10 the fold keeps no automaton: over 1..100000 it would
     # grow 151 states of 100,001 entries, about 250 MB
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     right = " ".join(map(str, range(2, 152)))

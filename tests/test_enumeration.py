@@ -338,6 +338,19 @@ def test_cap_above_the_table_still_trips_in_the_loop(monkeypatch):
         Semigroup(7, limit=100_000)
 
 
+def test_closure_above_rank_10_files_no_automaton(monkeypatch):
+    # above rank 10 a Semigroup closes through an automaton of its own,
+    # so one that trips its cap leaves none of it behind: K_11 outgrows
+    # 83,974 elements after some 22,000 states
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^enumeration at rank 11 exceeded the element cap of 83974$",
+    ):
+        Semigroup(11, limit=83_974)
+    assert rewrite._AUTOMATA == {}
+
+
 @pytest.mark.n6
 def test_cayley_table_matches_rewriter_rank_6():
     words, rounds, multiplications = _check_table_against_rewriter(6)

@@ -211,41 +211,38 @@ def test_all_normal_forms_budget_boundary(text, rank):
 
 
 def test_trace_on_canonical_word_is_empty():
-    trace = reduction_trace(parse_word("3 2 1", 3))
-    assert trace.steps == ()
-    assert trace.final == parse_word("3 2 1", 3)
+    assert list(reduction_trace(parse_word("3 2 1", 3))) == []
 
 
 def test_trace_deterministic_chain():
-    trace = reduction_trace(parse_word("1 1 1", 1))
-    assert len(trace.steps) == 2
-    assert str(trace.final) == "1"
+    steps = list(reduction_trace(parse_word("1 1 1", 1)))
+    assert len(steps) == 2
+    assert str(steps[-1][1]) == "1"
     # right deletion wins on a pair admitting both kinds
-    assert all(r.kind == ReductionKind.RIGHT_DELETION for r, _ in trace.steps)
+    assert all(r.kind == ReductionKind.RIGHT_DELETION for r, _ in steps)
 
 
 def test_trace_single_step():
-    trace = reduction_trace(parse_word("3 2 1 2", 3))
-    assert len(trace.steps) == 1
-    red, word = trace.steps[0]
+    [(red, word)] = reduction_trace(parse_word("3 2 1 2", 3))
     assert red == Reduction(ReductionKind.RIGHT_DELETION, 2, 1, 3)
     assert str(word) == "3 2 1"
 
 
 def test_trace_runs_twice_identically():
     w = parse_word("1 2 1 2 3 1", 3)
-    assert reduction_trace(w) == reduction_trace(w)
+    assert list(reduction_trace(w)) == list(reduction_trace(w))
 
 
 # law: each reduction removes exactly one letter and the trace ends canonical
 @given(words())
 def test_trace_shape(w):
-    trace = reduction_trace(w)
-    assert len(trace.steps) == len(w) - len(trace.final)
-    assert trace.final == canonical_form(w)
-    assert is_canonical(trace.final)
+    steps = list(reduction_trace(w))
+    final = steps[-1][1] if steps else w
+    assert len(steps) == len(w) - len(final)
+    assert final == canonical_form(w)
+    assert is_canonical(final)
     previous = w
-    for red, after in trace.steps:
+    for red, after in steps:
         assert len(after) == len(previous) - 1
         assert previous.letters[red.removed_position] == red.letter
         assert previous.letters[red.kept_position] == red.letter
@@ -325,7 +322,7 @@ def test_long_trace_follows_the_reference_chain():
     w = Word(tuple(rng.randint(1, 6) for _ in range(300)), 6)
     chain = _chain_by_definition(w.letters)
     assert len(chain) > 250
-    assert [(tuple(red), word.letters) for red, word in reduction_trace(w).steps] == chain
+    assert [(tuple(red), word.letters) for red, word in reduction_trace(w)] == chain
 
 
 # law: every maximal deletion sequence ends at the same word
@@ -445,7 +442,7 @@ def _long_fold_input():
 @example(_long_fold_input())
 @settings(deadline=None, max_examples=100)
 def test_fold_matches_the_rewriter(case):
-    # the fold above rank 20 too, at the ranks the rewriter checks densely
+    # the fold above rank 10 too, at the ranks the rewriter checks densely
     rank, prefix, letters = case
     expected = canonical_letters(prefix + letters)
     assert _fold(prefix, letters, rank) == _direct_fold(prefix + letters) == expected
@@ -483,22 +480,24 @@ def test_fold_of_sparse_letters_matches_the_rewriter(case):
     assert _fold(prefix, letters, rank) == canonical_letters(prefix + letters)
 
 
-def test_fold_above_rank_20_files_no_automaton(monkeypatch):
-    # a state holds rank + 1 entries, so above rank 20 the fold tests
-    # each append directly.  Words over 1..20 fold at ranks 21 and 3000
-    # to what the rank-20 automaton gives, the ruler with its 2,000 walks
+def test_fold_above_rank_10_files_no_automaton(monkeypatch):
+    # only whole automata are filed, so above rank 10 the fold tests each
+    # append directly.  Words over 1..10 fold at ranks 11, 21 and 3000 to
+    # what the rank-10 automaton gives, the ruler with its walks
     # included, and only that automaton is filed
     rng = random.Random(3000)
-    long = tuple(rng.randint(1, 20) for _ in range(3001))
-    w = _ruler_word()
+    long = tuple(rng.randint(1, 10) for _ in range(3001))
+    w = _ruler_word(10)
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
     letters = tuple(range(2, 152))
     assert _fold((1,), letters, 10**5) == (1, *letters)
     assert _fold((50_000, 7), (50_000,), 10**5) == (50_000, 7)
+    assert _fold((11, 1), (11,), 11) == (11, 1)
     assert rewrite._AUTOMATA == {}
-    assert _fold((), long, 3000) == _fold((), long, 20)
-    assert _fold(w, w[::-1], 21) == _fold(w, w[::-1], 20)
-    assert list(rewrite._AUTOMATA) == [20]
+    for rank in (11, 21, 3000):
+        assert _fold((), long, rank) == _fold((), long, 10)
+        assert _fold(w, w[::-1], rank) == _fold(w, w[::-1], 10)
+    assert list(rewrite._AUTOMATA) == [10]
 
 
 def _ruler(lo, hi):
@@ -509,17 +508,32 @@ def _ruler(lo, hi):
     return inner + (lo,) + inner
 
 
-def _ruler_word():
-    lower = _ruler(1, 10)
-    return tuple(i for pair in zip(lower, (21 - i for i in lower)) for i in pair)
+def _ruler_word(rank):
+    """The ruler over 1..rank/2, letter by letter with its mirror above."""
+    lower = _ruler(1, rank // 2)
+    return tuple(i for pair in zip(lower, (rank + 1 - i for i in lower)) for i in pair)
+
+
+def test_fold_of_the_longest_rank_10_word_with_its_reversal(monkeypatch):
+    # the rank-10 ruler meets every bound of `letter_bounds`: 62 letters.
+    # It folds on its reversal through the automaton, and 57 of the 62
+    # appends walk back to delete the old copy
+    w = _ruler_word(10)
+    assert is_canonical(Word(w, 10))
+    assert len(w) == sum(letter_bounds(10).values()) == 62
+    assert _held_words(w, w[::-1])[1] == 57
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    assert _fold(w, w[::-1], 10) == canonical_letters(w + w[::-1])
+    assert list(rewrite._AUTOMATA) == [10]
 
 
 def test_fold_of_the_longest_rank_20_word_with_its_reversal():
     # the ruler over the lower half, letter by letter with its mirror
     # over the upper half, meets every bound of `letter_bounds`: 2,046
-    # letters.  Folding on its reversal leaves 20 of the 4,092 letters,
-    # and more than 2,000 of the appends delete the old copy
-    w = _ruler_word()
+    # letters.  Folding on its reversal, by the direct fold, leaves 20 of
+    # the 4,092 letters, and more than 2,000 of the appends delete the
+    # old copy
+    w = _ruler_word(20)
     assert is_canonical(Word(w, 20))
     assert len(w) == sum(letter_bounds(20).values()) == 2046
     assert _fold(w, w[::-1], 20) == canonical_letters(w + w[::-1])
@@ -537,17 +551,8 @@ def test_canonicality_check_is_not_the_automaton():
     assert names.isdisjoint({"_fold", "_automaton", "_GapAutomaton", "rewrite"})
 
 
-# The fold's automaton is one memo per rank, shared by the whole
-# process and grown only by the states a fold visits.
-
-
-def test_memo_stays_within_its_bound_after_the_rank_20_ruler(monkeypatch):
-    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
-    w = _ruler_word()
-    folded = _fold(w, w[::-1], 20)
-    assert len(folded) == 20
-    memo = rewrite._AUTOMATA[20]
-    assert len(memo.states) <= rewrite._MEMO_LIMIT
+# Up to rank 10 the fold's automaton is one memo per rank, shared by
+# the whole process and grown only by the states a fold visits.
 
 
 def test_fold_reaches_its_memo_by_the_rank(monkeypatch):
@@ -558,17 +563,6 @@ def test_fold_reaches_its_memo_by_the_rank(monkeypatch):
     memo = rewrite._AUTOMATA[3]
     assert Semigroup(3)._rows is memo.rows
     assert rewrite._AUTOMATA == {3: memo}
-
-
-def test_memo_past_its_bound_is_dropped_and_the_fold_still_right(monkeypatch):
-    w = _ruler_word()
-    expected = _fold(w, w[::-1], 20)
-    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
-    monkeypatch.setattr(rewrite, "_MEMO_LIMIT", 1000)
-    assert _fold(w, w[::-1], 20) == expected
-    assert 20 not in rewrite._AUTOMATA
-    assert _fold((20, 1), (20,), 20) == (20, 1)
-    assert len(rewrite._AUTOMATA[20].states) == 3
 
 
 def _held_words(prefix, letters):

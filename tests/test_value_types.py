@@ -21,15 +21,14 @@ from kiselman.words import Word, parse_word
 
 
 def _values():
-    trace = reduction_trace(parse_word("1 2 1", 2))
+    [(reduction, _)] = reduction_trace(parse_word("1 2 1", 2))
     solved = construct_right_zero_solutions(3)
     return {
         "Word": (Word((2, 1), 2), ("letters", "rank")),
         "Element": (Element(Word((2, 1), 2)), ("word",)),
         "Reduction": (
-            trace.steps[0][0], ("kind", "letter", "kept_position", "removed_position")
+            reduction, ("kind", "letter", "kept_position", "removed_position")
         ),
-        "ReductionTrace": (trace, ("source", "steps")),
         "SolutionDecomposition": (solved.decomposition, ("special", "containing_one")),
         "ZeroSolutionSet": (solved, ("rank", "y", "solutions", "decomposition")),
     }

@@ -49,15 +49,16 @@ One-shot arithmetic builds no table: `algebra.multiply`, which `mul`
 calls, folds the right factor onto the left one's canonical word
 (`rewrite._fold`) through the same automaton, growing only the states
 it visits, and `canon` folds its word the same way.  The process keeps
-one automaton per rank up to rank 10.  Above it the fold keeps none,
-and each `Semigroup` closes through one of its own, which goes with it.
+one automaton per rank up to rank 10 and none above it, where the fold
+tests each append directly and `Semigroup` refuses to close.
 
 The deletion rewriter stays as the oracle.  The direct route backtracks
 over canonical words, growing a word one letter at a time; every prefix
 of a canonical word is canonical, so the search tree is exactly the
-canonical words, each append checks only the one new consecutive pair
-of equal letters, and per-letter multiplicity bounds prune the tree
-finite.  Both routes use the fact that an appended letter pairs only
+canonical words, finite as they are, and each append checks only the
+one new consecutive pair of equal letters.  Per-letter multiplicity
+bounds skip, unchecked, children the gap check would reject anyway.
+Both routes use the fact that an appended letter pairs only
 with its last earlier copy, but only the closure resolves the pairs that
 delete, and only the direct route relies on the multiplicity bounds, so
 their agreement is still a real check.  For the same reason the
@@ -72,7 +73,10 @@ Cardinalities grow double-exponentially with the rank.  Enumeration
 therefore takes an element cap, |K_6| by default.  K_{n-1} sits inside
 K_n as the words avoiding letter n, so KNOWN_CARDINALITIES bounds every
 rank from below, and a cap under that bound is refused before anything
-is built.
+is built.  So is every rank above 10, whatever the cap, since no
+automaton exists there (`rewrite._DIRECT_ABOVE`): K_8 alone has
+64,146,328,635 elements, so a closure above rank 10 could only ever end
+at its cap.
 
 Cache files (one per rank) use a one-line header followed by one
 canonical word per line, shortest first::
@@ -97,7 +101,7 @@ from typing import Iterable, Sequence
 
 from .algebra import Element
 from .errors import InvariantError, ResourceLimitError, ValidationError
-from .rewrite import _WALK, _automaton
+from .rewrite import _DIRECT_ABOVE, _WALK, _automaton
 from .words import Word
 
 __all__ = [
@@ -149,9 +153,11 @@ class Semigroup:
     `product` is the one multiplication kernel: it walks the letters of
     a right factor through the columns, one list index per letter.
     Building the semigroup raises ResourceLimitError if more than
-    `limit` elements appear.  A `limit` below the rank's entry in
-    KNOWN_CARDINALITIES, or for a rank past the table one not above the
-    table's largest entry, is refused before the automaton is touched.
+    `limit` elements appear.  Two refusals come before the automaton is
+    touched: a `limit` below the rank's entry in KNOWN_CARDINALITIES, or
+    for a rank past the table one not above the table's largest entry;
+    and then, whatever the limit, any rank above `rewrite._DIRECT_ABOVE`,
+    10, where no automaton exists.
     """
 
     __slots__ = (
@@ -169,6 +175,9 @@ class Semigroup:
         # over 1..m, and the letter rank besides
         if limit < KNOWN_CARDINALITIES.get(rank, max(KNOWN_CARDINALITIES.values()) + 1):
             raise _over_cap(rank, limit)
+        if rank > _DIRECT_ABOVE:
+            raise ResourceLimitError(f"enumeration at rank {rank} is refused: "
+                                     f"closures run only up to rank {_DIRECT_ABOVE}")
         self.rank = rank
         self._words: list[tuple[int, ...]] | None = None
         self._index: dict[tuple[int, ...], int] | None = None

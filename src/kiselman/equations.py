@@ -81,13 +81,14 @@ def solve_right_zero(y: Element, semigroup: Semigroup) -> ZeroSolutionSet:
     """Brute-force the left factors: every x with x * y = zero.
 
     Scans `semigroup`, the whole of K_n at y's rank, which the caller
-    builds, and takes each product x * y from its table.  When y is the
+    builds, and takes each product x * y from its table, and the zero as
+    the product n, n-1, ..., 1, so it builds no word index.  When y is the
     first generator the result additionally carries the
     special/containing-one decomposition.
     """
     if semigroup.rank != y.rank:
         raise ValidationError(f"rank mismatch: {semigroup.rank} vs {y.rank}")
-    zero_index = semigroup.index[zero(y.rank).word.letters]
+    zero_index = semigroup.product(0, range(y.rank, 0, -1))
     solutions = frozenset(
         semigroup.element(i)
         for i in range(len(semigroup))

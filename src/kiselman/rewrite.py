@@ -26,12 +26,12 @@ Appending a letter to a canonical word can create only one deletion,
 between the new letter and its last earlier copy (Kudryavtseva &
 Mazorchuk, "On Kiselman's semigroup", 2009), and the gap after that
 copy decides it.  `_GapAutomaton` writes that rule once, as one
-transition on gap states, grown lazily.  Up to rank `_DIRECT_ABOVE`, 10,
-the process keeps one automaton per rank, over the letters 1..rank: the
-fold reads it one lookup per append, and `enumeration.Semigroup` closes
-through the same automaton, asking for every action of each state its
-elements reach.  Above that rank the fold tests each append directly,
-and a `Semigroup` closes through an automaton of its own.
+transition on gap states, grown lazily.  No automaton exists above rank
+`_DIRECT_ABOVE`, 10.  Up to it the process keeps one automaton per rank,
+over the letters 1..rank: the fold reads it one lookup per append, and
+`enumeration.Semigroup` closes through the same automaton, asking for
+every action of each state its elements reach.  Above that rank the
+fold tests each append directly, and `Semigroup` refuses to close.
 `algebra.multiply` and `algebra.from_word`, which every word the CLI
 reads goes through, fold; `canonical_form`, `canonical_letters` and
 `reduction_trace` keep the rewriter, which the tests hold the fold and
@@ -155,13 +155,13 @@ _EMPTY, _SMALLER, _LARGER, _BOTH, _ABSENT = 0, 1, 2, 3, 4
 # action is the id of its gap states.
 _SAME, _WALK = -1, -2
 
-# Above this rank the fold keeps no automaton.  Up to it, each rank's
+# Above this rank there is no automaton.  Up to it, each rank's
 # automaton grows once and stays: 63,973 states at rank 10, and 92,285
 # over ranks 1..10, about 33 MB at some 360 bytes a state.  A state
 # holds rank + 1 entries and their number grows about threefold per
 # rank (664,305 at rank 12), so above rank 10 the fold tests each
-# append directly and `enumeration.Semigroup` closes through an
-# automaton of its own, which the process drops with it.
+# append directly, and `enumeration.Semigroup` refuses the rank: K_11
+# could only ever end at its element cap.
 _DIRECT_ABOVE = 10
 
 
@@ -236,17 +236,13 @@ _GROWING = Lock()
 
 
 def _automaton(rank: int) -> _GapAutomaton:
-    """The gap automaton over the letters 1..rank.
+    """The process's one gap automaton over the letters 1..rank, filed.
 
-    Up to rank `_DIRECT_ABOVE` it is the process's one, filed; above
-    that rank it is a new one, filed nowhere.
+    Its callers, `_fold` and `enumeration.Semigroup`, ask only up to
+    rank `_DIRECT_ABOVE`.  Threads that race to build it all get the one
+    `setdefault` files.
     """
-    automaton = _AUTOMATA.get(rank)
-    if automaton is None:
-        automaton = _GapAutomaton(rank)
-        if rank <= _DIRECT_ABOVE:
-            _AUTOMATA[rank] = automaton
-    return automaton
+    return _AUTOMATA.get(rank) or _AUTOMATA.setdefault(rank, _GapAutomaton(rank))
 
 
 def _fold(
@@ -271,7 +267,7 @@ def _fold(
     """
     if rank > _DIRECT_ABOVE:
         return _direct_fold(prefix + letters)
-    automaton = _AUTOMATA.get(rank) or _automaton(rank)
+    automaton = _automaton(rank)
     rows, act = automaton.rows, automaton.act
     word = list(prefix)
     s = 0

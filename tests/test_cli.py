@@ -434,6 +434,36 @@ def test_enum_large_rank_refused(capsys):
     assert err == "resource limit: enumeration at rank 7 exceeded the element cap of 83973\n"
 
 
+ABOVE_RANK_10 = (
+    "resource limit: enumeration at rank 11 is refused: "
+    "closures run only up to rank 10\n"
+)
+
+
+@pytest.mark.parametrize("command", [
+    ["enum"], ["stats"], ["solve", "--y", "1"],
+])
+def test_closure_above_rank_10_refused_past_the_cap(capsys, command):
+    # a --limit that clears the cap pre-check still builds nothing
+    code, out, err = run(capsys, *command, "--n", "11", "--limit", "83974")
+    assert (code, out, err) == (3, "", ABOVE_RANK_10)
+
+
+def test_verify_above_rank_10_reports_the_refusal(capsys):
+    code, out, err = run(
+        capsys, "verify", "--n", "11", "--limit", "83974", "--format", "json",
+    )
+    assert code == 3
+    assert json.loads(out) == {
+        "rank": 11,
+        "aborted": True,
+        "all_passed": False,
+        "suites": [],
+        "error": ABOVE_RANK_10.removeprefix("resource limit: ").rstrip("\n"),
+    }
+    assert err == ABOVE_RANK_10
+
+
 def test_limit_trips_resource_exit(capsys):
     code, out, err = run(capsys, "enum", "--n", "3", "--limit", "5")
     assert code == 3

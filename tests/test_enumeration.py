@@ -339,15 +339,19 @@ def test_cap_above_the_table_still_trips_in_the_loop(monkeypatch):
 
 
 def test_closure_above_rank_10_files_no_automaton(monkeypatch):
-    # above rank 10 a Semigroup closes through an automaton of its own,
-    # so one that trips its cap leaves none of it behind: K_11 outgrows
-    # 83,974 elements after some 22,000 states
+    # no automaton exists above rank 10, so a cap that passes the table's
+    # bound is refused at once, unbuilt, and the message names no cap,
+    # which a cap above |K_11| would make false
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
-    with pytest.raises(
-        ResourceLimitError,
-        match=r"^enumeration at rank 11 exceeded the element cap of 83974$",
-    ):
-        Semigroup(11, limit=83_974)
+    for rank in (11, 200):
+        start = time.perf_counter()
+        with pytest.raises(
+            ResourceLimitError,
+            match=rf"^enumeration at rank {rank} is refused: "
+            r"closures run only up to rank 10$",
+        ):
+            Semigroup(rank, limit=83_974)
+        assert time.perf_counter() - start < 0.1
     assert rewrite._AUTOMATA == {}
 
 

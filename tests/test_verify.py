@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import kiselman.algebra as algebra
 import kiselman.enumeration as enumeration
+import kiselman.equations as equations
 import kiselman.rewrite as rewrite
 import kiselman.verify as verify
 from kiselman.enumeration import letter_bounds
-from kiselman.errors import InvariantError
+from kiselman.errors import InvariantError, ResourceLimitError, ValidationError
 from kiselman.verify import SUITE_NAMES, run_suites
 from kiselman.words import Word
 
@@ -495,3 +497,220 @@ def test_prefix_recovery_catches_a_letter_1_from_nowhere(monkeypatch):
     stability, recovery = report["suites"]
     assert stability["status"] == "pass"
     assert recovery["failures"] == ["'3' * a_2 moved the part up to letter 1"]
+
+
+# Every failure text of the suites below is seen at least once: each test
+# breaks one input the suite reads and asserts the text it fails with.
+
+
+def _failures(rank, name):
+    (suite,) = run_suites(rank, names=[name])["suites"]
+    assert suite["status"] == "fail"
+    return suite["failures"]
+
+
+def _search_without(rank, dropped):
+    # the direct search, missing one word at one rank
+    search = enumeration._canonical_words
+
+    def missing(r):
+        words = search(r)
+        return [w for w in words if w != dropped] if r == rank else words
+
+    return missing
+
+
+def test_cardinality_suite_catches_a_word_the_direct_search_misses(monkeypatch):
+    monkeypatch.setattr(verify, "_canonical_words", _search_without(2, (2, 1)))
+    assert _failures(2, "cardinality") == [
+        "closure found 5 elements, canonical-word search found 4",
+        "the two enumeration routes disagree on the element sets",
+        "rank-2 listing is ['', '1', '1 2', '2']",
+    ]
+
+
+def test_cardinality_suite_catches_a_wrong_golden_value(monkeypatch):
+    monkeypatch.setattr(verify, "KNOWN_CARDINALITIES", {3: 19})
+    assert _failures(3, "cardinality") == [
+        "cardinality 18 differs from the cross-validated value 19"
+    ]
+
+
+def test_idempotents_suite_catches_a_wrong_expected_idempotent(monkeypatch):
+    # the increasing word 1 2 is not idempotent: its square is 2 1
+    monkeypatch.setattr(
+        verify, "idempotent", lambda subset, rank: algebra.Element(Word(subset, rank))
+    )
+    assert _failures(2, "idempotents") == [
+        "idempotents mismatch: extra=['2 1'] missing=['1 2']"
+    ]
+
+
+def test_solution_structure_catches_a_construction_that_drops_a_solution(
+    monkeypatch,
+):
+    construct = verify.construct_right_zero_solutions
+
+    def dropping(rank):
+        built = construct(rank)
+        lost = max(built.decomposition.containing_one, key=algebra.sort_key)
+        return built._replace(solutions=built.solutions - {lost})
+
+    monkeypatch.setattr(verify, "construct_right_zero_solutions", dropping)
+    assert _failures(3, "solution_structure")[:2] == [
+        "constructive and brute-force solution sets differ",
+        "|solutions| = 5, expected 1 + 5",
+    ]
+
+
+def test_solution_structure_catches_a_submonoid_of_the_wrong_size(monkeypatch):
+    submonoid = verify._Context.submonoid.func
+    monkeypatch.setattr(verify._Context, "submonoid", property(
+        lambda ctx: submonoid(ctx) - {algebra.identity(ctx.rank)}
+    ))
+    assert _failures(3, "solution_structure") == [
+        "|solutions| = 6, expected 1 + 4",
+        "submonoid avoiding letter 1 has 4 members, rank 2 has 5 elements",
+    ]
+
+
+def test_prefix_bijection_catches_a_map_that_is_not_injective(monkeypatch):
+    monkeypatch.setattr(verify, "prefix_before_one", lambda x: algebra.zero(x.rank))
+    assert _failures(3, "prefix_bijection") == [
+        "prefix map is not injective on the solutions",
+        "prefix map does not cover the submonoid avoiding letter 1",
+    ]
+
+
+def test_prefix_bijection_catches_a_map_that_misses_the_submonoid(monkeypatch):
+    # the identity is injective, but every solution holds letter 1
+    monkeypatch.setattr(verify, "prefix_before_one", lambda x: x)
+    assert _failures(3, "prefix_bijection") == [
+        "prefix map does not cover the submonoid avoiding letter 1"
+    ]
+
+
+def test_parity_suite_catches_a_word_the_direct_search_misses(monkeypatch):
+    # 1 3 holds both extreme letters, 1 first: without it the count is
+    # odd, the counting identity fails and the halves no longer pair
+    monkeypatch.setattr(verify, "_canonical_words", _search_without(3, (1, 3)))
+    assert _failures(3, "parity") == [
+        "cardinality 17 is odd, rank 3 demands even",
+        "the direct search disagrees with the closure enumeration",
+        "the counting identity fails",
+        "extreme-letter halves differ: 4 vs 5",
+        "the mirror map does not pair the two halves",
+    ]
+
+
+def test_a_cap_tripping_mid_run_aborts_the_remaining_suites(monkeypatch):
+    def tripping(rank):
+        raise ResourceLimitError("deliberately tripped")
+
+    monkeypatch.setattr(verify, "construct_right_zero_solutions", tripping)
+    report = run_suites(3)
+    assert (report["aborted"], report["all_passed"]) == (True, False)
+    assert report["error"] == "deliberately tripped"
+    ran = [s["name"] for s in report["suites"]]
+    assert ran == SUITE_NAMES[:SUITE_NAMES.index("solution_structure")]
+    assert all(s["status"] == "pass" for s in report["suites"])
+
+
+def test_an_unknown_suite_is_refused_before_the_semigroup_is_built(monkeypatch):
+    def refuse(rank, limit):
+        raise AssertionError("the context was built")
+
+    monkeypatch.setattr(verify, "_Context", refuse)
+    with pytest.raises(ValidationError, match=r"^unknown suite 'nope'$"):
+        run_suites(3, names=["cardinality", "nope"])
+
+
+def _edit_lower(monkeypatch, edit):
+    # the construction reads the words and zero thresholds of K_{n-1},
+    # which edit(words, thresholds) replaces
+    def lower(rank):
+        s = enumeration.Semigroup(rank)
+        words, thresholds = edit(s.words, s.zero_thresholds())
+        return SimpleNamespace(words=words, zero_thresholds=lambda: thresholds)
+
+    monkeypatch.setattr(equations, "Semigroup", lower)
+
+
+def test_construction_refuses_a_special_solution_off_the_zero(monkeypatch):
+    # the idempotent over 3..n, times a_1, misses letter 2 of the zero
+    idempotent = equations.idempotent
+    monkeypatch.setattr(
+        equations, "idempotent", lambda letters, rank: idempotent(range(3, rank + 1), rank)
+    )
+    assert _failures(3, "solution_structure") == [
+        "invariant violated: the special solution must reach the zero"
+    ]
+
+
+def test_construction_refuses_a_non_solution(monkeypatch):
+    # threshold 0 for the identity builds the solution 1, and 1 * a_1 is 1
+    _edit_lower(monkeypatch, lambda words, thresholds: (words, [0] * len(words)))
+    assert _failures(3, "solution_structure") == [
+        "invariant violated: constructed non-solution '1'"
+    ]
+
+
+def test_construction_refuses_two_members_with_one_solution(monkeypatch):
+    _edit_lower(
+        monkeypatch,
+        lambda words, thresholds: (words + words[-1:], thresholds + thresholds[-1:]),
+    )
+    assert _failures(3, "solution_structure") == [
+        "invariant violated: solution construction must be injective over "
+        "the submonoid: 6 members gave 5 solutions"
+    ]
+
+
+def test_idempotents_suite_catches_idempotent_words_that_coincide(monkeypatch):
+    monkeypatch.setattr(verify, "idempotent", lambda subset, rank: algebra.identity(rank))
+    assert _failures(2, "idempotents")[0] == (
+        "decreasing idempotent words are not pairwise distinct"
+    )
+
+
+def test_the_identity_map_fails_both_suites_that_read_the_antiautomorphism(
+    monkeypatch,
+):
+    # it fixes a_2 but not a_1 and a_3, and it does not swap the sides
+    # of x * a_1 = zero
+    monkeypatch.setattr(verify, "antiautomorphism", lambda x: x)
+    report = run_suites(3, names=["antiautomorphism", "solution_structure"])
+    anti, structure = report["suites"]
+    assert anti["failures"] == ["generator 1 not sent to 3", "generator 3 not sent to 1"]
+    assert structure["failures"] == [
+        "the solutions of a_3 * y = zero are not the antiautomorphism's image "
+        "of the solutions of x * a_1 = zero"
+    ]
+
+
+def test_antiautomorphism_suite_catches_a_map_that_is_not_an_involution(monkeypatch):
+    # each canonical word to the next one: canonical, but a cycle of 18
+    words = enumeration.Semigroup(3).words
+    following = dict(zip(words, words[1:] + words[:1]))
+    monkeypatch.setattr(verify, "_reverse_flip", lambda letters, rank: following[letters])
+    failures = _failures(3, "antiautomorphism")
+    assert failures[0] == "not an involution at ''"
+
+
+def test_parity_suite_refuses_a_word_with_an_extreme_letter_twice(monkeypatch):
+    search = enumeration._canonical_words
+    monkeypatch.setattr(
+        verify, "_canonical_words", lambda r: search(r) + [(1, 3, 1)] * (r == 3)
+    )
+    assert _failures(3, "parity") == [
+        "invariant violated: extreme letters must occur exactly once, got '1 3 1'"
+    ]
+
+
+def test_solver_refuses_a_split_that_loses_the_special_solution(monkeypatch):
+    # with every content holding letter 1, no solution is left to be special
+    monkeypatch.setattr(equations, "content", lambda x: frozenset({1}))
+    assert _failures(3, "solution_structure") == [
+        "invariant violated: solutions avoiding letter 1 must be exactly the "
+        "decreasing idempotent over 2..3, got []"
+    ]

@@ -4,7 +4,7 @@ An element is identified with its canonical word, so equality and
 hashing are word-level and the deterministic element order used in all
 output is length-lexicographic on canonical words.  Multiplication
 folds the right factor's letters onto the left factor's canonical word
-with `rewrite._fold`, which never rescans that word: up to rank 10 each
+with `rewrite._fold`, which never rescans that word: up to rank 7 each
 append is one lookup in the append-letter transition on gap states that
 `enumeration.Semigroup` closes through too, and above it each append
 tests its gap directly.  `from_word` folds an

@@ -27,13 +27,13 @@ drops, or deletes the old g.  Neither scans u for them.  Each element
 carries one gap state per letter, one of five: no copy of the
 letter, an empty gap after its last copy, a gap of smaller letters only,
 of larger letters only, or of both.  The states of u + (g,) follow from
-those of u by one transition, `rewrite._GapAutomaton.act`, the one place
-the rule is written; the words phase asks it for each state's actions
-the first time an element reaches the state: a new element, u * g = u,
-or, when the old g is deleted, a walk.  The table phase resolves each
-walk in three lookups of entries already filled, by parent links and
-last letters (see `Semigroup._fill`).  At rank 6 there are 549 states
-for 83,973 elements.
+those of u by one transition, which `rewrite._GapAutomaton` writes once
+and runs on every state when it is built; the words phase reads each
+state's actions from its row: a new element, u * g = u, or, when the
+old g is deleted, a walk.  The table phase resolves each walk in three
+lookups of entries already filled, by parent links and last letters
+(see `Semigroup._fill`).  At rank 6 there are 549 states for 83,973
+elements.
 
 Users: the CLI's `enum` lists the `texts()`, each its parent's plus
 one letter, by `rounds()`, the elements of each word length, and builds
@@ -47,10 +47,10 @@ hold `element` and `product` to `algebra.multiply`, and
 `zero_thresholds()` and the automaton's actions to the rewriter.
 One-shot arithmetic builds no table: `algebra.multiply`, which `mul`
 calls, folds the right factor onto the left one's canonical word
-(`rewrite._fold`) through the same automaton, growing only the states
-it visits, and `canon` folds its word the same way.  The process keeps
-one automaton per rank up to rank 10 and none above it, where the fold
-tests each append directly and `Semigroup` refuses to close.
+(`rewrite._fold`) through the same automaton, and `canon` folds its
+word the same way.  The process keeps one automaton per rank up to
+rank 7 and none above it, where the fold tests each append directly
+and `Semigroup` refuses to close.
 
 The deletion rewriter stays as the oracle.  The direct route backtracks
 over canonical words, growing a word one letter at a time; every prefix
@@ -73,9 +73,9 @@ Cardinalities grow double-exponentially with the rank.  Enumeration
 therefore takes an element cap, |K_6| by default.  K_{n-1} sits inside
 K_n as the words avoiding letter n, so KNOWN_CARDINALITIES bounds every
 rank from below, and a cap under that bound is refused before anything
-is built.  So is every rank above 10, whatever the cap, since no
+is built.  So is every rank above 7, whatever the cap, since no
 automaton exists there (`rewrite._DIRECT_ABOVE`): K_8 alone has
-64,146,328,635 elements, so a closure above rank 10 could only ever end
+64,146,328,635 elements, so a closure above rank 7 could only ever end
 at its cap.
 
 Cache files (one per rank) use a one-line header followed by one
@@ -147,8 +147,6 @@ class Semigroup:
     or read of columns.  The table is one column per letter g in
     1..rank: columns[g][i] is the element words[i] * g, and columns[0]
     is None.  A caller that needs only the texts pays for none of them.
-    multiplications counts the table entries filled: 0 before that,
-    len(words) * rank after.
 
     `product` is the one multiplication kernel: it walks the letters of
     a right factor through the columns, one list index per letter.
@@ -157,11 +155,11 @@ class Semigroup:
     touched: a `limit` below the rank's entry in KNOWN_CARDINALITIES, or
     for a rank past the table one not above the table's largest entry;
     and then, whatever the limit, any rank above `rewrite._DIRECT_ABOVE`,
-    10, where no automaton exists.
+    7, where no automaton exists.
     """
 
     __slots__ = (
-        "rank", "multiplications",
+        "rank",
         "_rows", "_parents", "_lasts", "_states", "_bounds", "_words",
         "_index", "_columns",
     )
@@ -182,7 +180,6 @@ class Semigroup:
         self._words: list[tuple[int, ...]] | None = None
         self._index: dict[tuple[int, ...], int] | None = None
         self._columns: list[list[int] | None] | None = None
-        self.multiplications = 0
         self._close(limit)
 
     def _close(self, limit: int) -> None:
@@ -193,33 +190,21 @@ class Semigroup:
         letter, so the elements come out in `sort_key` order.  The
         products that are not new are already known: they are at most as
         long as u, and every such element was found in an earlier round.
-        They wait for the table phase.  A state's actions are asked of
-        the automaton the first time an element reaches that state, so
-        the automaton grows only by the states of elements about to be
-        appended, and a small limit is refused before much of it is
-        built.
+        They wait for the table phase.  Each state's new elements are
+        listed once, from its row of the automaton, which is whole when
+        `rewrite._automaton` returns it.
         """
-        automaton = _automaton(self.rank)
-        rows, act, grown = automaton.rows, automaton.act, automaton.states
+        rows = _automaton(self.rank).rows
         letters = range(1, self.rank + 1)
-        # each reached state's new elements, as (last letter, state) in
-        # letter order; None for a state no element has reached yet
-        news: list[list[tuple[int, int]] | None] = [None] * len(grown)
+        # each state's new elements, as (last letter, state) in letter order
+        news = [[(g, row[g]) for g in letters if row[g] >= 0] for row in rows]
         parents = [0]
         lasts = [0]
         states = [0]
         add_parent, add_last, add_state = parents.append, lasts.append, states.append
         # states grows as the loop runs, and enumerate reads the new items
         for ui, s in enumerate(states):
-            new = news[s]
-            if new is None:
-                row = rows[s]
-                actions = [act(s, g) if row[g] is None else row[g] for g in letters]
-                new = news[s] = [
-                    (g, action) for g, action in zip(letters, actions) if action >= 0
-                ]
-                news += [None] * (len(grown) - len(news))
-            for g, child in new:
+            for g, child in news[s]:
                 if len(parents) >= limit:
                     raise _over_cap(self.rank, limit)
                 add_parent(ui)
@@ -290,7 +275,6 @@ class Semigroup:
                         parents[v] if lasts[v] == g else column[v]
                     ]]
         self._columns = columns
-        self.multiplications = n * self.rank
         return columns
 
     @property

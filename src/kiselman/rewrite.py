@@ -26,12 +26,13 @@ Appending a letter to a canonical word can create only one deletion,
 between the new letter and its last earlier copy (Kudryavtseva &
 Mazorchuk, "On Kiselman's semigroup", 2009), and the gap after that
 copy decides it.  `_GapAutomaton` writes that rule once, as one
-transition on gap states, grown lazily.  No automaton exists above rank
-`_DIRECT_ABOVE`, 10.  Up to it the process keeps one automaton per rank,
-over the letters 1..rank: the fold reads it one lookup per append, and
-`enumeration.Semigroup` closes through the same automaton, asking for
-every action of each state its elements reach.  Above that rank the
-fold tests each append directly, and `Semigroup` refuses to close.
+transition on gap states, and runs it on every state when it is built;
+nothing changes an automaton after that.  No automaton exists above
+rank `_DIRECT_ABOVE`, 7.  Up to it the process keeps one automaton per
+rank, over the letters 1..rank: the fold reads it one lookup per
+append, and `enumeration.Semigroup` closes through the same automaton,
+reading each state's row.  Above that rank the fold tests each append
+directly, and `Semigroup` refuses to close.
 `algebra.multiply` and `algebra.from_word`, which every word the CLI
 reads goes through, fold; `canonical_form`, `canonical_letters` and
 `reduction_trace` keep the rewriter, which the tests hold the fold and
@@ -42,7 +43,6 @@ oracle, nor `words.is_canonical`, reads the automaton.
 from __future__ import annotations
 
 from enum import Enum
-from threading import Lock
 from typing import Iterator, NamedTuple
 
 from .errors import ResourceLimitError, ValidationError
@@ -154,24 +154,30 @@ _EMPTY, _SMALLER, _LARGER, _BOTH, _ABSENT = 0, 1, 2, 3, 4
 # The actions of a letter that do not make a new word; a new word's
 # action is the id of its gap states.
 _SAME, _WALK = -1, -2
+# Appending g adds a larger letter to the gap of each letter below g,
+# and a smaller one to the gap of each letter above it; a letter that
+# is absent stays absent.
+_BELOW = bytes.maketrans(bytes([_EMPTY, _SMALLER]), bytes([_LARGER, _BOTH]))
+_ABOVE = bytes.maketrans(bytes([_EMPTY, _LARGER]), bytes([_SMALLER, _BOTH]))
 
 # Above this rank there is no automaton.  Up to it, each rank's
-# automaton grows once and stays: 63,973 states at rank 10, and 92,285
-# over ranks 1..10, about 33 MB at some 360 bytes a state.  A state
-# holds rank + 1 entries and their number grows about threefold per
-# rank (664,305 at rank 12), so above rank 10 the fold tests each
-# append directly, and `enumeration.Semigroup` refuses the rank: K_11
-# could only ever end at its element cap.
-_DIRECT_ABOVE = 10
+# automaton is built once, whole, and stays: 1,825 states at rank 7,
+# and 2,609 over ranks 1..7.  Rank 7 is the largest rank whose closure
+# can finish, with a raised element cap; K_8 alone has 64,146,328,635
+# elements, so `enumeration.Semigroup` refuses every rank above 7, and
+# there the fold tests each append directly.  Up to rank 7 the fold
+# reads the automaton, about three times faster than `_direct_fold` at
+# rank 6.
+_DIRECT_ABOVE = 7
 
 
 class _GapAutomaton:
-    """The append-letter rule as an automaton on gap states, grown lazily.
+    """The append-letter rule as an automaton on gap states, built whole.
 
     A canonical word's gap states hold, for every letter, one of five
     states: no copy of it, an empty gap after its last copy, a gap of
     smaller letters only, of larger letters only, or of both.  They are
-    indexed by letter, 1..rank, with entry 0 always absent.
+    bytes indexed by letter, 1..rank, with entry 0 always absent.
     Appending g to a canonical word u can pair only with the last g in u
     (Kudryavtseva & Mazorchuk, "On Kiselman's semigroup", 2009), so g's
     state decides the product u * g:
@@ -185,62 +191,55 @@ class _GapAutomaton:
 
     Appending g empties g's gap and adds g to the gap of every other
     letter present, so the states of u + (g,) follow from those of u by
-    one transition, `act`, the one place the rule is written.  States
-    are interned to ids, 0 being the empty word's, and rows[s][g] holds
-    the action of letter g at state s, or None until it is first asked
-    for.  Every path from state 0 spells a canonical word, so the
-    automaton is finite and acyclic: 549 states over the six letters of
-    rank 6.
+    one transition, written once, in the constructor.  It grows every
+    state breadth first from the empty word's, id 0, numbering states
+    as they are found, and nothing changes the automaton after that:
+    rows[s][g] is the action of letter g at state s, for g in 1..rank,
+    and rows[s][0] is None.  Every path from state 0 spells a canonical
+    word, so the automaton is finite and acyclic: 549 states over the
+    six letters of rank 6.
     """
 
-    __slots__ = ("rank", "states", "ids", "rows")
+    __slots__ = ("rank", "states", "rows")
 
     def __init__(self, rank: int) -> None:
-        start = (_ABSENT,) * (rank + 1)
+        start = bytes([_ABSENT]) * (rank + 1)
+        empty = bytes([_EMPTY])
+        ids = {start: 0}
+        states = [start]
+        rows = []
+        # states grows as the loop runs, and the loop reads the new items
+        for gaps in states:
+            row: list[int | None] = [None]
+            for g in range(1, rank + 1):
+                state = gaps[g]
+                if state == _ABSENT or state == _BOTH:
+                    child = (
+                        gaps[:g].translate(_BELOW) + empty
+                        + gaps[g + 1:].translate(_ABOVE)
+                    )
+                    action = ids.setdefault(child, len(states))
+                    if action == len(states):
+                        states.append(child)
+                else:
+                    action = _WALK if state == _LARGER else _SAME
+                row.append(action)
+            rows.append(tuple(row))
         self.rank = rank
-        self.states = [start]
-        self.ids = {start: 0}
-        self.rows: list[list[int | None]] = [[None] * len(start)]
-
-    def act(self, s: int, g: int) -> int:
-        """The action of letter g at state s, computed and memoized.
-
-        Readers look actions up without the lock: a new state's row is
-        in place before any action names it.
-        """
-        with _GROWING:
-            gaps = self.states[s]
-            state = gaps[g]
-            if state == _ABSENT or state == _BOTH:
-                child = tuple(
-                    _EMPTY if h == g
-                    else t if t == _ABSENT
-                    else t | (_LARGER if g > h else _SMALLER)
-                    for h, t in enumerate(gaps)
-                )
-                action = self.ids.get(child)
-                if action is None:
-                    action = self.ids[child] = len(self.states)
-                    self.states.append(child)
-                    self.rows.append([None] * len(child))
-            else:
-                action = _WALK if state == _LARGER else _SAME
-            self.rows[s][g] = action
-            return action
+        self.states = tuple(states)
+        self.rows = tuple(rows)
 
 
 # One automaton per rank up to _DIRECT_ABOVE, filed under the rank.
 _AUTOMATA: dict[int, _GapAutomaton] = {}
-# Growth is rare, so one lock serves every automaton.
-_GROWING = Lock()
 
 
 def _automaton(rank: int) -> _GapAutomaton:
     """The process's one gap automaton over the letters 1..rank, filed.
 
     Its callers, `_fold` and `enumeration.Semigroup`, ask only up to
-    rank `_DIRECT_ABOVE`.  Threads that race to build it all get the one
-    `setdefault` files.
+    rank `_DIRECT_ABOVE`.  Threads that race to build it may each build
+    one, but all get the one `setdefault` files.
     """
     return _AUTOMATA.get(rank) or _AUTOMATA.setdefault(rank, _GapAutomaton(rank))
 
@@ -257,8 +256,8 @@ def _fold(
     the old g, truncates the word and the stack to just before it, and
     appends the gap and then g again.  Letters still to append wait on
     an explicit stack, so a long word cannot exhaust the interpreter's
-    recursion limit.  The automaton grows only by the states this fold
-    visits.  Above rank `_DIRECT_ABOVE`, `_direct_fold` serves instead.
+    recursion limit.  Above rank `_DIRECT_ABOVE`, `_direct_fold` serves
+    instead.
 
     >>> _fold((2, 1), (2,), 2)
     (2, 1)
@@ -267,23 +266,18 @@ def _fold(
     """
     if rank > _DIRECT_ABOVE:
         return _direct_fold(prefix + letters)
-    automaton = _automaton(rank)
-    rows, act = automaton.rows, automaton.act
+    rows = _automaton(rank).rows
     word = list(prefix)
     s = 0
     states = [s]
     for g in prefix:
         s = rows[s][g]
-        if s is None:
-            s = act(states[-1], g)
         states.append(s)
     pending = list(letters)
     pending.reverse()
     while pending:
         g = pending.pop()
         action = rows[s][g]
-        if action is None:
-            action = act(s, g)
         if action >= 0:
             word.append(g)
             states.append(action)
@@ -302,7 +296,7 @@ def _direct_fold(letters: tuple[int, ...]) -> tuple[int, ...]:
     """The canonical form of letters, by the fold with no automaton.
 
     Each append tests the gap after the last copy of its letter by the
-    gap's `max` and `min`, as `_GapAutomaton.act` does on its states.
+    gap's `max` and `min`, as `_GapAutomaton` does on its states.
     The fold keeps each letter's last position, and each position the
     one of its letter's copy before it, -1 for none, by which a walk
     restores the letters it cuts off.  Memory stays linear in the word.

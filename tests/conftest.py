@@ -26,7 +26,7 @@ def elements(semigroup: Semigroup) -> frozenset[Element]:
     return frozenset(map(semigroup.element, range(len(semigroup))))
 
 
-def gap_states(letters: tuple[int, ...], rank: int) -> tuple[int, ...]:
+def gap_states(letters: tuple[int, ...], rank: int) -> bytes:
     """Each letter's gap state in a word, from the definition.
 
     Entry g is 4 when the word holds no g; otherwise 1 if the gap after
@@ -40,7 +40,7 @@ def gap_states(letters: tuple[int, ...], rank: int) -> tuple[int, ...]:
         states[g] = (1 if any(h < g for h in gap) else 0) + (
             2 if any(h > g for h in gap) else 0
         )
-    return tuple(states)
+    return bytes(states)
 
 
 def words(max_rank: int = 4, max_len: int = 12):

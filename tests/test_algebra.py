@@ -35,8 +35,8 @@ def test_from_word_canonicalizes():
 
 
 def test_from_word_of_many_distinct_letters_stays_small():
-    # above rank 10 the fold keeps no automaton, whose states, one per
-    # letter here, would hold 4,001 entries each
+    # above rank 7 the fold keeps no automaton, whose states would hold
+    # 4,001 entries each
     letters = tuple(range(1, 4001))
     tracemalloc.start()
     try:

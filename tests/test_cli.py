@@ -340,6 +340,19 @@ def test_enum_with_a_file_as_cache_dir_is_a_usage_error(capsys, tmp_path):
     assert blocker.read_text() == "not a directory\n"
 
 
+def test_a_failed_cache_write_leaves_no_temporary_file(capsys, tmp_path, monkeypatch):
+    # the temporary file is written whole and then fails to replace the
+    # cache: the writer removes it, and enum exits before printing
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(capsys, "enum", "--n", "2", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write the cache to {tmp_path}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_json_shape(capsys):
     code, out, _ = run(
         capsys, "solve", "--n", "2", "--y", "1", "--format", "json",
@@ -434,10 +447,11 @@ def test_enum_large_rank_refused(capsys):
     assert err == "resource limit: enumeration at rank 7 exceeded the element cap of 83973\n"
 
 
-ABOVE_RANK_10 = (
-    "resource limit: enumeration at rank 11 is refused: "
-    "closures run only up to rank 10\n"
-)
+def _refused(rank):
+    return (
+        f"resource limit: enumeration at rank {rank} is refused: "
+        "closures run only up to rank 7\n"
+    )
 
 
 @pytest.mark.parametrize("command", [
@@ -446,7 +460,15 @@ ABOVE_RANK_10 = (
 def test_closure_above_rank_10_refused_past_the_cap(capsys, command):
     # a --limit that clears the cap pre-check still builds nothing
     code, out, err = run(capsys, *command, "--n", "11", "--limit", "83974")
-    assert (code, out, err) == (3, "", ABOVE_RANK_10)
+    assert (code, out, err) == (3, "", _refused(11))
+
+
+@pytest.mark.parametrize("rank", [8, 10])
+def test_enum_above_rank_7_refused_past_the_cap(capsys, rank):
+    # K_8 alone has 64,146,328,635 elements: a closure could only end at
+    # its cap, so it is refused before it starts
+    code, out, err = run(capsys, "enum", "--n", str(rank), "--limit", "83974")
+    assert (code, out, err) == (3, "", _refused(rank))
 
 
 def test_verify_above_rank_10_reports_the_refusal(capsys):
@@ -459,9 +481,9 @@ def test_verify_above_rank_10_reports_the_refusal(capsys):
         "aborted": True,
         "all_passed": False,
         "suites": [],
-        "error": ABOVE_RANK_10.removeprefix("resource limit: ").rstrip("\n"),
+        "error": _refused(11).removeprefix("resource limit: ").rstrip("\n"),
     }
-    assert err == ABOVE_RANK_10
+    assert err == _refused(11)
 
 
 def test_limit_trips_resource_exit(capsys):
@@ -601,8 +623,9 @@ def test_closed_stdout_exits_1_without_a_traceback():
 
 
 def test_mul_at_a_high_rank_stays_small():
-    # above rank 10 the fold keeps no automaton: over 1..100000 it would
-    # grow 151 states of 100,001 entries, about 250 MB
+    # above rank 7 the fold keeps no automaton: the 151 words this fold
+    # holds over 1..100000 would be 151 states of 100,001 entries, about
+    # 250 MB
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     right = " ".join(map(str, range(2, 152)))
     child = subprocess.run(

@@ -218,6 +218,11 @@ def test_table_solver_validates_rank_agreement():
         solve_right_zero(generator(1, 2), Semigroup(3))
 
 
+def test_construction_rejects_a_rank_below_1():
+    with pytest.raises(ValidationError, match=r"^rank must be >= 1, got 0$"):
+        construct_right_zero_solutions(0)
+
+
 def test_rank_1_edge_case(k1):
     solved = solve_right_zero(generator(1, 1), k1)
     assert solved.solutions == {identity(1), zero(1)}

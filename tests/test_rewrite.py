@@ -10,9 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gap_states, is_quasi_subword, words
+from conftest import is_quasi_subword, words
 from kiselman import rewrite, words as words_module
-from kiselman.algebra import Element, multiply
 from kiselman.enumeration import Semigroup, enumerate_canonical_words, letter_bounds
 from kiselman.errors import ResourceLimitError, ValidationError
 from kiselman.rewrite import (
@@ -423,8 +422,8 @@ def test_zero_word_absorbs_on_the_left():
 def fold_inputs(draw, max_rank=12, max_letters=300):
     """A rank, a canonical prefix by the rewriter, and letters to fold on.
 
-    Ranks above 6 reach gap states that no enumeration at those ranks
-    could, grown lazily by the fold alone.
+    Up to rank 7 the fold reads the automaton, and above it it tests
+    each append directly.
     """
     rank = draw(st.integers(1, max_rank))
     letter = st.integers(1, rank)
@@ -442,7 +441,7 @@ def _long_fold_input():
 @example(_long_fold_input())
 @settings(deadline=None, max_examples=100)
 def test_fold_matches_the_rewriter(case):
-    # the fold above rank 10 too, at the ranks the rewriter checks densely
+    # the fold above rank 7 too, at the ranks the rewriter checks densely
     rank, prefix, letters = case
     expected = canonical_letters(prefix + letters)
     assert _fold(prefix, letters, rank) == _direct_fold(prefix + letters) == expected
@@ -480,24 +479,24 @@ def test_fold_of_sparse_letters_matches_the_rewriter(case):
     assert _fold(prefix, letters, rank) == canonical_letters(prefix + letters)
 
 
-def test_fold_above_rank_10_files_no_automaton(monkeypatch):
-    # only whole automata are filed, so above rank 10 the fold tests each
-    # append directly.  Words over 1..10 fold at ranks 11, 21 and 3000 to
-    # what the rank-10 automaton gives, the ruler with its walks
+def test_fold_above_rank_7_files_no_automaton(monkeypatch):
+    # no automaton exists above rank 7, so there the fold tests each
+    # append directly.  Words over 1..7 fold at ranks 8, 10, 21 and 3000
+    # to what the rank-7 automaton gives, the ruler with its walks
     # included, and only that automaton is filed
     rng = random.Random(3000)
-    long = tuple(rng.randint(1, 10) for _ in range(3001))
-    w = _ruler_word(10)
+    long = tuple(rng.randint(1, 7) for _ in range(3001))
+    w = _ruler_word(6)
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
     letters = tuple(range(2, 152))
     assert _fold((1,), letters, 10**5) == (1, *letters)
     assert _fold((50_000, 7), (50_000,), 10**5) == (50_000, 7)
-    assert _fold((11, 1), (11,), 11) == (11, 1)
+    assert _fold((8, 1), (8,), 8) == (8, 1)
     assert rewrite._AUTOMATA == {}
-    for rank in (11, 21, 3000):
-        assert _fold((), long, rank) == _fold((), long, 10)
-        assert _fold(w, w[::-1], rank) == _fold(w, w[::-1], 10)
-    assert list(rewrite._AUTOMATA) == [10]
+    for rank in (8, 10, 21, 3000):
+        assert _fold((), long, rank) == _fold((), long, 7)
+        assert _fold(w, w[::-1], rank) == _fold(w, w[::-1], 7)
+    assert list(rewrite._AUTOMATA) == [7]
 
 
 def _ruler(lo, hi):
@@ -514,17 +513,17 @@ def _ruler_word(rank):
     return tuple(i for pair in zip(lower, (rank + 1 - i for i in lower)) for i in pair)
 
 
-def test_fold_of_the_longest_rank_10_word_with_its_reversal(monkeypatch):
-    # the rank-10 ruler meets every bound of `letter_bounds`: 62 letters.
-    # It folds on its reversal through the automaton, and 57 of the 62
+def test_fold_of_the_longest_rank_6_word_with_its_reversal(monkeypatch):
+    # the rank-6 ruler meets every bound of `letter_bounds`: 14 letters.
+    # It folds on its reversal through the automaton, and 11 of the 14
     # appends walk back to delete the old copy
-    w = _ruler_word(10)
-    assert is_canonical(Word(w, 10))
-    assert len(w) == sum(letter_bounds(10).values()) == 62
-    assert _held_words(w, w[::-1])[1] == 57
+    w = _ruler_word(6)
+    assert is_canonical(Word(w, 6))
+    assert len(w) == sum(letter_bounds(6).values()) == 14
+    assert _held_words(w, w[::-1])[1] == 11
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
-    assert _fold(w, w[::-1], 10) == canonical_letters(w + w[::-1])
-    assert list(rewrite._AUTOMATA) == [10]
+    assert _fold(w, w[::-1], 6) == canonical_letters(w + w[::-1])
+    assert list(rewrite._AUTOMATA) == [6]
 
 
 def test_fold_of_the_longest_rank_20_word_with_its_reversal():
@@ -551,8 +550,8 @@ def test_canonicality_check_is_not_the_automaton():
     assert names.isdisjoint({"_fold", "_automaton", "_GapAutomaton", "rewrite"})
 
 
-# Up to rank 10 the fold's automaton is one memo per rank, shared by
-# the whole process and grown only by the states a fold visits.
+# Up to rank 7 the fold's automaton is one memo per rank, built whole
+# and shared by the whole process.
 
 
 def test_fold_reaches_its_memo_by_the_rank(monkeypatch):
@@ -592,43 +591,21 @@ def _held_words(prefix, letters):
     return held, walks
 
 
-def test_fresh_memo_holds_only_the_states_one_multiply_visits(monkeypatch):
-    # one-shot arithmetic grows no more of the rank-6 automaton's 549
-    # states than the words its product held: m + k + 1 states at most
-    # when no append deletes an old copy, and in general one per word
-    rng = random.Random(16)
-    universe = Semigroup(6).words
-    without_walks = 0
-    for _ in range(300):
-        x, y = rng.choice(universe), rng.choice(universe)
-        monkeypatch.setattr(rewrite, "_AUTOMATA", {})
-        multiply(Element(Word(x, 6)), Element(Word(y, 6)))
-        states = rewrite._AUTOMATA[6].states
-        held, walks = _held_words(x, y)
-        assert set(states) == {gap_states(u, 6) for u in held}
-        assert len(states) == len(set(states)) < 549
-        if not walks:
-            without_walks += 1
-            assert len(states) <= len(x) + len(y) + 1
-    assert without_walks > 0
-
-
 def test_threads_growing_one_memo_agree_with_the_rewriter(monkeypatch):
-    # the memo is shared by the process: folds racing to grow it from
-    # empty must neither give two states one id nor one state two ids
+    # the memo is shared by the process: folds racing to build and file
+    # it from empty may each build one, but one is filed
     rng = random.Random(161)
     cases = []
     for _ in range(200):
-        prefix = canonical_letters(tuple(rng.randint(1, 8) for _ in range(30)))
-        letters = tuple(rng.randint(1, 8) for _ in range(30))
+        prefix = canonical_letters(tuple(rng.randint(1, 7) for _ in range(30)))
+        letters = tuple(rng.randint(1, 7) for _ in range(30))
         cases.append((prefix, letters, canonical_letters(prefix + letters)))
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
-    _fold((), (), 8)
     wrong = []
 
     def work(offset):
         for prefix, letters, expected in cases[offset:] + cases[:offset]:
-            if _fold(prefix, letters, 8) != expected:
+            if _fold(prefix, letters, 7) != expected:
                 wrong.append((prefix, letters))
 
     interval = sys.getswitchinterval()
@@ -643,6 +620,6 @@ def test_threads_growing_one_memo_agree_with_the_rewriter(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    memo = rewrite._AUTOMATA[8]
-    assert len(set(memo.states)) == len(memo.states)
-    assert all(memo.ids[state] == i for i, state in enumerate(memo.states))
+    memo = rewrite._AUTOMATA[7]
+    assert list(rewrite._AUTOMATA) == [7]
+    assert len(set(memo.states)) == len(memo.states) == 1825

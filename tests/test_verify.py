@@ -387,6 +387,19 @@ def test_a_model_that_deletions_change_fails_the_confluence_certificate(monkeypa
         assert f"the deletion {deletion} moves M" in suite["failures"]
 
 
+def test_a_negative_weight_is_refused_by_the_confluence_certificate(monkeypatch):
+    # the packed rows' width bounds only nonnegative entries
+    rows = verify._letter_rows
+
+    def negative(rank):
+        return [row if i != 2 else (-row[0], *row[1:]) for i, row in enumerate(rows(rank))]
+
+    monkeypatch.setattr(verify, "_letter_rows", negative)
+    assert _failures(3, "confluence") == [
+        "invariant violated: the linear model has a negative weight"
+    ]
+
+
 def _plain(letters, rank):
     # M(letters) by the definition: products of the letters' matrices
     rows = verify._letter_rows(rank)
@@ -507,6 +520,26 @@ def _failures(rank, name):
     (suite,) = run_suites(rank, names=[name])["suites"]
     assert suite["status"] == "fail"
     return suite["failures"]
+
+
+def test_content_suite_catches_a_content_no_element_has(monkeypatch):
+    # read as ending in 1, the word 2 loses its letter: no element's
+    # content is {2}, and the four edges into 2 and 2 1 that should
+    # add letter 2 fail
+    def relabelled(rank, limit):
+        s = enumeration.Semigroup(rank, limit=limit)
+        s.columns
+        s._lasts[s.index[(2,)]] = 1
+        return s
+
+    monkeypatch.setattr(verify, "Semigroup", relabelled)
+    assert _failures(2, "content") == [
+        "content(x*a_1) != content(x) | {1} at x='1 2'",
+        "content(x*a_2) != content(x) | {2} at x=''",
+        "content(x*a_2) != content(x) | {2} at x='2'",
+        "content(x*a_2) != content(x) | {2} at x='2 1'",
+        "3 distinct contents, expected 4",
+    ]
 
 
 def _search_without(rank, dropped):

@@ -1,10 +1,14 @@
 """Command line interface.
 
 Commands: canon, mul, enum, solve, verify, stats; each takes only the
-options it reads, and solve, verify and stats an ignored --seed.  Exit
-codes: 0 ok, 1 stdout closed by the reader, 2 usage or validation, 3
-resource cap, 4 correctness failure.  Output for given arguments is
-byte-identical across runs, and error paths write to stderr only.
+options it reads, and solve, verify and stats an ignored --seed.  Only
+enum takes --limit: solve, verify and stats build the Cayley table of
+K_n, which fits only up to rank 6, so they build under the default
+element cap, |K_6|, and refuse every higher rank before building
+anything.  Exit codes: 0 ok, 1 stdout closed by the reader, 2 usage or
+validation, 3 resource cap, 4 correctness failure.  Output for given
+arguments is byte-identical across runs, and error paths write to
+stderr only.
 """
 
 from __future__ import annotations
@@ -43,29 +47,23 @@ def build_parser() -> argparse.ArgumentParser:
         "solving for Kiselman's semigroup.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the options of the four commands that build a Semigroup
-    enumerating = argparse.ArgumentParser(add_help=False)
-    enumerating.add_argument("--limit", dest="element_limit", type=int,
-                             default=DEFAULT_ELEMENT_LIMIT,
-                             help="enumeration element cap")
-    # solve, verify and stats read no seed: they take --seed only because
-    # the benchmark's cli workload passes it to them
-    unseeded = argparse.ArgumentParser(add_help=False)
-    unseeded.add_argument("--seed", type=int, default=0,
-                          help="accepted and ignored")
 
     def command(
         name: str,
         run: Callable[[argparse.Namespace], int],
         summary: str,
         formats: tuple[str, ...] = ("text", "json"),
-        parents: tuple[argparse.ArgumentParser, ...] = (),
+        seed: bool = False,
     ) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary, parents=parents)
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
         p.add_argument("--n", dest="rank", type=int, required=True,
                        help="number of generators")
         p.add_argument("--format", choices=formats, default="text")
+        if seed:
+            # solve, verify and stats read no seed: they take --seed only
+            # because the benchmark's cli workload passes it to them
+            p.add_argument("--seed", type=int, default=0, help="accepted and ignored")
         return p
 
     tables = ("text", "json", "csv")
@@ -78,23 +76,22 @@ def build_parser() -> argparse.ArgumentParser:
     mul.add_argument("left")
     mul.add_argument("right")
 
-    enum = command("enum", _cmd_enum, "list every element at a rank", tables,
-                   parents=(enumerating,))
+    enum = command("enum", _cmd_enum, "list every element at a rank", tables)
+    enum.add_argument("--limit", type=int, default=DEFAULT_ELEMENT_LIMIT,
+                      help="enumeration element cap")
     enum.add_argument("--cache-dir", default=None,
                       help="directory to write k<rank>.cache to")
 
-    solve = command("solve", _cmd_solve, "solve x * y = zero for x",
-                    parents=(enumerating, unseeded))
+    solve = command("solve", _cmd_solve, "solve x * y = zero for x", seed=True)
     solve.add_argument("--y", dest="y_text", required=True,
                        help="right factor as word text")
 
     verify = command("verify", _cmd_verify, "run the verification suites",
-                     parents=(enumerating, unseeded))
+                     seed=True)
     verify.add_argument("--suite", default="all",
                         choices=["all"] + SUITE_NAMES)
 
-    command("stats", _cmd_stats, "summary numbers for a rank", tables,
-            parents=(enumerating, unseeded))
+    command("stats", _cmd_stats, "summary numbers for a rank", tables, seed=True)
 
     return parser
 
@@ -155,7 +152,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
     # only the texts, already in sort_key order, and the rounds, the
     # elements of each length: enum never multiplies or looks a word up,
     # so neither the table nor the index is built, nor any letter tuple
-    semigroup = Semigroup(args.rank, limit=args.element_limit)
+    semigroup = Semigroup(args.rank, limit=args.limit)
     # each word is formatted once, for the cache and for stdout alike
     texts, rounds = semigroup.texts(), semigroup.rounds()
     # the output needs no more of the semigroup, and freeing its links
@@ -187,7 +184,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     y = from_word(parse_word(args.y_text, args.rank))
-    solved = solve_right_zero(y, Semigroup(args.rank, limit=args.element_limit))
+    solved = solve_right_zero(y, Semigroup(args.rank))
     ordered = solved.sorted_solutions()
     decomposition = None
     if solved.decomposition is not None:
@@ -237,7 +234,7 @@ def _print_verify_report(args: argparse.Namespace, report: dict) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = None if args.suite == "all" else [args.suite]
-    report = run_suites(args.rank, limit=args.element_limit, names=names)
+    report = run_suites(args.rank, names=names)
     _print_verify_report(args, report)
     if report["aborted"]:
         print(f"resource limit: {report.get('error', '')}", file=sys.stderr)
@@ -246,7 +243,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    semigroup = Semigroup(args.rank, limit=args.element_limit)
+    semigroup = Semigroup(args.rank)
     words = semigroup.words
     ordered = sorted(Counter(semigroup.zero_thresholds()).items())
     containing_one = sum(1 for letters in words if 1 in letters)

@@ -155,7 +155,12 @@ class Semigroup:
     touched: a `limit` below the rank's entry in KNOWN_CARDINALITIES, or
     for a rank past the table one not above the table's largest entry;
     and then, whatever the limit, any rank above `rewrite._DIRECT_ABOVE`,
-    7, where no automaton exists.
+    7, where no automaton exists.  The CLI's `solve`, `verify` and `stats`
+    read the table and build under the default limit, so they stop at
+    rank 6.  The library still builds rank 7, table and all, for a
+    caller that raises `limit` to 22,263,378 and has the memory: the
+    links and texts, all `enum` builds, peak near 3 GB, and the table
+    did not fit in 5 GB of address space.
     """
 
     __slots__ = (

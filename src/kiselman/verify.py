@@ -54,8 +54,8 @@ itself skipped with a reason; the report lists every selected suite.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, count, islice, repeat
-from operator import and_, contains, ne
+from itertools import count, islice, repeat
+from operator import contains
 
 from .algebra import (
     Element,
@@ -67,7 +67,6 @@ from .algebra import (
     zero,
 )
 from .enumeration import (
-    DEFAULT_ELEMENT_LIMIT,
     KNOWN_CARDINALITIES,
     Semigroup,
     _canonical_words,
@@ -85,9 +84,9 @@ __all__ = ["SUITE_NAMES", "run_suites"]
 
 
 class _Context:
-    def __init__(self, rank: int, limit: int) -> None:
+    def __init__(self, rank: int) -> None:
         self.rank = rank
-        self.semigroup = Semigroup(rank, limit=limit)
+        self.semigroup = Semigroup(rank)
 
     def along_links(self, op, by_letter: list, roots: list) -> list[list]:
         """For each root, a value per element: the root for the identity,
@@ -412,34 +411,28 @@ def _suite_prefix_stability(ctx: _Context) -> dict:
         f"'{s.element(x)}' * a_{k} lost the part up to letter 1"
         for x, k in ctx.moved if stems[x] >= 0
     ]
-    # born[g][x]: the element of x's word and g, or x when there is none;
-    # the columns share one set of index objects
-    pool = range(len(s))
-    elements = list(pool)
-    born = [elements[:] for _ in range(rank + 1)]
-    for c, p, g in zip(pool[1:], s._parents[1:], s._lasts[1:]):
-        born[g][p] = c
-    # tails[x]: the element of x's word after its stem, or of the whole
-    # word when it has none; a letter 1 starts the tail over
-    grow = [None, [0] * len(s), *born[2:]]
-    (tails,) = ctx.along_links(list.__getitem__, grow, [0])
-    holds, walks = [stem >= 0 for stem in stems], 0
+    # a tail: the letters after a word's 1, or the whole word without one
+    tails = [w[w.index(1) + 1:] if 1 in w else w for w in words]
+    holding = [x for x, stem in enumerate(stems) if stem >= 0]
+    parents, lasts, walks = s._parents, s._lasts, 0
     for k in range(2, rank + 1):
-        # x * a_k is x or born[k][x], or else a walk: its tail is tested
-        # once per pair of tails
+        # x * a_k is x, or x's word and k, or else a walk: its tail is
+        # tested once per pair of tails
         column = s.columns[k]
-        walking = list(compress(pool, map(and_, holds, map(ne, column, born[k]))))
+        walking = [
+            x for x in holding
+            if (xk := column[x]) != x and not (parents[xk] == x and lasts[xk] == k)
+        ]
         walks += len(walking)
         pairs = {(tails[x], tails[column[x]]): x for x in walking}
         for (t, tk), x in pairs.items():
-            rest = iter(words[t] + (k,))
-            if not all(map(contains, repeat(rest), words[tk])):
+            rest = iter(t + (k,))
+            if not all(map(contains, repeat(rest), tk)):
                 failures.append(
                     f"'{s.element(x)}' * a_{k} = '{s.element(column[x])}': tail "
-                    f"'{_text(words[tk])}' is not a subsequence of "
-                    f"'{_text(words[t] + (k,))}'"
+                    f"'{_text(tk)}' is not a subsequence of '{_text(t + (k,))}'"
                 )
-    edges = sum(holds) * (rank - 1)
+    edges = len(holding) * (rank - 1)
     detail = {"edges": edges, "walks": walks}
     return _result("prefix_stability", edges + walks, failures, detail)
 
@@ -575,20 +568,19 @@ def _suite_parity(ctx: _Context) -> dict:
     # hold each exactly once, and the mirror map pairs the half where 1
     # comes first with the half where the top letter does.  The counting
     # identity below, over the two ranks beneath, then forces the
-    # parity to alternate with the rank.
+    # parity to alternate with the rank.  It counts the direct search's
+    # words; the cardinality suite holds them to the closure's.
     failures: list[str] = []
     rank = ctx.rank
     cardinality = len(ctx.words)
     parity = "even" if cardinality % 2 == 0 else "odd"
     expected_parity = "even" if rank % 2 == 1 else "odd"
-    checks = 2
+    checks = 1
     if parity != expected_parity:
         failures.append(
             f"cardinality {cardinality} is {parity}, "
             f"rank {rank} demands {expected_parity}"
         )
-    if cardinality != len(ctx.semigroup):
-        failures.append("the direct search disagrees with the closure enumeration")
     detail: dict = {"cardinality": cardinality, "parity": parity}
     if rank >= 3:
         checks += 3
@@ -641,16 +633,18 @@ SUITE_NAMES = list(_SUITES)
 def run_suites(
     rank: int,
     seed: int = 0,
-    limit: int = DEFAULT_ELEMENT_LIMIT,
     names: list[str] | None = None,
 ) -> dict:
     """Run verification suites and assemble a JSON-ready report.
 
     Every selected suite appears in the report, passed, failed or
-    skipped.  A resource cap tripping mid-run aborts the remainder but
-    the partial report is still returned, flagged as aborted.  No suite
-    samples, so the report does not depend on seed, which is accepted
-    and ignored.
+    skipped.  The suites read the Cayley table of K_rank, built under
+    the default element cap, |K_6|: a rank above 6 is refused before
+    anything is built, and the report, with no suites, comes back
+    flagged as aborted.  A resource cap tripping mid-run aborts the
+    remainder but the partial report is still returned, also flagged as
+    aborted.  No suite samples, so the report does not depend on seed,
+    which is accepted and ignored.
     """
     selected = list(SUITE_NAMES) if names is None else list(names)
     for name in selected:
@@ -663,7 +657,7 @@ def run_suites(
         "suites": [],
     }
     try:
-        ctx = _Context(rank, limit)
+        ctx = _Context(rank)
     except ResourceLimitError as exc:
         report["aborted"] = True
         report["all_passed"] = False

@@ -440,11 +440,15 @@ def test_verify_large_rank_refused_json(capsys):
     assert report["suites"] == []
 
 
+def _capped(rank):
+    return f"resource limit: enumeration at rank {rank} exceeded the element cap of 83973\n"
+
+
 def test_enum_large_rank_refused(capsys):
     code, out, err = run(capsys, "enum", "--n", "7")
     assert code == 3
     assert out == ""
-    assert err == "resource limit: enumeration at rank 7 exceeded the element cap of 83973\n"
+    assert err == _capped(7)
 
 
 def _refused(rank):
@@ -455,12 +459,14 @@ def _refused(rank):
 
 
 @pytest.mark.parametrize("command", [
-    ["enum"], ["stats"], ["solve", "--y", "1"],
+    ["enum", "--limit", "83974"], ["stats"], ["solve", "--y", "1"],
 ])
 def test_closure_above_rank_10_refused_past_the_cap(capsys, command):
-    # a --limit that clears the cap pre-check still builds nothing
-    code, out, err = run(capsys, *command, "--n", "11", "--limit", "83974")
-    assert (code, out, err) == (3, "", _refused(11))
+    # enum's --limit clears the cap pre-check and still builds nothing;
+    # stats and solve take no --limit, so the default cap refuses them
+    code, out, err = run(capsys, *command, "--n", "11")
+    expected = _refused(11) if "--limit" in command else _capped(11)
+    assert (code, out, err) == (3, "", expected)
 
 
 @pytest.mark.parametrize("rank", [8, 10])
@@ -472,18 +478,16 @@ def test_enum_above_rank_7_refused_past_the_cap(capsys, rank):
 
 
 def test_verify_above_rank_10_reports_the_refusal(capsys):
-    code, out, err = run(
-        capsys, "verify", "--n", "11", "--limit", "83974", "--format", "json",
-    )
+    code, out, err = run(capsys, "verify", "--n", "11", "--format", "json")
     assert code == 3
     assert json.loads(out) == {
         "rank": 11,
         "aborted": True,
         "all_passed": False,
         "suites": [],
-        "error": _refused(11).removeprefix("resource limit: ").rstrip("\n"),
+        "error": _capped(11).removeprefix("resource limit: ").rstrip("\n"),
     }
-    assert err == _refused(11)
+    assert err == _capped(11)
 
 
 def test_limit_trips_resource_exit(capsys):
@@ -560,9 +564,9 @@ COMMAND_OPTIONS = {
     "canon": {"--n", "--format", "--trace"},
     "mul": {"--n", "--format"},
     "enum": {"--n", "--format", "--limit", "--cache-dir"},
-    "solve": {"--n", "--format", "--y", "--limit", "--seed"},
-    "verify": {"--n", "--format", "--suite", "--limit", "--seed"},
-    "stats": {"--n", "--format", "--limit", "--seed"},
+    "solve": {"--n", "--format", "--y", "--seed"},
+    "verify": {"--n", "--format", "--suite", "--seed"},
+    "stats": {"--n", "--format", "--seed"},
 }
 # a call each command accepts
 VALID_CALLS = {
@@ -793,7 +797,7 @@ def test_output_is_byte_deterministic(capsys):
 
 
 def test_suite_failure_maps_to_exit_4(capsys, monkeypatch):
-    def fake_run_suites(rank, limit, names):
+    def fake_run_suites(rank, names):
         return {
             "rank": rank,
             "aborted": False,

@@ -70,13 +70,12 @@ every table entry, and `product` on sampled words, to the deletion
 rewriter, and replay the rewriter-driven closure as a reference.
 
 Cardinalities grow double-exponentially with the rank.  Enumeration
-therefore takes an element cap, |K_6| by default.  K_{n-1} sits inside
-K_n as the words avoiding letter n, so KNOWN_CARDINALITIES bounds every
-rank from below, and a cap under that bound is refused before anything
-is built.  So is every rank above 7, whatever the cap, since no
-automaton exists there (`rewrite._DIRECT_ABOVE`): K_8 alone has
-64,146,328,635 elements, so a closure above rank 7 could only ever end
-at its cap.
+therefore takes an element cap, |K_6| by default, and decides it before
+anything is built: every rank above 7 is refused whatever the cap, since
+no automaton exists there (`rewrite._DIRECT_ABOVE`) and K_8 alone has
+64,146,328,635 elements; then, as KNOWN_CARDINALITIES holds |K_n| for
+every rank 1..7, a cap below it is refused.  A closure that starts
+builds exactly |K_n| elements, so no cap can trip while it runs.
 
 Cache files (one per rank) use a one-line header followed by one
 canonical word per line, shortest first::
@@ -96,13 +95,15 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from itertools import compress, repeat
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .algebra import Element
 from .errors import InvariantError, ResourceLimitError, ValidationError
 from .rewrite import _DIRECT_ABOVE, _WALK, _automaton
 from .words import Word
+
+if TYPE_CHECKING:  # a one-shot command that writes no cache skips pathlib
+    from pathlib import Path
 
 __all__ = [
     "Semigroup",
@@ -118,16 +119,16 @@ __all__ = [
 DEFAULT_ELEMENT_LIMIT = 83_973
 CACHE_MAGIC = "kiselman-cache v1"
 
-# Ranks 1 and 2 are small enough to list by hand; the larger values are
-# cross-validated by this module's two independent enumerators agreeing
-# element for element (see the cardinality verification suite).
-KNOWN_CARDINALITIES: dict[int, int] = {1: 2, 2: 5, 3: 18, 4: 115, 5: 1710, 6: 83973}
-
-
-def _over_cap(rank: int, limit: int) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"enumeration at rank {rank} exceeded the element cap of {limit}"
-    )
+# Every rank a closure accepts, 1..rewrite._DIRECT_ABOVE.  Ranks 1 and 2
+# are small enough to list by hand; ranks 3-6 are cross-validated by this
+# module's two independent enumerators agreeing element for element (see
+# the cardinality verification suite).  Rank 7 is vouched for by two
+# counts that share no code: the paths of new-element edges of the gap
+# automaton, one per canonical word, and a count-only run of the direct
+# search (both in tests/test_enumeration.py).
+KNOWN_CARDINALITIES: dict[int, int] = {
+    1: 2, 2: 5, 3: 18, 4: 115, 5: 1710, 6: 83973, 7: 22_263_378,
+}
 
 
 class Semigroup:
@@ -150,17 +151,16 @@ class Semigroup:
 
     `product` is the one multiplication kernel: it walks the letters of
     a right factor through the columns, one list index per letter.
-    Building the semigroup raises ResourceLimitError if more than
-    `limit` elements appear.  Two refusals come before the automaton is
-    touched: a `limit` below the rank's entry in KNOWN_CARDINALITIES, or
-    for a rank past the table one not above the table's largest entry;
-    and then, whatever the limit, any rank above `rewrite._DIRECT_ABOVE`,
-    7, where no automaton exists.  The CLI's `solve`, `verify` and `stats`
-    read the table and build under the default limit, so they stop at
-    rank 6.  The library still builds rank 7, table and all, for a
-    caller that raises `limit` to 22,263,378 and has the memory: the
-    links and texts, all `enum` builds, peak near 3 GB, and the table
-    did not fit in 5 GB of address space.
+    Building the semigroup raises ResourceLimitError, before the
+    automaton is touched, for any rank above `rewrite._DIRECT_ABOVE`, 7,
+    where no automaton exists, whatever the `limit`; and then for a
+    `limit` below the rank's entry in KNOWN_CARDINALITIES, which has one
+    for every other rank.  The CLI's `solve`, `verify` and `stats` read
+    the table and build under the default limit, so they stop at rank 6.
+    The library still builds rank 7, table and all, for a caller that
+    raises `limit` to 22,263,378 and has the memory: the links and
+    texts, all `enum` builds, peak near 3 GB, and the table did not fit
+    in 5 GB of address space.
     """
 
     __slots__ = (
@@ -174,28 +174,29 @@ class Semigroup:
             raise ValidationError(f"rank must be >= 1, got {rank}")
         if limit < 1:
             raise ValidationError(f"element limit must be >= 1, got {limit}")
-        # past the table, K_rank holds the largest entry's K_m as its words
-        # over 1..m, and the letter rank besides
-        if limit < KNOWN_CARDINALITIES.get(rank, max(KNOWN_CARDINALITIES.values()) + 1):
-            raise _over_cap(rank, limit)
         if rank > _DIRECT_ABOVE:
             raise ResourceLimitError(f"enumeration at rank {rank} is refused: "
                                      f"closures run only up to rank {_DIRECT_ABOVE}")
+        if limit < KNOWN_CARDINALITIES[rank]:
+            raise ResourceLimitError(
+                f"enumeration at rank {rank} exceeded the element cap of {limit}"
+            )
         self.rank = rank
         self._words: list[tuple[int, ...]] | None = None
         self._index: dict[tuple[int, ...], int] | None = None
         self._columns: list[list[int] | None] | None = None
-        self._close(limit)
+        self._close()
 
-    def _close(self, limit: int) -> None:
+    def _close(self) -> None:
         """Close {identity} under right multiplication: the words phase.
 
         Elements are processed in index order, and each u * g that is a
         new element is appended with u as its parent and g as its last
-        letter, so the elements come out in `sort_key` order.  The
-        products that are not new are already known: they are at most as
-        long as u, and every such element was found in an earlier round.
-        They wait for the table phase.  Each state's new elements are
+        letter, so the elements come out in `sort_key` order: |K_rank| of
+        them, which the caller has checked its cap against.  The products
+        that are not new are already known: they are at most as long as
+        u, and every such element was found in an earlier round.  They
+        wait for the table phase.  Each state's new elements are
         listed once, from its row of the automaton, which is whole when
         `rewrite._automaton` returns it.
         """
@@ -210,8 +211,6 @@ class Semigroup:
         # states grows as the loop runs, and enumerate reads the new items
         for ui, s in enumerate(states):
             for g, child in news[s]:
-                if len(parents) >= limit:
-                    raise _over_cap(self.rank, limit)
                 add_parent(ui)
                 add_last(g)
                 add_state(child)
@@ -441,6 +440,8 @@ def _canonical_words(rank: int) -> list[tuple[int, ...]]:
 
 
 def cache_path(cache_dir: str | Path, rank: int) -> Path:
+    from pathlib import Path
+
     return Path(cache_dir) / f"k{rank}.cache"
 
 

@@ -186,7 +186,7 @@ def _suite_cardinality(ctx: _Context) -> dict:
     failures: list[str] = []
     closure_count = len(ctx.semigroup)
     direct_count = len(ctx.words)
-    checks = 2
+    checks = 3
     if closure_count != direct_count:
         failures.append(
             f"closure found {closure_count} elements, canonical-word "
@@ -194,23 +194,20 @@ def _suite_cardinality(ctx: _Context) -> dict:
         )
     if set(ctx.semigroup.words) != set(ctx.words):
         failures.append("the two enumeration routes disagree on the element sets")
-    golden = KNOWN_CARDINALITIES.get(ctx.rank)
-    if golden is not None:
-        checks += 1
-        if closure_count != golden:
-            failures.append(
-                f"cardinality {closure_count} differs from the "
-                f"cross-validated value {golden}"
-            )
+    # KNOWN_CARDINALITIES covers every rank a Semigroup accepts
+    golden = KNOWN_CARDINALITIES[ctx.rank]
+    if closure_count != golden:
+        failures.append(
+            f"cardinality {closure_count} differs from the "
+            f"cross-validated value {golden}"
+        )
     listings = {1: {"", "1"}, 2: {"", "1", "2", "1 2", "2 1"}}
     if ctx.rank in listings:
         checks += 1
         got = set(map(_text, ctx.words))
         if got != listings[ctx.rank]:
             failures.append(f"rank-{ctx.rank} listing is {sorted(got)}")
-    detail = {"closure": closure_count, "direct": direct_count}
-    if golden is not None:
-        detail["golden"] = golden
+    detail = {"closure": closure_count, "direct": direct_count, "golden": golden}
     return _result("cardinality", checks, failures, detail)
 
 
@@ -411,21 +408,30 @@ def _suite_prefix_stability(ctx: _Context) -> dict:
         f"'{s.element(x)}' * a_{k} lost the part up to letter 1"
         for x, k in ctx.moved if stems[x] >= 0
     ]
-    # a tail: the letters after a word's 1, or the whole word without one
-    tails = [w[w.index(1) + 1:] if 1 in w else w for w in words]
+    # a tail: the letters after a word's 1, or the whole word without one.
+    # It is a word over 2..n, so tails[x] is its element, found along the
+    # links: a word over 2..n steps by each letter above 1 to its child,
+    # and by 1 to the empty tail
+    parents, lasts, walks, n = s._parents, s._lasts, 0, len(s)
+    plain = [x for x, stem in enumerate(stems) if stem < 0]
+    children: list = [None, dict.fromkeys(plain, 0)] + [{} for _ in range(rank - 1)]
+    for c in plain[1:]:
+        children[lasts[c]][parents[c]] = c
+    tails = ctx.along_links(dict.__getitem__, children, [0])[0]
     holding = [x for x, stem in enumerate(stems) if stem >= 0]
-    parents, lasts, walks = s._parents, s._lasts, 0
     for k in range(2, rank + 1):
         # x * a_k is x, or x's word and k, or else a walk: its tail is
-        # tested once per pair of tails
+        # tested once per pair of tails, keyed by the pair's elements
         column = s.columns[k]
         walking = [
             x for x in holding
             if (xk := column[x]) != x and not (parents[xk] == x and lasts[xk] == k)
         ]
         walks += len(walking)
-        pairs = {(tails[x], tails[column[x]]): x for x in walking}
-        for (t, tk), x in pairs.items():
+        pairs = {tails[x] * n + tails[column[x]]: x for x in walking}
+        for x in pairs.values():
+            t, tk = (w[w.index(1) + 1:] if 1 in w else w
+                     for w in (words[x], words[column[x]]))
             rest = iter(t + (k,))
             if not all(map(contains, repeat(rest), tk)):
                 failures.append(
@@ -641,10 +647,9 @@ def run_suites(
     skipped.  The suites read the Cayley table of K_rank, built under
     the default element cap, |K_6|: a rank above 6 is refused before
     anything is built, and the report, with no suites, comes back
-    flagged as aborted.  A resource cap tripping mid-run aborts the
-    remainder but the partial report is still returned, also flagged as
-    aborted.  No suite samples, so the report does not depend on seed,
-    which is accepted and ignored.
+    flagged as aborted.  Once the table is built no cap is left to
+    trip, so every selected suite runs.  No suite samples, so the
+    report does not depend on seed, which is accepted and ignored.
     """
     selected = list(SUITE_NAMES) if names is None else list(names)
     for name in selected:
@@ -666,11 +671,6 @@ def run_suites(
     for name in selected:
         try:
             outcome = _SUITES[name](ctx)
-        except ResourceLimitError as exc:
-            report["aborted"] = True
-            report["all_passed"] = False
-            report["error"] = str(exc)
-            break
         except InvariantError as exc:
             outcome = _result(name, 0, [f"invariant violated: {exc}"], {})
         report["suites"].append(outcome)

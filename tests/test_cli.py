@@ -303,8 +303,8 @@ def test_bad_cache_is_replaced_without_changing_output(capsys, tmp_path, case, c
 
 
 def test_forged_large_rank_cache_is_not_printed(capsys, tmp_path):
-    # rank 7 has no known count to check a file against; a cap of 1000,
-    # below |K_6|, is refused before any building, whatever the file says
+    # the cache is never read: a cap of 1000, below |K_7|, is refused
+    # before any building, whatever the file says
     (tmp_path / "k7.cache").write_text("kiselman-cache v1 n=7 count=3\n\n1\n2\n")
     code, out, err = run(
         capsys, "enum", "--n", "7", "--limit", "1000", "--cache-dir", str(tmp_path),
@@ -440,15 +440,16 @@ def test_verify_large_rank_refused_json(capsys):
     assert report["suites"] == []
 
 
-def _capped(rank):
-    return f"resource limit: enumeration at rank {rank} exceeded the element cap of 83973\n"
-
-
 def test_enum_large_rank_refused(capsys):
-    code, out, err = run(capsys, "enum", "--n", "7")
-    assert code == 3
-    assert out == ""
-    assert err == _capped(7)
+    # every cap below |K_7| = 22,263,378 is refused before anything is built
+    for limit in ([], ["--limit", "22263377"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enum", "--n", "7", *limit)
+        assert time.perf_counter() - start < 0.1
+        cap = limit[-1] if limit else "83973"
+        assert (code, out, err) == (
+            3, "", f"resource limit: enumeration at rank 7 exceeded the element cap of {cap}\n"
+        )
 
 
 def _refused(rank):
@@ -462,19 +463,19 @@ def _refused(rank):
     ["enum", "--limit", "83974"], ["stats"], ["solve", "--y", "1"],
 ])
 def test_closure_above_rank_10_refused_past_the_cap(capsys, command):
-    # enum's --limit clears the cap pre-check and still builds nothing;
-    # stats and solve take no --limit, so the default cap refuses them
+    # the rank is refused before any cap is read: enum's --limit, or the
+    # default cap of stats and solve, which take no --limit
     code, out, err = run(capsys, *command, "--n", "11")
-    expected = _refused(11) if "--limit" in command else _capped(11)
-    assert (code, out, err) == (3, "", expected)
+    assert (code, out, err) == (3, "", _refused(11))
 
 
 @pytest.mark.parametrize("rank", [8, 10])
 def test_enum_above_rank_7_refused_past_the_cap(capsys, rank):
     # K_8 alone has 64,146,328,635 elements: a closure could only end at
-    # its cap, so it is refused before it starts
-    code, out, err = run(capsys, "enum", "--n", str(rank), "--limit", "83974")
-    assert (code, out, err) == (3, "", _refused(rank))
+    # its cap, so it is refused before it starts, whatever the cap
+    for limit in ([], ["--limit", "1"], ["--limit", "83974"], ["--limit", "22263378"]):
+        code, out, err = run(capsys, "enum", "--n", str(rank), *limit)
+        assert (code, out, err) == (3, "", _refused(rank)), limit
 
 
 def test_verify_above_rank_10_reports_the_refusal(capsys):
@@ -485,9 +486,9 @@ def test_verify_above_rank_10_reports_the_refusal(capsys):
         "aborted": True,
         "all_passed": False,
         "suites": [],
-        "error": _capped(11).removeprefix("resource limit: ").rstrip("\n"),
+        "error": _refused(11).removeprefix("resource limit: ").rstrip("\n"),
     }
-    assert err == _capped(11)
+    assert err == _refused(11)
 
 
 def test_limit_trips_resource_exit(capsys):

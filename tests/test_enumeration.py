@@ -304,7 +304,7 @@ def test_element_cap_matches_rewriter_closure():
 
 
 def test_small_cap_is_refused_before_the_automaton_grows(monkeypatch):
-    # K_7 holds K_6, so a cap of 1 is refused before the automaton is asked
+    # |K_7| is known, so a cap of 1 is refused before the automaton is asked
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
     with pytest.raises(
         ResourceLimitError,
@@ -316,39 +316,125 @@ def test_small_cap_is_refused_before_the_automaton_grows(monkeypatch):
 
 @pytest.mark.parametrize("rank", [7, 300])
 def test_default_cap_refuses_ranks_past_the_table_unbuilt(monkeypatch, rank):
+    # the default cap, |K_6|, is below |K_7|; above rank 7 the rank itself
+    # is refused first
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    reason = (
+        "exceeded the element cap of 83973" if rank == 7
+        else "is refused: closures run only up to rank 7"
+    )
     with pytest.raises(
-        ResourceLimitError,
-        match=rf"^enumeration at rank {rank} exceeded the element cap of 83973$",
+        ResourceLimitError, match=rf"^enumeration at rank {rank} {reason}$"
     ):
         Semigroup(rank)
     assert rewrite._AUTOMATA == {}
 
 
-def test_cap_above_the_table_still_trips_in_the_loop(monkeypatch):
-    # 100,000 passes the check before building, and K_7 outgrows it
+def test_every_cap_below_k7_is_refused_at_once(monkeypatch):
+    # |K_7| is in KNOWN_CARDINALITIES, so no cap below it lets the closure start
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
-    with pytest.raises(
-        ResourceLimitError,
-        match=r"^enumeration at rank 7 exceeded the element cap of 100000$",
-    ):
-        Semigroup(7, limit=100_000)
-
-
-def test_closure_above_rank_7_files_no_automaton(monkeypatch):
-    # no automaton exists above rank 7, so a cap that passes the table's
-    # bound is refused at once, unbuilt, and the message names no cap,
-    # which a cap above |K_8| would make false
-    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
-    for rank in (8, 9, 10, 11, 200):
+    for limit in (100_000, KNOWN_CARDINALITIES[7] - 1):
         start = time.perf_counter()
         with pytest.raises(
             ResourceLimitError,
-            match=rf"^enumeration at rank {rank} is refused: "
-            r"closures run only up to rank 7$",
+            match=rf"^enumeration at rank 7 exceeded the element cap of {limit}$",
         ):
-            Semigroup(rank, limit=83_974)
+            Semigroup(7, limit=limit)
         assert time.perf_counter() - start < 0.1
+    assert rewrite._AUTOMATA == {}
+
+
+def test_closure_above_rank_7_files_no_automaton(monkeypatch):
+    # no automaton exists above rank 7, so the rank is refused at once,
+    # unbuilt, whatever the cap, and the message names no cap, which a
+    # cap above |K_8| would make false
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    for rank in (8, 9, 10, 11, 200):
+        for limit in (1, DEFAULT_ELEMENT_LIMIT, 83_974, 10**12):
+            start = time.perf_counter()
+            with pytest.raises(
+                ResourceLimitError,
+                match=rf"^enumeration at rank {rank} is refused: "
+                r"closures run only up to rank 7$",
+            ):
+                Semigroup(rank, limit=limit)
+            assert time.perf_counter() - start < 0.1
+    assert rewrite._AUTOMATA == {}
+
+
+def _automaton_path_count(rank):
+    """|K_rank| from the gap automaton alone, as its paths of new elements.
+
+    Each canonical word is one path of new-element edges from state 0,
+    by the append-letter rule (Kudryavtseva & Mazorchuk, 2009), so each
+    state counts 1 and the counts of the states its new elements reach.
+    The states are taken in Kahn order, children first: in id order a
+    new element can reach an earlier state, from rank 3 on.
+    """
+    rows = _automaton(rank).rows
+    news = [[a for a in row[1:] if a >= 0] for row in rows]
+    waiting = [0] * len(rows)
+    for children in news:
+        for c in children:
+            waiting[c] += 1
+    order = [s for s, w in enumerate(waiting) if w == 0]
+    for s in order:
+        for c in news[s]:
+            waiting[c] -= 1
+            if waiting[c] == 0:
+                order.append(c)
+    assert order[0] == 0 and len(order) == len(rows)
+    paths = [0] * len(rows)
+    for s in reversed(order):
+        paths[s] = 1 + sum(map(paths.__getitem__, news[s]))
+    return paths[0]
+
+
+def _direct_count(rank):
+    """len(_canonical_words(rank)) by the same pruned search, storing no word."""
+    bounds = [0, *letter_bounds(rank).values()]
+    letters = range(1, rank + 1)
+    counts = [0] * (rank + 1)
+    last = [-1] * (rank + 1)
+    prefix = []
+
+    def grow():
+        found = 1
+        end = len(prefix)
+        for i in letters:
+            if counts[i] == bounds[i]:
+                continue
+            prev = last[i]
+            if prev >= 0:
+                gap = prefix[prev + 1:]
+                if not gap or max(gap) < i or min(gap) > i:
+                    continue
+            counts[i] += 1
+            last[i] = end
+            prefix.append(i)
+            found += grow()
+            prefix.pop()
+            counts[i] -= 1
+            last[i] = prev
+        return found
+
+    return grow()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6, 7])
+def test_automaton_path_count_is_the_cardinality(monkeypatch, rank):
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    count = _automaton_path_count(rank)
+    assert count == KNOWN_CARDINALITIES[rank]
+    if rank <= 6:
+        assert count == len(Semigroup(rank))
+
+
+@pytest.mark.n7
+def test_direct_count_rank_7(monkeypatch):
+    # the second route to |K_7|: no automaton, no closure, no stored word
+    monkeypatch.setattr(rewrite, "_AUTOMATA", {})
+    assert _direct_count(7) == KNOWN_CARDINALITIES[7] == 22_263_378
     assert rewrite._AUTOMATA == {}
 
 
@@ -509,6 +595,8 @@ def test_direct_search_core_lists_each_word_once(rank):
     core = enumeration._canonical_words(rank)
     assert len(core) == len(set(core)) == KNOWN_CARDINALITIES[rank]
     assert {Word(w, rank) for w in core} == enumerate_canonical_words(rank)
+    # the count-only copy that vouches for |K_7| counts the same search
+    assert _direct_count(rank) == len(core)
 
 
 def test_index_is_built_on_first_read():

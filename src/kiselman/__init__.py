@@ -18,12 +18,7 @@ from .algebra import (
     zero_threshold,
 )
 from .enumeration import Semigroup, enumerate_canonical_words
-from .equations import (
-    SolutionDecomposition,
-    ZeroSolutionSet,
-    construct_right_zero_solutions,
-    solve_right_zero,
-)
+from .equations import construct_right_zero_solutions, solve_right_zero
 from .errors import (
     DomainError,
     InvariantError,

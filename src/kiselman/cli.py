@@ -20,7 +20,7 @@ from collections import Counter
 from itertools import chain
 from typing import Callable
 
-from .algebra import display, from_word, multiply, sort_key
+from .algebra import display, from_word, generator, multiply, sort_key
 from .enumeration import DEFAULT_ELEMENT_LIMIT, Semigroup, write_cache
 from .equations import solve_right_zero
 from .errors import (
@@ -184,16 +184,13 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     y = from_word(parse_word(args.y_text, args.rank))
-    solved = solve_right_zero(y, Semigroup(args.rank))
-    ordered = solved.sorted_solutions()
+    ordered = sorted(solve_right_zero(y, Semigroup(args.rank)), key=sort_key)
     decomposition = None
-    if solved.decomposition is not None:
+    if y == generator(1, args.rank):
+        # solve_right_zero checked that exactly one solution avoids letter 1
         decomposition = {
-            "special": str(solved.decomposition.special),
-            "t": [
-                str(x)
-                for x in sorted(solved.decomposition.containing_one, key=sort_key)
-            ],
+            "special": next(str(x) for x in ordered if 1 not in x.word.letters),
+            "t": [str(x) for x in ordered if 1 in x.word.letters],
         }
     if args.format == "json":
         _print_json({

@@ -157,10 +157,12 @@ class Semigroup:
     `limit` below the rank's entry in KNOWN_CARDINALITIES, which has one
     for every other rank.  The CLI's `solve`, `verify` and `stats` read
     the table and build under the default limit, so they stop at rank 6.
-    The library still builds rank 7, table and all, for a caller that
-    raises `limit` to 22,263,378 and has the memory: the links and
-    texts, all `enum` builds, peak near 3 GB, and the table did not fit
-    in 5 GB of address space.
+    The library still builds rank 7 for a caller that raises `limit` to
+    22,263,378 and has the memory: the links, words and texts, all
+    `enum` builds, peak near 3 GB.  Its table is refused: `product`,
+    `columns` and `zero_thresholds` raise ResourceLimitError at once
+    above DEFAULT_ELEMENT_LIMIT elements, where the table did not fit in
+    5 GB of address space.
     """
 
     __slots__ = (
@@ -256,7 +258,16 @@ class Semigroup:
         as long as u and later in `sort_key` order.  So column g takes
         its walks one length at a time, shortest first, and within a
         length from the last element back.
+
+        Above DEFAULT_ELEMENT_LIMIT elements, that is at rank 7, the table
+        is refused before anything is allocated: its rank * |K_7| entries
+        did not fit in 5 GB of address space.
         """
+        if len(self) > DEFAULT_ELEMENT_LIMIT:
+            raise ResourceLimitError(
+                f"the Cayley table at rank {self.rank} is refused: tables are "
+                f"built only up to {DEFAULT_ELEMENT_LIMIT} elements"
+            )
         parents, lasts, states, rows = (
             self._parents, self._lasts, self._states, self._rows
         )

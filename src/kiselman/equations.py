@@ -19,6 +19,12 @@ verification suite, which proves it for every pair of solutions from
 two checks on the table's edges: x * special = x, and x * a_k is a
 solution for k >= 2, for every solution x.
 
+Both routes return the solution set as a plain frozenset.  A caller
+that wants the paper's split reads it by letter 1: the special solution
+is the one member without it, and the rest are the solutions that hold
+it.  The solver checks, for y = a_1, that the special solution is the
+only member without letter 1.
+
 The solver here exists to keep the construction honest: it scans the
 whole of K_n, a `Semigroup` its caller builds, takes every product from
 its right Cayley table and never assumes any of the structure above.
@@ -35,56 +41,22 @@ image of the solutions of x * a_1 = zero.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .algebra import (
-    Element,
-    content,
-    generator,
-    idempotent,
-    multiply,
-    sort_key,
-    zero,
-)
+from .algebra import Element, content, generator, idempotent, multiply, zero
 from .enumeration import Semigroup
 from .errors import InvariantError, ValidationError
 from .words import Word
 
-__all__ = [
-    "SolutionDecomposition",
-    "ZeroSolutionSet",
-    "solve_right_zero",
-    "construct_right_zero_solutions",
-]
+__all__ = ["solve_right_zero", "construct_right_zero_solutions"]
 
 
-class SolutionDecomposition(NamedTuple):
-    """The split of the x * a_1 = zero solutions by use of letter 1."""
-
-    special: Element
-    containing_one: frozenset[Element]
-
-
-class ZeroSolutionSet(NamedTuple):
-    """All solutions of one zero equation at one rank."""
-
-    rank: int
-    y: Element
-    solutions: frozenset[Element]
-    decomposition: SolutionDecomposition | None
-
-    def sorted_solutions(self) -> list[Element]:
-        return sorted(self.solutions, key=sort_key)
-
-
-def solve_right_zero(y: Element, semigroup: Semigroup) -> ZeroSolutionSet:
+def solve_right_zero(y: Element, semigroup: Semigroup) -> frozenset[Element]:
     """Brute-force the left factors: every x with x * y = zero.
 
     Scans `semigroup`, the whole of K_n at y's rank, which the caller
     builds, and takes each product x * y from its table, and the zero as
     the product n, n-1, ..., 1, so it builds no word index.  When y is the
-    first generator the result additionally carries the
-    special/containing-one decomposition.
+    first generator it checks that the decreasing idempotent over 2..n
+    is the one solution without letter 1.
     """
     if semigroup.rank != y.rank:
         raise ValidationError(f"rank mismatch: {semigroup.rank} vs {y.rank}")
@@ -94,21 +66,17 @@ def solve_right_zero(y: Element, semigroup: Semigroup) -> ZeroSolutionSet:
         for i in range(len(semigroup))
         if semigroup.product(i, y.word.letters) == zero_index
     )
-    decomposition = None
     if y == generator(1, y.rank):
-        special = idempotent(range(2, y.rank + 1), y.rank)
-        containing_one = frozenset(x for x in solutions if 1 in content(x))
-        rest = solutions - containing_one
-        if rest != frozenset({special}):
+        rest = {x for x in solutions if 1 not in content(x)}
+        if rest != {idempotent(range(2, y.rank + 1), y.rank)}:
             raise InvariantError(
                 "solutions avoiding letter 1 must be exactly the decreasing "
                 f"idempotent over 2..{y.rank}, got {sorted(str(x) for x in rest)}"
             )
-        decomposition = SolutionDecomposition(special, containing_one)
-    return ZeroSolutionSet(y.rank, y, solutions, decomposition)
+    return solutions
 
 
-def construct_right_zero_solutions(rank: int) -> ZeroSolutionSet:
+def construct_right_zero_solutions(rank: int) -> frozenset[Element]:
     """Build the solutions of x * a_1 = zero without enumerating K_n.
 
     The members x of the submonoid avoiding letter 1 are the words of
@@ -142,19 +110,16 @@ def construct_right_zero_solutions(rank: int) -> ZeroSolutionSet:
     special = idempotent(range(2, rank + 1), rank)
     if multiply(special, a1) != target:
         raise InvariantError("the special solution must reach the zero")
-    containing_one: set[Element] = set()
+    solutions = {special}
     for w, t in zip(below, thresholds):
         x = tuple(g + 1 for g in w)
         solution = Element(Word(x + (1,) + tuple(range(t + 1, 1, -1)), rank))
         if multiply(solution, a1) != target:
             raise InvariantError(f"constructed non-solution '{solution}'")
-        containing_one.add(solution)
-    if len(containing_one) != len(below):
+        solutions.add(solution)
+    if len(solutions) != 1 + len(below):
         raise InvariantError(
             "solution construction must be injective over the submonoid: "
-            f"{len(below)} members gave {len(containing_one)} solutions"
+            f"{len(below)} members gave {len(solutions) - 1} solutions"
         )
-    solutions = frozenset(containing_one) | {special}
-    return ZeroSolutionSet(
-        rank, a1, solutions, SolutionDecomposition(special, frozenset(containing_one))
-    )
+    return frozenset(solutions)

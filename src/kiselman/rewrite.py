@@ -45,7 +45,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError
 from .words import Word
 
 __all__ = [
@@ -367,7 +367,7 @@ def reduction_trace(w: Word) -> Iterator[tuple[Reduction, Word]]:
         yield Reduction(*redex), Word(letters, w.rank)
 
 
-def all_normal_forms(w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> set[Word]:
+def all_normal_forms(w: Word) -> set[Word]:
     """Endpoints of every maximal deletion sequence starting at w.
 
     Each word's deletions come from one left-to-right pass that keeps
@@ -377,13 +377,11 @@ def all_normal_forms(w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> set[Wor
     the left one; on an empty gap both kinds give the same word.
     Visited words are deduplicated, so the search walks a DAG rather
     than a tree.  A ResourceLimitError is raised exactly when more than
-    node_budget distinct words are reachable from w, w included; that is
-    a resource failure, never a wrong answer.  Confluence promises a
-    singleton result, but this function must not assume it: it is the
-    oracle that checks it.
+    DEFAULT_NODE_BUDGET distinct words are reachable from w, w included,
+    the constant read at each call; that is a resource failure, never a
+    wrong answer.  Confluence promises a singleton result, but this
+    function must not assume it: it is the oracle that checks it.
     """
-    if node_budget < 1:
-        raise ValidationError(f"node budget must be >= 1, got {node_budget}")
     seen: set[tuple[int, ...]] = {w.letters}
     stack: list[tuple[int, ...]] = [w.letters]
     normals: set[tuple[int, ...]] = set()
@@ -408,10 +406,10 @@ def all_normal_forms(w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> set[Wor
             nxt = current[:removed] + current[removed + 1:]
             if nxt in seen:
                 continue
-            if len(seen) >= node_budget:
+            if len(seen) >= DEFAULT_NODE_BUDGET:
                 raise ResourceLimitError(
                     f"normal-form search visited more than "
-                    f"{node_budget} distinct words"
+                    f"{DEFAULT_NODE_BUDGET} distinct words"
                 )
             seen.add(nxt)
             stack.append(nxt)

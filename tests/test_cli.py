@@ -386,6 +386,28 @@ def test_solve_text(capsys):
     )
 
 
+# sha256 of solve's stdout; rank 5 JSON is the benchmark's own argv
+SOLVE_DIGESTS = {
+    (3, "1", "text"): "9c2c4abcdda55a09aa4c24a1766dc1f95319e7c446cafde6bede01df766c7cb5",
+    (3, "1", "json"): "50f5f48cd115e6b424b12278404d15dd45168406851a002065de08d7fa047495",
+    (4, "1", "text"): "9dfec0be084be369babb871d40cf2c628976b1bce7487982336221d5ad761b81",
+    (4, "1", "json"): "4ca7be44b76f736ecfcc9f2550e170ea1f261494c72da5363c58cc9816b3d86f",
+    (5, "1", "text"): "ed7d3c209d3e19e7b72db8ff8faf17825fee385a7be4c31a237ad1f55bfd328d",
+    (5, "1", "json"): "6dfd2db8174ceeabadc92494ea75f4f4ccbcd5defbef45dddab7b663cf42062a",
+    (4, "2 1", "text"): "eabc94805b3dca9de4f513924b676e6ca898c6e7115310d04bfb79fe0f5ddc0c",
+    (4, "2 1", "json"): "e51c7a9c9542372b75341711df45e2788fc492ad420067fca0f39cec01249c02",
+}
+
+
+@pytest.mark.parametrize("rank, y, fmt", sorted(SOLVE_DIGESTS))
+def test_solve_output_is_pinned(capsys, rank, y, fmt):
+    code, out, err = run(
+        capsys, "solve", "--n", str(rank), "--y", y, "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_DIGESTS[rank, y, fmt]
+
+
 def test_verify_rank_2_passes(capsys):
     code, out, err = run(capsys, "verify", "--n", "2")
     assert code == 0

@@ -344,6 +344,32 @@ def test_every_cap_below_k7_is_refused_at_once(monkeypatch):
     assert rewrite._AUTOMATA == {}
 
 
+def test_a_table_above_the_default_cap_is_refused_at_once(monkeypatch):
+    # rank 7's table did not fit in 5 GB of address space; 83,974 faked
+    # links stand in for its 22,263,378, and every reader of the table
+    # refuses before a column is allocated
+    links = DEFAULT_ELEMENT_LIMIT + 1
+
+    def fake_close(self):
+        self._rows, self._states = _automaton(2).rows, [0] * links
+        self._parents, self._lasts = [0] * links, [1] * links
+        self._bounds = [0, 1, links]
+
+    monkeypatch.setattr(Semigroup, "_close", fake_close)
+    s = Semigroup(2)
+    assert len(s) == 83_974
+    for read in (lambda: s.product(0, [1]), lambda: s.columns, s.zero_thresholds):
+        start = time.perf_counter()
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^the Cayley table at rank 2 is refused: "
+            r"tables are built only up to 83973 elements$",
+        ):
+            read()
+        assert time.perf_counter() - start < 0.1
+    assert s._columns is None
+
+
 def test_closure_above_rank_7_files_no_automaton(monkeypatch):
     # no automaton exists above rank 7, so the rank is refused at once,
     # unbuilt, whatever the cap, and the message names no cap, which a

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import is_quasi_subword, words
 from kiselman import rewrite, words as words_module
 from kiselman.enumeration import Semigroup, enumerate_canonical_words, letter_bounds
-from kiselman.errors import ResourceLimitError, ValidationError
+from kiselman.errors import ResourceLimitError
 from kiselman.rewrite import (
     Reduction,
     ReductionKind,
@@ -132,18 +132,13 @@ def test_all_normal_forms_examples():
     assert all_normal_forms(parse_word("", 3)) == {parse_word("", 3)}
 
 
-def test_all_normal_forms_budget_is_a_resource_error():
+def test_all_normal_forms_budget_is_a_resource_error(monkeypatch):
+    monkeypatch.setattr(rewrite, "DEFAULT_NODE_BUDGET", 1)
     with pytest.raises(ResourceLimitError, match="budget|visited"):
-        all_normal_forms(parse_word("1 1", 1), node_budget=1)
+        all_normal_forms(parse_word("1 1", 1))
     # a budget of 2 suffices for this two-word search space
-    assert all_normal_forms(parse_word("1 1", 1), node_budget=2) == {
-        parse_word("1", 1)
-    }
-
-
-def test_all_normal_forms_rejects_nonpositive_budget():
-    with pytest.raises(ValidationError):
-        all_normal_forms(parse_word("1", 1), node_budget=0)
+    monkeypatch.setattr(rewrite, "DEFAULT_NODE_BUDGET", 2)
+    assert all_normal_forms(parse_word("1 1", 1)) == {parse_word("1", 1)}
 
 
 def _search_by_definition(letters):
@@ -197,16 +192,16 @@ def test_all_normal_forms_matches_the_definition_exhaustively(rank):
         ("2 2 1 4 3 1 2 4 4 1", 4),
     ],
 )
-def test_all_normal_forms_budget_boundary(text, rank):
+def test_all_normal_forms_budget_boundary(monkeypatch, text, rank):
     # the budget bounds the distinct words reachable, start included
     w = parse_word(text, rank)
     normals, reachable = _search_by_definition(w.letters)
     assert reachable >= 2
-    assert all_normal_forms(w, node_budget=reachable) == {
-        Word(v, rank) for v in normals
-    }
+    monkeypatch.setattr(rewrite, "DEFAULT_NODE_BUDGET", reachable)
+    assert all_normal_forms(w) == {Word(v, rank) for v in normals}
+    monkeypatch.setattr(rewrite, "DEFAULT_NODE_BUDGET", reachable - 1)
     with pytest.raises(ResourceLimitError):
-        all_normal_forms(w, node_budget=reachable - 1)
+        all_normal_forms(w)
 
 
 def test_trace_on_canonical_word_is_empty():

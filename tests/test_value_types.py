@@ -1,7 +1,7 @@
 """Value semantics of the package's immutable types.
 
-`Word` and `Element` are slotted classes and the result types are named
-tuples. Each is equal and hashes equal after a round trip through
+`Word` and `Element` are slotted classes and `Reduction` is a named
+tuple. Each is equal and hashes equal after a round trip through
 `pickle`, `copy.copy` and `copy.deepcopy`, refuses assignment to a
 field, and hashes as the tuple of its fields, which fixes the iteration
 order of sets of them and with it every seeded sample.
@@ -15,22 +15,18 @@ import pickle
 import pytest
 
 from kiselman.algebra import Element
-from kiselman.equations import construct_right_zero_solutions
 from kiselman.rewrite import reduction_trace
 from kiselman.words import Word, parse_word
 
 
 def _values():
     [(reduction, _)] = reduction_trace(parse_word("1 2 1", 2))
-    solved = construct_right_zero_solutions(3)
     return {
         "Word": (Word((2, 1), 2), ("letters", "rank")),
         "Element": (Element(Word((2, 1), 2)), ("word",)),
         "Reduction": (
             reduction, ("kind", "letter", "kept_position", "removed_position")
         ),
-        "SolutionDecomposition": (solved.decomposition, ("special", "containing_one")),
-        "ZeroSolutionSet": (solved, ("rank", "y", "solutions", "decomposition")),
     }
 
 

@@ -298,17 +298,18 @@ def test_no_suite_calls_the_rewriter(monkeypatch, rank):
     ]
 
 
+def _solutions_with_one(rank):
+    return [
+        x for x in equations.construct_right_zero_solutions(rank)
+        if 1 in x.word.letters
+    ]
+
+
 def test_solution_structure_catches_a_wrong_special_solution(monkeypatch):
     # name a different solution as the special one: the three-case rule
     # then disagrees with the table on the products with it on the right
-    construct = verify.construct_right_zero_solutions
-
-    def wrong_special(rank):
-        built = construct(rank)
-        other = max(built.decomposition.containing_one, key=algebra.sort_key)
-        return built._replace(decomposition=built.decomposition._replace(special=other))
-
-    monkeypatch.setattr(verify, "construct_right_zero_solutions", wrong_special)
+    other = max(_solutions_with_one(3), key=algebra.sort_key)
+    monkeypatch.setattr(verify, "idempotent", lambda subset, rank: other)
     report = run_suites(3, names=["solution_structure"])
     (suite,) = report["suites"]
     assert suite["status"] == "fail"
@@ -586,9 +587,8 @@ def test_solution_structure_catches_a_construction_that_drops_a_solution(
     construct = verify.construct_right_zero_solutions
 
     def dropping(rank):
-        built = construct(rank)
-        lost = max(built.decomposition.containing_one, key=algebra.sort_key)
-        return built._replace(solutions=built.solutions - {lost})
+        lost = max(_solutions_with_one(rank), key=algebra.sort_key)
+        return construct(rank) - {lost}
 
     monkeypatch.setattr(verify, "construct_right_zero_solutions", dropping)
     assert _failures(3, "solution_structure")[:2] == [

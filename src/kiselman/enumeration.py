@@ -19,31 +19,35 @@ parent, the element of its word without the last letter, that last
 letter, and its gap state.  It builds no letter tuple.  The table phase
 fills the columns on the first `product` or read of `columns`.  The
 words, as letter tuples, and the index, from word to element, are built
-on their first read; neither phase needs them.  Both phases decide each
-product u * g by the append-letter rule: appending g to a canonical word
-can create only one deletion, between the new g and the last g already
-in u, so the letters after that last g say whether the new g stays,
-drops, or deletes the old g.  Neither scans u for them.  Each element
-carries one gap state per letter, one of five: no copy of the
+on their first read; neither phase needs them.  Each of the three views
+is computed once and kept.  The links are this module's storage format
+and no other module reads them: `along(op, by_letter, root)` is their
+one walk, giving each element a value from its parent's value and its
+last letter, and the words are built through it.  Both phases decide
+each product u * g by the append-letter rule: appending g to a canonical
+word can create only one deletion, between the new g and the last g
+already in u, so the letters after that last g say whether the new g
+stays, drops, or deletes the old g.  Neither scans u for them.  Each
+element carries one gap state per letter, one of five: no copy of the
 letter, an empty gap after its last copy, a gap of smaller letters only,
 of larger letters only, or of both.  The states of u + (g,) follow from
 those of u by one transition, which `rewrite._GapAutomaton` writes once
 and runs on every state when it is built; the words phase reads each
-state's actions from its row: a new element, u * g = u, or, when the
-old g is deleted, a walk.  The table phase resolves each walk in three
-lookups of entries already filled, by parent links and last letters
-(see `Semigroup._fill`).  At rank 6 there are 549 states for 83,973
-elements.
+state's actions from its row: a new element, u * g = u, or, when the old
+g is deleted, a walk.  The table phase resolves each walk in three
+lookups of entries already filled, by parent links and last letters (see
+`Semigroup._fill`).  At rank 6 there are 549 states for 83,973 elements.
 
 Users: the CLI's `enum` lists the `texts()`, each its parent's plus
 one letter, by `rounds()`, the elements of each word length, and builds
 neither the words, the index nor the table; `stats` counts on its
 indices and products, its zero-threshold histogram from
 `zero_thresholds()`; the verify suites, and `equations.solve_right_zero`
-on the one its caller builds, take their products from its table; the
-constructive solver reads the words and `zero_thresholds()` of K_{n-1},
-shifts each word up one letter, and never builds K_n; and the tests
-hold `element` and `product` to `algebra.multiply`, and
+on the one its caller builds, take their products from its table, and
+the suites their left products, contents and prefix tails by `along`;
+the constructive solver reads the words and `zero_thresholds()` of
+K_{n-1}, shifts each word up one letter, and never builds K_n; and the
+tests hold `element` and `product` to `algebra.multiply`, and
 `zero_thresholds()` and the automaton's actions to the rewriter.
 One-shot arithmetic builds no table: `algebra.multiply`, which `mul`
 calls, folds the right factor onto the left one's canonical word
@@ -94,8 +98,9 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from functools import cached_property
 from itertools import compress, repeat
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .algebra import Element
 from .errors import InvariantError, ResourceLimitError, ValidationError
@@ -141,13 +146,16 @@ class Semigroup:
     discovery order, which is `sort_key` order: shortest first, then
     letter by letter.
 
-    The links are built with the semigroup; `texts()` and `rounds()`
-    read them alone.  words, the letter tuples, is built from the links
-    on its first read; index, from each canonical word to its element,
-    on its first read; and the right Cayley table on the first `product`
-    or read of columns.  The table is one column per letter g in
-    1..rank: columns[g][i] is the element words[i] * g, and columns[0]
-    is None.  A caller that needs only the texts pays for none of them.
+    The links are built with the semigroup, and only this class reads
+    them: `texts()` and `rounds()` from them alone, and `along` walks
+    them for a caller, giving each element a value from its parent's and
+    its last letter.  Three views are computed on first read and kept:
+    words, the letter tuples, built by `along`; index, from each
+    canonical word to its element; and columns, the right Cayley table,
+    also filled by the first `product`.  The table is one column per
+    letter g in 1..rank: columns[g][i] is the element words[i] * g, and
+    columns[0] is None.  A caller that needs only the texts pays for
+    none of them.
 
     `product` is the one multiplication kernel: it walks the letters of
     a right factor through the columns, one list index per letter.
@@ -165,12 +173,6 @@ class Semigroup:
     5 GB of address space.
     """
 
-    __slots__ = (
-        "rank",
-        "_rows", "_parents", "_lasts", "_states", "_bounds", "_words",
-        "_index", "_columns",
-    )
-
     def __init__(self, rank: int, *, limit: int = DEFAULT_ELEMENT_LIMIT) -> None:
         if rank < 1:
             raise ValidationError(f"rank must be >= 1, got {rank}")
@@ -181,12 +183,10 @@ class Semigroup:
                                      f"closures run only up to rank {_DIRECT_ABOVE}")
         if limit < KNOWN_CARDINALITIES[rank]:
             raise ResourceLimitError(
-                f"enumeration at rank {rank} exceeded the element cap of {limit}"
+                f"enumeration at rank {rank} needs {KNOWN_CARDINALITIES[rank]} "
+                f"elements, above the element cap of {limit}"
             )
         self.rank = rank
-        self._words: list[tuple[int, ...]] | None = None
-        self._index: dict[tuple[int, ...], int] | None = None
-        self._columns: list[list[int] | None] | None = None
         self._close()
 
     def _close(self) -> None:
@@ -289,35 +289,38 @@ class Semigroup:
                     column[u] = column[columns[lasts[u]][
                         parents[v] if lasts[v] == g else column[v]
                     ]]
-        self._columns = columns
         return columns
 
-    @property
+    @cached_property
     def columns(self) -> list[list[int] | None]:
         """The right Cayley table, one column per letter, filled on first use."""
-        return self._fill() if self._columns is None else self._columns
+        return self._fill()
 
-    @property
+    def along(self, op: Callable, by_letter: Sequence, root: object) -> list:
+        """A value per element, along the links: root for the identity,
+        and op(by_letter[g], v's value) for the element v * g whose parent
+        is v and whose last letter is g.
+
+        >>> Semigroup(2).along(int.__or__, [0, 1, 2], 0)  # contents as bitmasks
+        [0, 1, 2, 3, 3]
+        """
+        values = [root]
+        # a round's parents are all in the rounds before it
+        for start, end in self.rounds()[1:]:
+            labels = map(by_letter.__getitem__, self._lasts[start:end])
+            values += map(op, labels, map(values.__getitem__, self._parents[start:end]))
+        return values
+
+    @cached_property
     def words(self) -> list[tuple[int, ...]]:
-        """Each element's canonical word, built from the links on first use."""
-        if self._words is None:
-            parents, lasts = self._parents, self._lasts
-            singles = [(g,) for g in range(self.rank + 1)]
-            words: list[tuple[int, ...]] = [()]
-            for start, end in self.rounds()[1:]:
-                words += [
-                    words[p] + singles[g]
-                    for p, g in zip(parents[start:end], lasts[start:end])
-                ]
-            self._words = words
-        return self._words
+        """Each element's canonical word, built along the links on first use."""
+        singles = [(g,) for g in range(self.rank + 1)]
+        return self.along(lambda g, w: w + g, singles, ())
 
-    @property
+    @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
         """Each canonical word's element, built on first use."""
-        if self._index is None:
-            self._index = dict(zip(self.words, range(len(self))))
-        return self._index
+        return dict(zip(self.words, range(len(self))))
 
     def texts(self) -> list[str]:
         """Each word's letters joined by spaces, as `str(Word)` writes them.
@@ -346,9 +349,7 @@ class Semigroup:
 
     def product(self, i: int, letters: Iterable[int]) -> int:
         """The index of words[i] * letters, each letter in 1..rank."""
-        columns = self._columns
-        if columns is None:
-            columns = self._fill()
+        columns = self.columns
         for g in letters:
             i = columns[g][i]
         return i

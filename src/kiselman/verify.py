@@ -42,16 +42,19 @@ each to right factors of every length:
   canonical; and w begins with the stem of can(w u) if it has one.
 
 Suites share one context, built once per run around the indexed
-`Semigroup` of K_n; the suites that read the rest build it on first use:
-the left products a_k * y, along the parent links; the stems, and the
-edges that move one; the direct searches of K_n and K_{n-1}, as letter
-tuples; the submonoid avoiding letter 1; and the solutions of x * a_1 =
-zero, constructed from K_{n-1} shifted up one letter and each checked by
-one `multiply`, a fold.  The solutions are a plain set: solution_structure
-takes the special solution to be the decreasing idempotent over 2..n,
-the claim it checks, and prefix_bijection takes the solutions that hold
-letter 1.  A suite that does not apply at the rank reports itself
-skipped with a reason; the report lists every selected suite.
+`Semigroup` of K_n, whose public views are all they read: its words,
+index, table and `along`, never its links.  The suites that read the
+rest build it on first use: the left products a_k * y, by `along`; the
+zero's index; the stems, each word up to its letter 1 looked up in the
+index, and the edges that move one; the direct searches of K_n and
+K_{n-1}, as letter tuples; the submonoid avoiding letter 1; and the
+solutions of x * a_1 = zero, constructed from K_{n-1} shifted up one
+letter and each checked by one `multiply`, a fold.  The solutions are a
+plain set: solution_structure takes the special solution to be the
+decreasing idempotent over 2..n, the claim it checks, and
+prefix_bijection takes the solutions that hold letter 1.  A suite that
+does not apply at the rank reports itself skipped with a reason; the
+report lists every selected suite.
 """
 
 from __future__ import annotations
@@ -87,28 +90,19 @@ class _Context:
         self.rank = rank
         self.semigroup = Semigroup(rank)
 
-    def along_links(self, op, by_letter: list, roots: list) -> list[list]:
-        """For each root, a value per element: the root for the identity,
-        and op(by_letter[g], v's value) for v g.  A round's parents are
-        all in the round before it."""
-        s = self.semigroup
-        labels = list(map(by_letter.__getitem__, s._lasts))
-        rows = []
-        for root in roots:
-            row = [root]
-            for start, end in s.rounds()[1:]:
-                row += map(
-                    op, labels[start:end], map(row.__getitem__, s._parents[start:end])
-                )
-            rows.append(row)
-        return rows
-
     @cached_property
     def left(self) -> list[list[int] | None]:
         """left[k][y] is a_k * y for k in 1..n, as (a_k * v) * g for y = v g."""
         columns = self.semigroup.columns
-        generators = [columns[k][0] for k in range(1, self.rank + 1)]
-        return [None] + self.along_links(list.__getitem__, columns, generators)
+        return [None] + [
+            self.semigroup.along(list.__getitem__, columns, columns[k][0])
+            for k in range(1, self.rank + 1)
+        ]
+
+    @cached_property
+    def zero_index(self) -> int:
+        """The zero's element, the one the zero-equation suites test for."""
+        return self.semigroup.index[zero(self.rank).word.letters]
 
     @cached_property
     def words(self) -> list[tuple[int, ...]]:
@@ -131,15 +125,12 @@ class _Context:
 
     @cached_property
     def stems(self) -> list[int]:
-        """stems[x]: the element of x's word up to its last letter 1, -1 if
-        none; x itself when x ends in 1, a larger index than any before."""
-        s = self.semigroup
-        own = [c if g == 1 else -1 for c, g in enumerate(s._lasts)]
-        stems = [-1]
-        for start, end in s.rounds()[1:]:
-            parents = s._parents[start:end]
-            stems += map(max, own[start:end], map(stems.__getitem__, parents))
-        return stems
+        """stems[x]: the element of x's word up to its letter 1, -1 if none."""
+        index = self.semigroup.index
+        return [
+            index[w[:w.index(1) + 1]] if 1 in w else -1
+            for w in self.semigroup.words
+        ]
 
     @cached_property
     def moved(self) -> list[tuple[int, int]]:
@@ -320,7 +311,7 @@ def _suite_content(ctx: _Context) -> dict:
     failures: list[str] = []
     s = ctx.semigroup
     bits = [1 << g for g in range(ctx.rank + 1)]
-    (masks,) = ctx.along_links(int.__or__, bits, [0])
+    masks = s.along(int.__or__, bits, 0)
     for k in range(1, ctx.rank + 1):
         column, bit = s.columns[k], bits[k]
         if list(map(masks.__getitem__, column)) != list(map(bit.__or__, masks)):
@@ -408,23 +399,22 @@ def _suite_prefix_stability(ctx: _Context) -> dict:
         for x, k in ctx.moved if stems[x] >= 0
     ]
     # a tail: the letters after a word's 1, or the whole word without one.
-    # It is a word over 2..n, so tails[x] is its element, found along the
-    # links: a word over 2..n steps by each letter above 1 to its child,
-    # and by 1 to the empty tail
-    parents, lasts, walks, n = s._parents, s._lasts, 0, len(s)
-    plain = [x for x, stem in enumerate(stems) if stem < 0]
-    children: list = [None, dict.fromkeys(plain, 0)] + [{} for _ in range(rank - 1)]
-    for c in plain[1:]:
-        children[lasts[c]][parents[c]] = c
-    tails = ctx.along_links(dict.__getitem__, children, [0])[0]
+    # It is a word over 2..n, canonical as a factor of a canonical word,
+    # so tails[x] is its element, found along the links: v * g has v's
+    # tail times g for g >= 2, and v * 1 the empty tail
+    walks, n = 0, len(s)
+    tails = s.along(list.__getitem__, [None, [0] * n, *s.columns[2:]], 0)
     holding = [x for x, stem in enumerate(stems) if stem >= 0]
     for k in range(2, rank + 1):
         # x * a_k is x, or x's word and k, or else a walk: its tail is
-        # tested once per pair of tails, keyed by the pair's elements
+        # tested once per pair of tails, keyed by the pair's elements.  A
+        # walk is never longer than x, so only a longer product is compared
         column = s.columns[k]
         walking = [
             x for x in holding
-            if (xk := column[x]) != x and not (parents[xk] == x and lasts[xk] == k)
+            if (xk := column[x]) != x and (
+                len(words[xk]) <= len(words[x]) or words[xk] != words[x] + (k,)
+            )
         ]
         walks += len(walking)
         pairs = {tails[x] * n + tails[column[x]]: x for x in walking}
@@ -473,8 +463,7 @@ def _suite_zero_cancellation(ctx: _Context) -> dict:
         return _skip("zero_cancellation", "needs letters above 1")
     failures: list[str] = []
     s = ctx.semigroup
-    rank, columns, element = ctx.rank, s.columns, s.element
-    zero_index = s.index[zero(rank).word.letters]
+    rank, columns, element, zero_index = ctx.rank, s.columns, s.element, ctx.zero_index
     for k in range(2, rank + 1):
         for x, xk in enumerate(columns[k]):
             if xk == zero_index and x != zero_index:
@@ -501,9 +490,8 @@ def _suite_solution_structure(ctx: _Context) -> dict:
     if constructed != brute:
         failures.append("constructive and brute-force solution sets differ")
     # the antiautomorphism swaps the sides: a_n * y = zero mirrors x * a_1 = zero
-    zero_index = s.index[zero(ctx.rank).word.letters]
     left_solved = {
-        s.element(y) for y, ny in enumerate(ctx.left[ctx.rank]) if ny == zero_index
+        s.element(y) for y, ny in enumerate(ctx.left[ctx.rank]) if ny == ctx.zero_index
     }
     if left_solved != {antiautomorphism(x) for x in brute}:
         failures.append(

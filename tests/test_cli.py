@@ -470,7 +470,8 @@ def test_enum_large_rank_refused(capsys):
         assert time.perf_counter() - start < 0.1
         cap = limit[-1] if limit else "83973"
         assert (code, out, err) == (
-            3, "", f"resource limit: enumeration at rank 7 exceeded the element cap of {cap}\n"
+            3, "", "resource limit: enumeration at rank 7 needs 22263378 "
+            f"elements, above the element cap of {cap}\n"
         )
 
 

@@ -163,12 +163,17 @@ def test_sorted_elements_order(k2):
     assert [str(x) for x in ordered] == ["", "1", "2", "1 2", "2 1"]
 
 
+def _built(s):
+    """The views of s computed so far: each is computed once, on first read."""
+    return {view for view in ("words", "index", "columns") if view in vars(s)}
+
+
 def test_table_is_filled_on_first_product():
     s = Semigroup(3)
     s.words, s.index, len(s), s.element(5), elements(s)
-    assert s._columns is None
+    assert _built(s) == {"words", "index"}
     assert s.product(s.index[(2,)], (1,)) == s.index[(2, 1)]
-    columns = s._columns
+    columns = vars(s)["columns"]
     assert s.product(0, (3, 2, 1)) == s.index[(3, 2, 1)]
     assert s.columns is s.columns is columns
     assert s.columns[0] is None
@@ -236,7 +241,7 @@ def _check_table_against_rewriter(rank):
     # the words come in sort_key order without repeats, which write_cache
     # relies on, and no table is filled for them
     assert s.words == sorted(s.words, key=sort_key)
-    assert s._columns is None
+    assert "columns" not in _built(s)
     words, columns = s.words, s.columns
     assert len(set(words)) == len(words)
     assert s.index == {w: i for i, w in enumerate(words)}
@@ -281,7 +286,8 @@ def test_generated_submonoid_every_generator_subset(rank):
 def test_element_cap_matches_rewriter_closure():
     with pytest.raises(
         ResourceLimitError,
-        match=r"^enumeration at rank 3 exceeded the element cap of 17$",
+        match=r"^enumeration at rank 3 needs 18 elements, "
+        r"above the element cap of 17$",
     ):
         Semigroup(3, limit=17)
     assert len(Semigroup(3, limit=18)) == 18
@@ -308,7 +314,8 @@ def test_small_cap_is_refused_before_the_automaton_grows(monkeypatch):
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
     with pytest.raises(
         ResourceLimitError,
-        match=r"^enumeration at rank 7 exceeded the element cap of 1$",
+        match=r"^enumeration at rank 7 needs 22263378 elements, "
+        r"above the element cap of 1$",
     ):
         Semigroup(7, limit=1)
     assert rewrite._AUTOMATA == {}
@@ -320,7 +327,7 @@ def test_default_cap_refuses_ranks_past_the_table_unbuilt(monkeypatch, rank):
     # is refused first
     monkeypatch.setattr(rewrite, "_AUTOMATA", {})
     reason = (
-        "exceeded the element cap of 83973" if rank == 7
+        "needs 22263378 elements, above the element cap of 83973" if rank == 7
         else "is refused: closures run only up to rank 7"
     )
     with pytest.raises(
@@ -337,7 +344,8 @@ def test_every_cap_below_k7_is_refused_at_once(monkeypatch):
         start = time.perf_counter()
         with pytest.raises(
             ResourceLimitError,
-            match=rf"^enumeration at rank 7 exceeded the element cap of {limit}$",
+            match=r"^enumeration at rank 7 needs 22263378 elements, "
+            rf"above the element cap of {limit}$",
         ):
             Semigroup(7, limit=limit)
         assert time.perf_counter() - start < 0.1
@@ -367,7 +375,7 @@ def test_a_table_above_the_default_cap_is_refused_at_once(monkeypatch):
         ):
             read()
         assert time.perf_counter() - start < 0.1
-    assert s._columns is None
+    assert _built(s) == set()
 
 
 def test_closure_above_rank_7_files_no_automaton(monkeypatch):
@@ -583,7 +591,7 @@ def _check_texts(rank):
     s = Semigroup(rank)
     texts, rounds = s.texts(), s.rounds()
     # built from the links alone: no letter tuple, no lookup, no product
-    assert (s._words, s._index, s._columns) == (None, None, None)
+    assert _built(s) == set()
     assert texts == [str(Word(w, rank)) for w in s.words]
     # one round per length, shortest first, covering every element once
     assert [start for start, _ in rounds] == [0] + [end for _, end in rounds[:-1]]
@@ -610,7 +618,7 @@ def test_texts_are_the_words_as_str_writes_them_rank_6():
 )
 def test_words_from_the_links_are_the_direct_search_in_order(rank):
     s = Semigroup(rank)
-    assert s._words is None
+    assert _built(s) == set()
     assert s.words == sorted(enumeration._canonical_words(rank), key=sort_key)
     assert s.words is s.words
 
@@ -627,11 +635,24 @@ def test_direct_search_core_lists_each_word_once(rank):
 
 def test_index_is_built_on_first_read():
     s = Semigroup(3)
-    assert s._index is None
+    assert _built(s) == set()
     s.product(0, (1, 2))
-    assert s._index is None
+    assert _built(s) == {"columns"}
     assert s.index[(2, 1)] == s.words.index((2, 1))
     assert s.index is s.index
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_along_matches_the_per_element_definitions(rank):
+    # along the links, each value is the one defined on the element's word
+    s = Semigroup(rank)
+    words, columns = s.words, s.columns
+    bits = [1 << g for g in range(rank + 1)]
+    assert s.along(int.__or__, bits, 0) == [sum(bits[g] for g in set(w)) for w in words]
+    for k in range(1, rank + 1):
+        generator = columns[k][0]
+        left = s.along(list.__getitem__, columns, generator)
+        assert left == [s.product(generator, w) for w in words], k
 
 
 def _rewriter_threshold(letters, rank):

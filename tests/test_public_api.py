@@ -86,3 +86,17 @@ def test_benchmark_names_resolve(dotted):
 def test_benchmark_argvs_parse(argv):
     args = cli.build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+# Semigroup's links, the storage format that `Semigroup.along`, `rounds`
+# and `texts` hide
+LINK_FIELDS = {"_parents", "_lasts", "_states", "_rows", "_bounds"}
+
+
+def test_only_enumeration_reads_the_semigroup_links():
+    readers: dict[str, list[int]] = {}
+    for path in sorted(Path(kiselman.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in LINK_FIELDS:
+                readers.setdefault(path.name, []).append(node.lineno)
+    assert set(readers) == {"enumeration.py"}, readers
